@@ -3,7 +3,8 @@
 Subcommands: check, map, orbit, enum, ideal, series, zeta.  Results go to
 stdout (JSON unless noted), diagnostics to stderr.  Exit codes: 0 success
 or property verified; 1 predicate false or property violation (witness on
-stdout); 2 usage, parse, or extent error; 3 resource cap exceeded.
+stdout); 2 usage, parse, or extent error; 3 resource cap exceeded (an item
+cap, or a count whose table would exceed 10**7 cells).
 """
 
 from __future__ import annotations
@@ -243,6 +244,17 @@ def parse_weights(text: str, extent: int) -> series.WeightSpec:
     raise ParseError(f"unknown weight spec {text!r}")
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts: a negative value is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _format_fixed(value, places: int = 12) -> str:
     scaled = int(mpmath.nint(value * mpmath.mpf(10) ** places))
     sign = "-" if scaled < 0 else ""
@@ -310,12 +322,21 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_enum(args) -> int:
     desc = parse_family(args.family)
+    if args.count_only:
+        # the count of the listing --limit and --max-items would allow
+        total = families.count(desc)
+        if args.limit is not None:
+            total = min(total, args.limit)
+        if args.max_items is not None and total > args.max_items:
+            raise ResourceBound(
+                f"{desc.describe()} would list {total} members, more than the "
+                f"cap of {args.max_items} items"
+            )
+        print(total)
+        return 0
     stream = families.enumerate_family(desc, max_items=args.max_items)
     if args.limit is not None:
         stream = islice(stream, args.limit)
-    if args.count_only:
-        print(sum(1 for _ in stream))
-        return 0
     if args.json:
         print(_dump([list(p.parts) for p in stream]))
         return 0
@@ -512,10 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="stream a family as JSON lines")
     p.add_argument("family", help="all:N | distinct:N | seqcong-lg:N | step-lg:N | "
                    "parts:T=...;n=N | pba:A=...;B=...;n=N | sna-lg:A=...;n=N")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--limit", type=_nonnegative_int)
+    p.add_argument("--count-only", action="store_true",
+                   help="print min(count, --limit), computed without enumerating")
     p.add_argument("--json", action="store_true", help="one JSON array instead of lines")
-    p.add_argument("--max-items", type=int, default=None)
+    p.add_argument("--max-items", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("ideal", help="deletion-closure and count-invariance checks")

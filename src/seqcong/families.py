@@ -1,10 +1,18 @@
-"""Deterministic generators and counters for every partition family in the
-package, plus the finite-truncation ideal checks.
+"""Deterministic generators and exact counters for every partition family
+in the package, plus the finite-truncation ideal checks.
 
 Enumeration order for every family is strictly decreasing lexicographic on
 the parts sequence, and two runs produce identical streams.  A configurable
 item cap (default 10**7) turns runaway requests into a clean
 :class:`ResourceBound` error.
+
+Counts never enumerate.  :func:`count` runs a dynamic program for each
+kind: a row recursion over (index, current part) read off the congruence
+conditions for ``seqcong-lg``, ``step-lg`` and ``sna-lg``, Euler's
+pentagonal-number recurrence for ``all``, a 0/1 knapsack for ``distinct``
+and coin change for ``parts-in`` and ``pba-len``.  Each program refuses,
+before it allocates anything, a table of more than ``DEFAULT_ITEM_CAP``
+cells.  The generators stay as the oracles the tests hold the counters to.
 
 The sequentially congruent generator builds members directly from the
 congruence conditions (right-to-left residue choices, realized as a DFS
@@ -15,7 +23,7 @@ so that counting agreement with the plain enumerator is a genuine check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
 from .partition import Partition
@@ -181,15 +189,19 @@ def _gen_step_lg(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, n)
 
 
-def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[int, ...]]:
-    # Stops at depth r need a_r | part_r, so part_r >= a_r; strictly
-    # increasing terms bound the depth.  Constant-like rules admit members
-    # of every length and the family is infinite.
+def _require_strictly_increasing(a_seq: SequenceSpec) -> None:
     if not a_seq.strictly_increasing:
         raise ResourceBound(
             f"A ({a_seq.describe()}) does not increase strictly; the family "
             "has members of unbounded length and cannot be enumerated"
         )
+
+
+def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[int, ...]]:
+    # Stops at depth r need a_r | part_r, so part_r >= a_r; strictly
+    # increasing terms bound the depth.  Constant-like rules admit members
+    # of every length and the family is infinite.
+    _require_strictly_increasing(a_seq)
     if n == 0:
         yield ()
         return
@@ -211,32 +223,34 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[int, ...]]:
 
 def _pba_value_pairs(
     a_seq: SequenceSpec, b_seq: SequenceSpec, *, a_bound: int | None, ab_bound: int | None
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """Distinct B-values paired with the A-term at their first position.
 
     Positions are bounded by explicit tables when present; otherwise by the
     requested a- or a*b-bound, which is only finite for rules whose relevant
     product grows.  Repeated B-values keep their first position, matching
-    the membership predicate.
+    the membership predicate.  Pairs are yielded lazily, so a caller can
+    stop the walk early.
     """
-    pairs: list[tuple[int, int]] = []
     seen: set[int] = set()
 
-    def push(a: int, b: int) -> None:
+    def keep(a: int, b: int) -> bool:
         if b in seen:
-            return
+            return False
         if a_bound is not None and a > a_bound:
-            return
+            return False
         if ab_bound is not None and a * b > ab_bound:
-            return
+            return False
         seen.add(b)
-        pairs.append((b, a))
+        return True
 
     extents = [e for e in (a_seq.extent, b_seq.extent) if e is not None]
     if extents:
         for i in range(1, min(extents) + 1):
-            push(a_seq.at(i), b_seq.at(i))
-        return pairs
+            a, b = a_seq.at(i), b_seq.at(i)
+            if keep(a, b):
+                yield b, a
+        return
     # both total rules
     bound = a_bound if ab_bound is None else ab_bound
     i = 1
@@ -252,15 +266,15 @@ def _pba_value_pairs(
                 f"A ({a_seq.describe()}) keeps infinitely many terms within "
                 f"the bound {bound}; the family is infinite"
             )
-        push(a, b)
+        if keep(a, b):
+            yield b, a
         i += 1
-    return pairs
 
 
 def _gen_pba_len(
     a_seq: SequenceSpec, b_seq: SequenceSpec, n: int
 ) -> Iterator[tuple[int, ...]]:
-    pairs = _pba_value_pairs(a_seq, b_seq, a_bound=n, ab_bound=None)
+    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=n, ab_bound=None))
     members: list[tuple[int, ...]] = []
     chosen: list[tuple[int, int]] = []
 
@@ -301,8 +315,8 @@ def iter_pba_by_size(
     contributes when a*b <= max_size; that keeps the candidate value set
     finite for every sequence kind.
     """
-    pairs = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size)
-    pairs.sort(reverse=True)  # deterministic stream, largest values first
+    # deterministic stream, largest values first
+    pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
     chosen: list[tuple[int, int]] = []
 
     def rec(idx: int, size_left: int, len_left: int | None) -> Iterator[Partition]:
@@ -326,25 +340,181 @@ def iter_pba_by_size(
 
 
 # ---------------------------------------------------------------------------
-# public enumeration API
+# exact counters (dynamic programs; the generators above are their oracles)
 
 
-def _dispatch(desc: FamilyDescriptor) -> Iterator[tuple[int, ...]]:
-    if desc.kind == "all":
-        return _gen_all(desc.n)
-    if desc.kind == "parts-in":
-        return _gen_parts_in(desc.part_set, desc.n)
-    if desc.kind == "distinct":
-        return _gen_distinct(desc.n)
-    if desc.kind == "seqcong-lg":
-        return _gen_seqcong_lg(desc.n)
-    if desc.kind == "step-lg":
-        return _gen_step_lg(desc.n)
-    if desc.kind == "sna-lg":
-        return _gen_sna_lg(desc.a_seq, desc.n)
-    if desc.kind == "pba-len":
-        return _gen_pba_len(desc.a_seq, desc.b_seq, desc.n)
-    raise ValueError(f"unknown family kind {desc.kind!r}")
+def _require_cells(label: str, rows: int, n: int) -> None:
+    """Refuse a table of `rows` rows (at least one) by n + 1 columns that
+    would exceed DEFAULT_ITEM_CAP cells.  Counters call this before they
+    allocate, so time and memory follow the input text, not its values."""
+    cells = max(rows, 1) * (n + 1)
+    if cells > DEFAULT_ITEM_CAP:
+        raise ResourceBound(
+            f"counting {label} needs a table of {cells} cells, more than the "
+            f"cap of {DEFAULT_ITEM_CAP}"
+        )
+
+
+def seqcong_weight_sums(n: int, weight: Callable[[int], Any]) -> list:
+    """Entry v (0 <= v <= n) sums, over the sequentially congruent partitions
+    with largest part v, the product over i of weight(i) raised to
+    (lambda_i - lambda_{i+1}) / i.  With weight 1 it counts them.
+
+    With f = weight, W(i, v) weighs the completions at depth i with current
+    part v: stop when i | v, with weight f(i)^(v/i), or go on to a part
+    c = v (mod i) with i < c <= v, with weight f(i)^((v-c)/i).  So
+    W(i, v) = [i | v] f(i)^(v/i) + T(i, v), where T(i, v) = W(i+1, v)
+    + f(i) T(i, v-i) for v > i and T(i, v) = 0 for v <= i.  Rows roll from
+    i = n down to 1 in O(n) memory, and row 1 answers every largest part at
+    once.  `weight` is called once per i, from n down to 1, so a weight
+    table shorter than n raises from its own lookup.
+    """
+    _require_cells(f"seqcong-lg:{n}", n, n)
+    w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v <= i
+    t = [0] * (n + 1)  # T(i, v); zero for v <= i
+    for i in range(n, 0, -1):
+        f = weight(i)
+        for v in range(i + 1, n + 1):
+            t[v] = w[v] + f * t[v - i]
+            w[v] = t[v]
+        stop = 1
+        for v in range(i, n + 1, i):
+            stop *= f
+            w[v] += stop
+    return w
+
+
+def step_bounded_counts(n: int) -> list[int]:
+    """Entry v (0 <= v <= n) counts the sequentially congruent partitions
+    with largest part v whose steps lambda_i - lambda_{i+1} are all 0 or i.
+
+    The rows of :func:`seqcong_weight_sums`, with transitions only to
+    c in {v, v-i} and a stop only at v = i:
+    W(i, v) = [v = i] + [v > i] W(i+1, v) + [v-i > i] W(i+1, v-i).
+    """
+    _require_cells(f"step-lg:{n}", n, n)
+    w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v <= i
+    for i in range(n, 0, -1):
+        for v in range(n, 2 * i, -1):  # descending, so w[v - i] is still row i+1
+            w[v] += w[v - i]
+        w[i] = 1
+    return w
+
+
+def _pentagonal_counts(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence: p(m) is the
+    sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    _require_cells(f"all:{n}", 1, n)  # also bounds the walk over the offsets
+    offsets: list[tuple[int, int]] = []  # (generalized pentagonal number, sign), ascending
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        sign = 1 if k % 2 else -1
+        offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
+    _require_cells(f"all:{n}", len(offsets), n)
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        total = 0
+        for g, sign in offsets:
+            if g > m:
+                break
+            total += sign * p[m - g]
+        p[m] = total
+    return p
+
+
+def _coin_change(label: str, coins: Iterable[int], n: int) -> int:
+    """Ways to write n as a sum of one multiple of each coin; equal coins
+    count as different coins."""
+    coins = [c for c in coins if c <= n]
+    _require_cells(label, len(coins), n)
+    ways = [1] + [0] * n
+    for c in coins:
+        for v in range(c, n + 1):
+            ways[v] += ways[v - c]
+    return ways[n]
+
+
+def _count_distinct(desc: FamilyDescriptor) -> int:
+    """0/1 knapsack over the parts 1..n."""
+    n = desc.n
+    _require_cells(desc.describe(), n, n)
+    ways = [1] + [0] * n
+    for k in range(1, n + 1):
+        for v in range(n, k - 1, -1):
+            ways[v] += ways[v - k]
+    return ways[n]
+
+
+def _count_sna_lg(desc: FamilyDescriptor) -> int:
+    """Rows over (depth i, current part v) with modulus a_i and floor a_{i+1}:
+    W(i, v) = [a_i | v] + T(i, v), where T(i, v) = W(i+1, v) + T(i, v - a_i)
+    sums W(i+1, c) over c = v (mod a_i) with a_{i+1} <= c <= v.
+
+    A is read exactly where :func:`_gen_sna_lg` reads it: a_{i+1} is looked
+    up when a_i < n, so a short table raises in the same cases.
+    """
+    a_seq, n, label = desc.a_seq, desc.n, desc.describe()
+    _require_strictly_increasing(a_seq)
+    if n == 0:
+        return 1
+    _require_cells(label, 1, n)
+    mods = [a_seq.at(1)]  # a_1, ..., a_D
+    while mods[-1] < n:
+        mods.append(a_seq.at(len(mods) + 1))
+        _require_cells(label, len(mods), n)
+    w = [0] * (n + 1)  # W(i+1, v) before row i, W(i, v) after; zero below a_{i+1}
+    t = [0] * (n + 1)  # T(i, v); zero below a_{i+1}
+    for i in range(len(mods), 0, -1):
+        a = mods[i - 1]
+        floor = mods[i] if i < len(mods) else n + 1  # no continuation from depth D
+        for v in range(floor, n + 1):
+            t[v] = w[v] + t[v - a]
+            w[v] = t[v]
+        for v in range(a, n + 1, a):
+            w[v] += 1
+    return w[n]
+
+
+def _count_pba_len(desc: FamilyDescriptor) -> int:
+    """Coin change over the A-terms of the same (B-value, A-term) pairs the
+    enumerator uses: each B-value takes a multiple of its A-term copies."""
+    label, n = desc.describe(), desc.n
+    _require_cells(label, 1, n)
+    coins = []
+    for _, a in _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None):
+        coins.append(a)
+        _require_cells(label, len(coins), n)
+    return _coin_change(label, coins, n)
+
+
+# ---------------------------------------------------------------------------
+# public enumeration and counting API
+
+
+# kind -> (generator of raw member tuples, exact counter), both given the descriptor
+_KINDS = {
+    "all": (lambda d: _gen_all(d.n), lambda d: _pentagonal_counts(d.n)[d.n]),
+    "parts-in": (
+        lambda d: _gen_parts_in(d.part_set, d.n),
+        lambda d: _coin_change(d.describe(), d.part_set, d.n),
+    ),
+    "distinct": (lambda d: _gen_distinct(d.n), _count_distinct),
+    "seqcong-lg": (
+        lambda d: _gen_seqcong_lg(d.n),
+        lambda d: seqcong_weight_sums(d.n, lambda i: 1)[d.n],
+    ),
+    "step-lg": (lambda d: _gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)[d.n]),
+    "sna-lg": (lambda d: _gen_sna_lg(d.a_seq, d.n), _count_sna_lg),
+    "pba-len": (lambda d: _gen_pba_len(d.a_seq, d.b_seq, d.n), _count_pba_len),
+}
+
+
+def _kind(desc: FamilyDescriptor):
+    try:
+        return _KINDS[desc.kind]
+    except KeyError:
+        raise ValueError(f"unknown family kind {desc.kind!r}") from None
 
 
 def enumerate_family(
@@ -354,7 +524,8 @@ def enumerate_family(
     lexicographic order on the parts sequence."""
     cap = DEFAULT_ITEM_CAP if max_items is None else max_items
     produced = 0
-    for t in _dispatch(desc):
+    generate, _ = _kind(desc)
+    for t in generate(desc):
         produced += 1
         if produced > cap:
             raise ResourceBound(
@@ -364,8 +535,22 @@ def enumerate_family(
 
 
 def count(desc: FamilyDescriptor, max_items: int | None = None) -> int:
-    """Number of members; by contract the length of :func:`enumerate_family`."""
-    return sum(1 for _ in enumerate_family(desc, max_items=max_items))
+    """Number of members; by contract the length of :func:`enumerate_family`.
+
+    Computed by the kind's dynamic program, never by enumerating; the
+    enumerators are the oracles the tests hold these counts to.  Nothing is
+    built per member, so there is no default cap: only when `max_items` is
+    given does a larger count raise :class:`ResourceBound`.  A count whose
+    table would exceed DEFAULT_ITEM_CAP cells raises it too, before the
+    table is allocated.
+    """
+    total = _kind(desc)[1](desc)
+    if max_items is not None and total > max_items:
+        raise ResourceBound(
+            f"{desc.describe()} has {total} members, more than the cap of "
+            f"{max_items} items"
+        )
+    return total
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -374,7 +559,9 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 
 def partition_count(n: int) -> int:
-    """p(n), computed by the plain enumerator."""
+    """p(n), by Euler's pentagonal-number recurrence (the counter of the
+    ``all`` kind).  It shares nothing with the row recursion behind
+    ``count(seqcong_largest(n))``, so comparing the two is a genuine check."""
     return count(all_of_size(n))
 
 
@@ -524,7 +711,8 @@ def count_invariance_suite(
     with parts in A.
 
     `a_prime` defaults to the reversed table of A; `b_prime` defaults to the
-    table 1..extent(B) (or 1..bound for rule B).  The report also records
+    table 1..extent(B) (or 1..bound for rule B).  A, B and `b_prime` must
+    have distinct terms, otherwise :class:`NonDistinctA` is raised.  The report also records
     the first n at which the A-permuted family differs as a set, which it
     must somewhere when the permutation is nontrivial.
     """
@@ -544,6 +732,9 @@ def count_invariance_suite(
     if b_prime is None:
         ext = b_seq.extent
         b_prime = SequenceSpec.table(range(1, max(ext or bound, 1) + 1))
+    for name, seq in (("B", b_seq), ("b_prime", b_prime)):
+        if not seq.is_distinct_through(max(bound, seq.extent or 0)):
+            raise NonDistinctA(f"{name} ({seq.describe()}) must have distinct terms")
 
     counts: list[int] = []
     differs_at: Optional[int] = None

@@ -148,12 +148,16 @@ def orbit(start: Partition, side: str = "P") -> OrbitTrace:
     )
 
 
-def _require_distinct(a_seq: SequenceSpec, through: int) -> None:
-    if not a_seq.is_distinct_through(through):
-        raise NonDistinctA(
-            f"A ({a_seq.describe()}) repeats terms within the first {through}; "
-            "positions would be ambiguous"
-        )
+def _require_distinct(a_seq: SequenceSpec, b_seq: SequenceSpec, through: int) -> None:
+    """Both sequences need distinct terms over the consulted positions: a
+    repeated A-term makes positions ambiguous, and a repeated B-term merges
+    the images of two positions into one part."""
+    for name, seq in (("A", a_seq), ("B", b_seq)):
+        if not seq.is_distinct_through(through):
+            raise NonDistinctA(
+                f"{name} ({seq.describe()}) repeats terms within the first "
+                f"{through}; the scaling bijection needs distinct terms"
+            )
 
 
 def scale_map(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> Partition:
@@ -161,8 +165,10 @@ def scale_map(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> Parti
     (A, B) divisibility family obtained by replacing each part a_i of
     multiplicity m by the part b_i of multiplicity a_i * m.
 
-    The result's length equals the input's size.  A must have distinct terms
-    over the consulted range so positions are unambiguous.
+    The result's length equals the input's size.  A and B must have distinct
+    terms over the consulted range, otherwise :class:`NonDistinctA` is
+    raised: repeated A-terms make positions ambiguous, and repeated B-terms
+    would merge two positions into one part outside the family.
     """
     freq = lam.frequencies()
     out: dict[int, int] = {}
@@ -174,7 +180,7 @@ def scale_map(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> Parti
         max_pos = max(max_pos, pos)
         b = b_seq.at(pos)
         out[b] = out.get(b, 0) + part * mult
-    _require_distinct(a_seq, max_pos)
+    _require_distinct(a_seq, b_seq, max_pos)
     return Partition.from_frequencies(out)
 
 
@@ -183,7 +189,9 @@ def scale_map_inverse(mu: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -
     back to the part a_i with multiplicity m.
 
     The input must belong to the (A, B) divisibility family, otherwise
-    :class:`NotMemberPBA` is raised with the violation report.
+    :class:`NotMemberPBA` is raised with the violation report.  As for
+    :func:`scale_map`, repeated A- or B-terms over the consulted range raise
+    :class:`NonDistinctA`.
     """
     report = is_member_pba(mu, a_seq, b_seq)
     if not report.ok:
@@ -198,5 +206,5 @@ def scale_map_inverse(mu: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -
         max_pos = max(max_pos, pos)
         a = a_seq.at(pos)
         out[a] = out.get(a, 0) + mult // a
-    _require_distinct(a_seq, max_pos)
+    _require_distinct(a_seq, b_seq, max_pos)
     return Partition.from_frequencies(out)

@@ -32,9 +32,8 @@ from .families import (
     iter_pba_by_size,
     parts_in,
     partitions_of,
-    seqcong_largest,
-    step_bounded_largest,
-    count as family_count,
+    seqcong_weight_sums,
+    step_bounded_counts,
 )
 from .sequences import SequenceSpec
 
@@ -228,7 +227,11 @@ def product_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
 
 def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     """Sum over all partitions of q^size weighted by the product of f over
-    the parts (with multiplicity), by direct enumeration."""
+    the parts (with multiplicity), by direct enumeration.
+
+    This side stays enumerative on purpose: it is the independent side of
+    the ``product-sum`` identity, so no dynamic program replaces it.
+    """
     coeffs: dict[tuple[int, int], Fraction] = {}
     for n in range(qtrunc + 1):
         total = Fraction(0)
@@ -246,22 +249,14 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     """Sum over sequentially congruent partitions of q^(largest part),
     weighted by f(i) raised to the i-th successive difference over i.
 
-    Enumerates the members with each largest part directly; their lengths
-    never exceed the largest part, so f's extent need only reach qtrunc.
+    Read off one row table of :func:`families.seqcong_weight_sums`, which
+    holds every largest part up to qtrunc at once; the enumerator is its
+    oracle in the tests.  Lengths never exceed the largest part, so f's
+    extent need only reach qtrunc, and a shorter table raises
+    :class:`ExtentExceeded`.
     """
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for n in range(qtrunc + 1):
-        total = Fraction(0)
-        for phi in enumerate_family(seqcong_largest(n)):
-            w = Fraction(1)
-            for i in range(1, phi.length + 1):
-                e = (phi.part_at(i) - phi.part_at(i + 1)) // i
-                if e:
-                    w *= f.value(i) ** e
-            total += w
-        if total:
-            coeffs[(0, n)] = total
-    return BivariateSeries(0, qtrunc, coeffs)
+    sums = seqcong_weight_sums(qtrunc, f.value)
+    return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(sums)})
 
 
 def _factor_positions(
@@ -350,13 +345,11 @@ def distinct_product_side(qtrunc: int) -> BivariateSeries:
 
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
     """Sum of q^(largest part) over sequentially congruent partitions whose
-    steps are all 0 or the index, by direct enumeration."""
-    coeffs = {}
-    for n in range(qtrunc + 1):
-        c = family_count(step_bounded_largest(n))
-        if c:
-            coeffs[(0, n)] = Fraction(c)
-    return BivariateSeries(0, qtrunc, coeffs)
+    steps are all 0 or the index, read off one row table of
+    :func:`families.step_bounded_counts`; the enumerator is its oracle in
+    the tests."""
+    counts = step_bounded_counts(qtrunc)
+    return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(counts)})
 
 
 @dataclass(frozen=True)

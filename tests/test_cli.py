@@ -104,6 +104,10 @@ class TestMap:
         )
         assert code == 0 and out == "[3,3,2]\n"
 
+    def test_scale_rejects_repeated_b(self, capsys):
+        code, out, err = run(capsys, "map", "scale", "[3,2]", "--A", "2,3", "--B", "5,5")
+        assert code == 2 and out == "" and "B (5,5)" in err
+
     def test_scale_needs_sequences(self, capsys):
         code, _, err = run(capsys, "map", "scale", "[3,3,2]")
         assert code == 2
@@ -165,6 +169,26 @@ class TestEnum:
         code, _, _ = run(capsys, "enum", "everything:4")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--limit", "--max-items"])
+    def test_negative_counts_are_usage_errors(self, capsys, flag):
+        for extra in ([], ["--count-only"]):
+            code, out, err = run(capsys, "enum", "all:5", flag, "-1", *extra)
+            assert code == 2 and out == "" and "must be >= 0" in err
+
+    def test_count_only_limit_and_cap(self, capsys):
+        assert run(capsys, "enum", "all:8", "--count-only", "--limit", "3")[:2] == (0, "3\n")
+        assert run(capsys, "enum", "all:8", "--count-only", "--max-items", "22")[:2] == (0, "22\n")
+        code, out, err = run(capsys, "enum", "all:8", "--count-only", "--max-items", "21")
+        assert code == 3 and out == "" and "cap" in err
+        # the cap applies to what would be listed, after --limit
+        assert run(
+            capsys, "enum", "all:8", "--count-only", "--limit", "5", "--max-items", "5"
+        )[:2] == (0, "5\n")
+
+    def test_count_only_has_no_default_cap(self, capsys):
+        code, out, _ = run(capsys, "enum", "all:200", "--count-only")
+        assert code == 0 and out == "3972999029388\n"
+
 
 class TestIdeal:
     def test_closure_pass(self, capsys):
@@ -193,6 +217,12 @@ class TestIdeal:
             capsys, "ideal", "equiv", "distinct", "all", "--max-size", "4"
         )
         assert code == 1 and '"first_difference":2' in out
+
+    def test_invariance_rejects_repeated_b(self, capsys):
+        code, out, err = run(
+            capsys, "ideal", "invariance", "--A", "2,3", "--B", "5,5", "--max-size", "6"
+        )
+        assert code == 2 and out == "" and "B (5,5)" in err
 
     def test_invariance(self, capsys):
         code, out, _ = run(

@@ -5,6 +5,7 @@ from seqcong import (
     ExtentExceeded,
     InvalidDeletion,
     InvalidPart,
+    NonDistinctA,
     Partition,
     ResourceBound,
     SequenceSpec,
@@ -363,6 +364,12 @@ class TestCountInvariance:
     def test_identity_permutation_never_differs(self):
         report = count_invariance_suite(self.A, self.B, 8, a_prime=self.A)
         assert report.ok and report.sets_differ_at is None
+
+    def test_repeated_b_rejected(self):
+        with pytest.raises(NonDistinctA, match=r"^B \("):
+            count_invariance_suite(self.A, SequenceSpec.table([5, 5]), 6)
+        with pytest.raises(NonDistinctA, match="^b_prime"):
+            count_invariance_suite(self.A, self.B, 6, b_prime=SequenceSpec.table([1, 1]))
 
     def test_non_permutation_rejected(self):
         with pytest.raises(InvalidPart):

@@ -237,6 +237,22 @@ class TestScaleMap:
                 Partition((7, 7)), SequenceSpec.table([2, 2]), self.B
             )
 
+    def test_repeated_b_rejected(self):
+        # without the check, [3,2] would map to [5,5,5,5,5], outside the family
+        with pytest.raises(NonDistinctA, match=r"^B \("):
+            scale_map(Partition((3, 2)), self.A, SequenceSpec.table([5, 5]))
+        with pytest.raises(NonDistinctA, match=r"^B \("):
+            scale_map_inverse(
+                Partition((7, 7, 7, 7)), SequenceSpec.table([2, 3, 4]),
+                SequenceSpec.table([5, 5, 7]),
+            )
+
+    def test_repeated_b_outside_the_consulted_positions_is_harmless(self):
+        b_seq = SequenceSpec.table([5, 5])
+        image = scale_map(Partition((2,)), self.A, b_seq)
+        assert image.parts == (5, 5)
+        assert scale_map_inverse(image, self.A, b_seq).parts == (2,)
+
     def test_inverse_rejects_non_member(self):
         with pytest.raises(NotMemberPBA):
             scale_map_inverse(Partition((7, 7, 7, 5)), self.A, self.B)

@@ -4,7 +4,7 @@ Subcommands: check, map, orbit, enum, ideal, series, zeta.  Results go to
 stdout (JSON unless noted), diagnostics to stderr.  Exit codes: 0 success
 or property verified; 1 predicate false or property violation (witness on
 stdout); 2 usage, parse, or extent error; 3 resource cap exceeded (an item
-cap, or a count whose table would exceed 10**7 cells).
+cap, or a count or series side whose table would exceed 10**7 cells).
 """
 
 from __future__ import annotations

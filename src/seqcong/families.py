@@ -23,7 +23,7 @@ so that counting agreement with the plain enumerator is a genuine check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
 from .partition import Partition
@@ -103,90 +103,115 @@ def _check_n(n: int) -> int:
 # raw generators (tuples, strictly decreasing lexicographic)
 
 
-def _gen_all(n: int) -> Iterator[tuple[int, ...]]:
+def _gen_by_size(n: int, gap: int) -> Iterator[tuple[int, ...]]:
+    """Parts summing to n, each at most the one before minus `gap`: every
+    partition of n for gap 0, the partitions into distinct parts for gap 1."""
+    # Explicit-stack walks here and below: members may be thousands of parts
+    # long, far past Python's recursion limit.  `stack` holds one iterator of
+    # choices per open level and `top` is the last of them.  Here a level
+    # picks the next part; rem is what the parts in cur leave of n.
+    if n == 0:
+        yield ()
+        return
     cur: list[int] = []
-
-    def rec(rem: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(cur)
-            return
-        for k in range(min(rem, mx), 0, -1):
+    rem = n
+    top = iter(range(n, 0, -1))
+    stack = [top]
+    while True:
+        for k in top:
+            if k == rem:
+                yield (*cur, k)
+                continue
             cur.append(k)
-            yield from rec(rem - k, k)
-            cur.pop()
-
-    yield from rec(n, n if n else 1)
+            rem -= k
+            top = iter(range(min(rem, k - gap), 0, -1))
+            stack.append(top)
+            break
+        else:  # choices exhausted: take back the part that opened them
+            stack.pop()
+            if not stack:
+                return
+            rem += cur.pop()
+            top = stack[-1]
 
 
 def _gen_parts_in(part_set: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     allowed = sorted(part_set, reverse=True)
+    if n == 0:
+        yield ()
+        return
     cur: list[int] = []
-
-    def rec(rem: int, start: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(cur)
-            return
-        for idx in range(start, len(allowed)):
+    rem = n
+    top = iter(range(len(allowed)))  # indices into allowed; parts never increase
+    stack = [top]
+    while True:
+        for idx in top:
             v = allowed[idx]
             if v > rem:
                 continue
+            if v == rem:
+                yield (*cur, v)
+                continue
             cur.append(v)
-            yield from rec(rem - v, idx)
-            cur.pop()
+            rem -= v
+            top = iter(range(idx, len(allowed)))
+            stack.append(top)
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return
+            rem += cur.pop()
+            top = stack[-1]
 
-    yield from rec(n, 0)
 
-
-def _gen_distinct(n: int) -> Iterator[tuple[int, ...]]:
-    cur: list[int] = []
-
-    def rec(rem: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(cur)
-            return
-        for k in range(min(rem, mx), 0, -1):
-            cur.append(k)
-            yield from rec(rem - k, k - 1)
-            cur.pop()
-
-    yield from rec(n, n if n else 1)
+def _walk_from_largest(
+    n: int, level: Callable[[int, int], tuple[Iterator[int], bool]]
+) -> Iterator[tuple[int, ...]]:
+    """Members with largest part n, in strictly decreasing lexicographic
+    order.  ``level(i, c)`` is called once for each prefix of depth i ending
+    in part c; it returns the possible next parts, descending, and whether
+    the prefix itself is a member.  A member is yielded after its
+    extensions, which are lexicographically larger.
+    """
+    if n == 0:
+        yield ()
+        return
+    prefix: list[int] = []
+    stops: list[bool] = []
+    top = iter((n,))
+    stack = [top]
+    while True:
+        for c in top:
+            prefix.append(c)
+            top, stop = level(len(prefix), c)
+            stops.append(stop)
+            stack.append(top)
+            break
+        else:
+            stack.pop()
+            if not stack:
+                return
+            if stops.pop():
+                yield tuple(prefix)
+            prefix.pop()
+            top = stack[-1]
 
 
 def _gen_seqcong_lg(n: int) -> Iterator[tuple[int, ...]]:
     # Prefixes extend while the next part can still reach a valid smallest
-    # part (a part at depth r must be a positive multiple of r, hence >= r).
-    if n == 0:
-        yield ()
-        return
-    prefix = [n]
-
-    def rec(i: int, v: int) -> Iterator[tuple[int, ...]]:
-        for c in range(v, i, -i):  # c = v mod i, i+1 <= c <= v, descending
-            prefix.append(c)
-            yield from rec(i + 1, c)
-            prefix.pop()
-        if v % i == 0:
-            yield tuple(prefix)
-
-    yield from rec(1, n)
+    # part (a part at depth r must be a positive multiple of r, hence >= r):
+    # c' = c mod i with i+1 <= c' <= c.  A prefix stops where i | c.
+    return _walk_from_largest(n, lambda i, c: (iter(range(c, i, -i)), c % i == 0))
 
 
 def _gen_step_lg(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    prefix = [n]
+    # Steps of 0 or i; a later stop needs a part equal to its depth, so every
+    # next part exceeds i.  A prefix stops where c = i.
+    def level(i: int, c: int) -> tuple[Iterator[int], bool]:
+        return iter((c, c - i) if c - i > i else (c,) if c > i else ()), c == i
 
-    def rec(i: int, v: int) -> Iterator[tuple[int, ...]]:
-        for c in (v, v - i):  # steps of 0 or i, descending
-            if c >= i + 1:  # a later stop needs a part equal to its depth
-                prefix.append(c)
-                yield from rec(i + 1, c)
-                prefix.pop()
-        if v == i:
-            yield tuple(prefix)
-
-    yield from rec(1, n)
+    return _walk_from_largest(n, level)
 
 
 def _require_strictly_increasing(a_seq: SequenceSpec) -> None:
@@ -202,23 +227,14 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[int, ...]]:
     # increasing terms bound the depth.  Constant-like rules admit members
     # of every length and the family is infinite.
     _require_strictly_increasing(a_seq)
-    if n == 0:
-        yield ()
-        return
-    prefix = [n]
 
-    def rec(i: int, v: int) -> Iterator[tuple[int, ...]]:
+    def level(i: int, c: int) -> tuple[Iterator[int], bool]:
         a_i = a_seq.at(i)
-        if v > a_i:  # a continuation can only stop at a strictly larger term
-            a_next = a_seq.at(i + 1)
-            for c in range(v, a_next - 1, -a_i):
-                prefix.append(c)
-                yield from rec(i + 1, c)
-                prefix.pop()
-        if v % a_i == 0:
-            yield tuple(prefix)
+        # a continuation can only stop at a strictly larger term
+        nxt = range(c, a_seq.at(i + 1) - 1, -a_i) if c > a_i else ()
+        return iter(nxt), c % a_i == 0
 
-    yield from rec(1, n)
+    return _walk_from_largest(n, level)
 
 
 def _pba_value_pairs(
@@ -346,12 +362,13 @@ def iter_pba_by_size(
 def _require_cells(label: str, rows: int, n: int) -> None:
     """Refuse a table of `rows` rows (at least one) by n + 1 columns that
     would exceed DEFAULT_ITEM_CAP cells.  Counters call this before they
-    allocate, so time and memory follow the input text, not its values."""
+    allocate, and so do the series product sides, so time and memory follow
+    the input text, not its values."""
     cells = max(rows, 1) * (n + 1)
     if cells > DEFAULT_ITEM_CAP:
         raise ResourceBound(
-            f"counting {label} needs a table of {cells} cells, more than the "
-            f"cap of {DEFAULT_ITEM_CAP}"
+            f"{label} needs a table of {cells} cells, more than the cap of "
+            f"{DEFAULT_ITEM_CAP}"
         )
 
 
@@ -494,12 +511,12 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
 
 # kind -> (generator of raw member tuples, exact counter), both given the descriptor
 _KINDS = {
-    "all": (lambda d: _gen_all(d.n), lambda d: _pentagonal_counts(d.n)[d.n]),
+    "all": (lambda d: _gen_by_size(d.n, 0), lambda d: _pentagonal_counts(d.n)[d.n]),
     "parts-in": (
         lambda d: _gen_parts_in(d.part_set, d.n),
         lambda d: _coin_change(d.describe(), d.part_set, d.n),
     ),
-    "distinct": (lambda d: _gen_distinct(d.n), _count_distinct),
+    "distinct": (lambda d: _gen_by_size(d.n, 1), _count_distinct),
     "seqcong-lg": (
         lambda d: _gen_seqcong_lg(d.n),
         lambda d: seqcong_weight_sums(d.n, lambda i: 1)[d.n],
@@ -666,14 +683,15 @@ def check_quasi_ideal(
     return ViolationReport(True, None, "closed under scaled deletions")
 
 
-def _a_value_set(a_seq: SequenceSpec, upto: int) -> tuple[int, ...]:
-    """Distinct term values of A that are <= upto."""
+def _a_value_set(a_seq: SequenceSpec, upto: int) -> Sequence[int]:
+    """Distinct term values of A that are <= upto, ascending.  The rules
+    give a range, so taking its length costs nothing however large upto is."""
     if a_seq.kind == "table":
         return tuple(sorted({v for v in a_seq.terms if v <= upto}))
     if a_seq.kind == "naturals":
-        return tuple(range(1, upto + 1))
+        return range(1, upto + 1)
     if a_seq.kind == "odds":
-        return tuple(range(1, upto + 1, 2))
+        return range(1, upto + 1, 2)
     if a_seq.kind == "ones":
         return (1,) if upto >= 1 else ()
     if a_seq.kind == "constant":

@@ -28,6 +28,8 @@ from .errors import (
     ResourceBound,
 )
 from .families import (
+    _a_value_set,
+    _require_cells,
     enumerate_family,
     iter_pba_by_size,
     parts_in,
@@ -141,12 +143,16 @@ class WeightSpec:
     """Exact rational weight function on positive integers.
 
     kinds: ``one`` (constant 1), ``table`` (explicit values for 1..extent,
-    hard error beyond), ``indicator`` (1 on a finite set, else 0).
+    hard error beyond), ``random`` (a seeded table, drawn on first lookup),
+    ``indicator`` (1 on a finite set, else 0).
     """
 
     kind: str
     table: tuple[Fraction, ...] | None = None
     members: frozenset[int] | None = None
+    seed: int | None = None
+    extent: int | None = None
+    span: int | None = None
 
     @classmethod
     def one(cls) -> "WeightSpec":
@@ -162,25 +168,42 @@ class WeightSpec:
 
     @classmethod
     def random_table(cls, seed: int, extent: int, span: int = 4) -> "WeightSpec":
-        """Seeded table of small rationals, for identity spot checks."""
-        rng = random.Random(seed)
-        vals = [
-            Fraction(rng.randint(-span, span), rng.randint(1, span))
-            for _ in range(extent)
-        ]
-        return cls("table", table=tuple(vals))
+        """Seeded table of small rationals, for identity spot checks.
+
+        Nothing is drawn until the first lookup, so a side that refuses its
+        size before reading any weight never pays for `extent` values.
+        """
+        return cls("random", seed=seed, extent=extent, span=span)
+
+    def _values(self) -> tuple[Fraction, ...]:
+        """The table; a random spec draws it in full on the first call and
+        keeps it.  Each drawing starts from a fresh generator, so two calls
+        racing on one spec store the same values."""
+        if self.kind == "table":
+            return self.table
+        drawn = self.__dict__.get("_drawn")
+        if drawn is None:
+            rng = random.Random(self.seed)
+            span = self.span
+            drawn = tuple(
+                Fraction(rng.randint(-span, span), rng.randint(1, span))
+                for _ in range(self.extent)
+            )
+            object.__setattr__(self, "_drawn", drawn)  # a cache, not a field
+        return drawn
 
     def value(self, n: int) -> Fraction:
         if n < 1:
             raise ExtentExceeded(f"weight index {n} must be >= 1")
         if self.kind == "one":
             return Fraction(1)
-        if self.kind == "table":
-            if n > len(self.table):
+        if self.kind in ("table", "random"):
+            extent = len(self.table) if self.kind == "table" else self.extent
+            if n > extent:
                 raise ExtentExceeded(
-                    f"weight table of extent {len(self.table)} has no value at {n}"
+                    f"weight table of extent {extent} has no value at {n}"
                 )
-            return self.table[n - 1]
+            return self._values()[n - 1]
         if self.kind == "indicator":
             return Fraction(1 if n in self.members else 0)
         raise ValueError(f"unknown weight kind {self.kind!r}")
@@ -190,7 +213,7 @@ class WeightSpec:
             return "1"
         if self.kind == "indicator":
             return "indicator{" + ",".join(map(str, sorted(self.members))) + "}"
-        return ",".join(str(v) for v in self.table)
+        return ",".join(str(v) for v in self._values())
 
 
 def geometric_factor(
@@ -213,16 +236,74 @@ def geometric_factor(
     return BivariateSeries(xtrunc, qtrunc, coeffs)
 
 
+def _exact(c):
+    """An integral Fraction as an int, which keeps the arithmetic it enters
+    in ints; any other value unchanged."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _require_grid(label: str, passes: int, xtrunc: int, qtrunc: int) -> None:
+    """Refuse negative truncation bounds, and `passes` sweeps over a grid of
+    (xtrunc + 1) (qtrunc + 1) cells that would exceed DEFAULT_ITEM_CAP cell
+    updates: the counters' rows-by-cells rule, one row per pass and x-degree."""
+    if xtrunc < 0 or qtrunc < 0:
+        raise InvalidExponent(f"truncation bounds ({xtrunc}, {qtrunc}) must be >= 0")
+    _require_cells(label, passes * (xtrunc + 1), qtrunc)
+
+
+def _dense_product(
+    label: str,
+    nfactors: int,
+    factors: Iterable[tuple],
+    xtrunc: int,
+    qtrunc: int,
+    *,
+    linear: bool = False,
+) -> BivariateSeries:
+    """Product of `nfactors` factors (c, a, b) with (a, b) != (0, 0),
+    truncated at x^xtrunc q^qtrunc: each factor is 1 / (1 - c x^a q^b), or
+    1 + c x^a q^b when `linear`.
+
+    The bounds and the size are checked by :func:`_require_grid` before the
+    grid is allocated or a factor is read.  The grid g is dense and updated
+    in place, one pass per factor: g[x][q] += c g[x-a][q-b], ascending for a
+    geometric factor (the source cell already holds the new value) and
+    descending for a linear one (it still holds the old value).  Integral
+    weights stay plain ints, so only non-integral weights ever produce
+    Fractions.  The grid becomes a :class:`BivariateSeries` once, at the end.
+    """
+    _require_grid(label, nfactors, xtrunc, qtrunc)
+    grid = [[0] * (qtrunc + 1) for _ in range(xtrunc + 1)]
+    grid[0][0] = 1
+    for c, a, b in factors:
+        c = _exact(c)
+        if not c or a > xtrunc or b > qtrunc:
+            continue  # only the constant term of this factor is in range
+        if linear:
+            xs, qs = range(xtrunc, a - 1, -1), range(qtrunc, b - 1, -1)
+        else:
+            xs, qs = range(a, xtrunc + 1), range(b, qtrunc + 1)
+        for x in xs:
+            row, src = grid[x], grid[x - a]
+            for q in qs:
+                row[q] += c * src[q - b]
+    return BivariateSeries(
+        xtrunc,
+        qtrunc,
+        {(x, q): v for x, row in enumerate(grid) for q, v in enumerate(row) if v},
+    )
+
+
 def product_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     """Product over n of 1 / (1 - f(n) q^n), truncated at q^qtrunc.
 
     Factors with n beyond the truncation cannot move retained coefficients,
     so the finite product is exact.
     """
-    acc = BivariateSeries.constant(1, 0, qtrunc)
-    for n in range(1, qtrunc + 1):
-        acc = acc * geometric_factor(f.value(n), 0, n, 0, qtrunc)
-    return acc
+    factors = ((f.value(n), 0, n) for n in range(1, qtrunc + 1))
+    return _dense_product(f"product side q^{qtrunc}", qtrunc, factors, 0, qtrunc)
 
 
 def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -255,7 +336,7 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     extent need only reach qtrunc, and a shorter table raises
     :class:`ExtentExceeded`.
     """
-    sums = seqcong_weight_sums(qtrunc, f.value)
+    sums = seqcong_weight_sums(qtrunc, lambda i: _exact(f.value(i)))
     return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(sums)})
 
 
@@ -290,12 +371,12 @@ def two_var_product_side(
     a_seq: SequenceSpec, b_seq: SequenceSpec, xtrunc: int, qtrunc: int
 ) -> BivariateSeries:
     """Product over positions n of 1 / (1 - x^{a_n} q^{a_n b_n}), truncated."""
-    acc = BivariateSeries.constant(1, xtrunc, qtrunc)
-    for a, b in _factor_positions(a_seq, b_seq, qtrunc):
-        if a > xtrunc:
-            continue  # only the constant term of this factor is in range
-        acc = acc * geometric_factor(Fraction(1), a, a * b, xtrunc, qtrunc)
-    return acc
+    label = f"two-variable product side x^{xtrunc} q^{qtrunc}"
+    _require_grid(label, 1, xtrunc, qtrunc)  # before the walk over up to qtrunc positions
+    factors = [
+        (1, a, a * b) for a, b in _factor_positions(a_seq, b_seq, qtrunc) if a <= xtrunc
+    ]
+    return _dense_product(label, len(factors), factors, xtrunc, qtrunc)
 
 
 def pba_sum_side(
@@ -316,31 +397,23 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
 
     Computed directly from the product, never by a numeric limit.
     """
-    if a_seq.kind == "table":
-        if not a_seq.is_distinct_through(len(a_seq.terms)):
-            raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
-        values = [v for v in a_seq.terms if v <= xtrunc]
-    elif a_seq.kind == "naturals":
-        values = list(range(1, xtrunc + 1))
-    elif a_seq.kind == "odds":
-        values = list(range(1, xtrunc + 1, 2))
-    else:
+    if a_seq.kind in ("ones", "constant"):
         raise NonDistinctA(f"A ({a_seq.describe()}) repeats its terms")
-    acc = BivariateSeries.constant(1, xtrunc, 0)
-    for a in values:
-        coeffs = {(k * a, 0): Fraction(1) for k in range(xtrunc // a + 1)}
-        acc = acc * BivariateSeries(xtrunc, 0, coeffs)
-    return acc
+    if a_seq.kind == "table" and not a_seq.is_distinct_through(len(a_seq.terms)):
+        raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
+    values = _a_value_set(a_seq, xtrunc)
+    return _dense_product(
+        f"euler side x^{xtrunc}", len(values), ((1, a, 0) for a in values), xtrunc, 0
+    )
 
 
 def distinct_product_side(qtrunc: int) -> BivariateSeries:
     """Product over n of (1 + q^n), truncated; the q^n coefficient counts
     partitions of n into distinct parts."""
-    acc = BivariateSeries.constant(1, 0, qtrunc)
-    for n in range(1, qtrunc + 1):
-        factor = BivariateSeries(0, qtrunc, {(0, 0): Fraction(1), (0, n): Fraction(1)})
-        acc = acc * factor
-    return acc
+    factors = ((1, 0, n) for n in range(1, qtrunc + 1))
+    return _dense_product(
+        f"distinct product side q^{qtrunc}", qtrunc, factors, 0, qtrunc, linear=True
+    )
 
 
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:

@@ -1,0 +1,33 @@
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_AS_BYTES = 512 * 2**20
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+
+
+@pytest.fixture
+def run_limited():
+    """Run ``python -m seqcong.cli *argv`` in a child limited to 512 MiB of
+    address space (the limit acts on the child only); returns the completed
+    process and its wall time in seconds."""
+
+    def run(*argv: str):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "seqcong.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=10, preexec_fn=_limit_memory,
+        )
+        return done, time.perf_counter() - start
+
+    return run

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from seqcong.cli import main, parse_partition
@@ -285,6 +287,33 @@ class TestSeries:
         )
         assert code == 0
         assert out == '{"xtrunc":2,"qtrunc":10,"coefficients":[[0,0,"1"],[2,10,"1"]]}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "expand", "distinct-product", "--qtrunc", "100000000"),
+        ("series", "verify", "product-sum", "--qtrunc", "100000000", "--f", "one"),
+        # the random table is drawn only on the first weight lookup, after the guard
+        ("series", "expand", "seqcong-sum", "--qtrunc", "3000000", "--f", "random:1"),
+    ],
+)
+def test_oversized_series_sides_exit_3_within_a_second(run_limited, argv):
+    done, elapsed = run_limited(*argv)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == "" and "cap" in done.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "family, first",
+    [("seqcong-lg:1200", [1200] * 1200), ("parts:T=1;n=1200", [1] * 1200)],
+)
+def test_members_longer_than_the_recursion_limit_are_listed(run_limited, family, first):
+    done, elapsed = run_limited("enum", family, "--limit", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == json.dumps(first, separators=(",", ":")) + "\n"
+    assert elapsed < 1.0
 
 
 class TestZeta:

@@ -1,13 +1,8 @@
 """The exact counters and DP sum sides, held to the enumerators that remain
 their oracles."""
 
-import os
-import resource
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -245,20 +240,8 @@ def test_weighted_sum_side_refuses_oversized_table():
         seqcong_sum_side(WeightSpec.one(), 10**8)
 
 
-def _limit_memory():
-    cap = 512 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-
-def test_cli_oversized_count_exits_3_within_a_second():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "seqcong.cli", "enum", "seqcong-lg:100000000", "--count-only"],
-        env=env, capture_output=True, text=True, timeout=10, preexec_fn=_limit_memory,
-    )
-    elapsed = time.perf_counter() - start
+def test_cli_oversized_count_exits_3_within_a_second(run_limited):
+    done, elapsed = run_limited("enum", "seqcong-lg:100000000", "--count-only")
     assert done.returncode == 3, done.stderr
     assert done.stdout == "" and "cap" in done.stderr
     assert elapsed < 1.0

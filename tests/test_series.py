@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcong import (
     BivariateSeries,
@@ -10,6 +13,8 @@ from seqcong import (
     ExtentExceeded,
     InvalidExponent,
     NonDistinctA,
+    ResourceBound,
+    SeqcongError,
     SequenceSpec,
     WeightSpec,
     compare,
@@ -110,6 +115,25 @@ class TestWeightSpec:
     def test_random_table_is_seeded(self):
         assert WeightSpec.random_table(42, 8) == WeightSpec.random_table(42, 8)
         assert WeightSpec.random_table(42, 8) != WeightSpec.random_table(43, 8)
+
+    def test_random_table_values(self):
+        # the values a seed drew when the whole table was built up front
+        f = WeightSpec.random_table(42, 6)
+        assert [f.value(n) for n in range(6, 0, -1)] == [
+            -4, 2, -3, Fraction(-1, 2), 0, -3
+        ]
+        assert [WeightSpec.random_table(7, 3).value(n) for n in (1, 2, 3)] == [
+            Fraction(1, 2), 2, -3
+        ]
+        with pytest.raises(ExtentExceeded):
+            f.value(7)
+
+    def test_random_table_draws_nothing_until_read(self):
+        start = time.perf_counter()
+        f = WeightSpec.random_table(1, 10**9)
+        with pytest.raises(ExtentExceeded):
+            f.value(10**9 + 1)
+        assert time.perf_counter() - start < 0.1
 
 
 WEIGHTED_Q3 = WeightSpec.from_values([2, 3, 1])
@@ -270,3 +294,141 @@ class TestPartitionZeta:
     def test_fractional_exponent(self):
         result = partition_zeta([2], Fraction(3, 2), 10)
         assert result.sum_side < result.product_side
+
+
+# ---------------------------------------------------------------------------
+# every product side against the sparse fold of its factors by __mul__
+
+
+def outcome(fn):
+    """The value of fn(), or the SeqcongError subclass it raised."""
+    try:
+        return fn()
+    except SeqcongError as e:
+        return type(e)
+
+
+def sparse_fold(factors, xtrunc, qtrunc):
+    acc = BivariateSeries.constant(1, xtrunc, qtrunc)
+    for factor in factors:
+        acc = acc * factor
+    return acc
+
+
+entries = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+weights = st.one_of(
+    st.just(WeightSpec.one()),
+    st.lists(entries, max_size=16).map(WeightSpec.from_values),
+    st.lists(st.integers(1, 16), max_size=5).map(WeightSpec.indicator),
+)
+RULES = [NAT, SequenceSpec.odds(), SequenceSpec.ones(), SequenceSpec.constant(2)]
+sequences = st.one_of(
+    st.sampled_from(RULES), st.lists(st.integers(1, 6), max_size=5).map(SequenceSpec.table)
+)
+
+
+@settings(deadline=None)
+@given(f=weights, qtrunc=st.integers(-1, 14))
+def test_product_side_matches_sparse_fold(f, qtrunc):
+    expected = outcome(lambda: sparse_fold(
+        (geometric_factor(f.value(n), 0, n, 0, qtrunc) for n in range(1, qtrunc + 1)),
+        0, qtrunc,
+    ))
+    if f.kind == "table" and len(f.table) < qtrunc:
+        assert expected is ExtentExceeded
+    assert outcome(lambda: product_side(f, qtrunc)) == expected
+
+
+@settings(deadline=None)
+@given(qtrunc=st.integers(0, 40))
+def test_distinct_product_side_is_a_knapsack(qtrunc):
+    ways = [1] + [0] * qtrunc  # 0/1 knapsack over the parts 1..qtrunc
+    for k in range(1, qtrunc + 1):
+        for v in range(qtrunc, k - 1, -1):
+            ways[v] += ways[v - k]
+    s = distinct_product_side(qtrunc)
+    assert [s.coefficient(0, n) for n in range(qtrunc + 1)] == ways
+    linear = (
+        BivariateSeries(0, qtrunc, {(0, 0): 1, (0, n): 1}) for n in range(1, qtrunc + 1)
+    )
+    assert s == sparse_fold(linear, 0, qtrunc)
+
+
+@settings(deadline=None)
+@given(
+    a_seq=st.one_of(
+        st.sampled_from([NAT, SequenceSpec.odds()]),
+        st.lists(st.integers(1, 24), unique=True, max_size=6).map(SequenceSpec.table),
+    ),
+    xtrunc=st.integers(-1, 24),
+)
+def test_euler_side_matches_sparse_fold(a_seq, xtrunc):
+    values = [a for a in range(1, xtrunc + 1) if a_seq.index_of(a) is not None]
+    factors = (
+        BivariateSeries(xtrunc, 0, {(k * a, 0): 1 for k in range(xtrunc // a + 1)})
+        for a in values
+    )
+    expected = outcome(lambda: sparse_fold(factors, xtrunc, 0))
+    assert outcome(lambda: euler_limit_side(a_seq, xtrunc)) == expected
+
+
+@given(terms=st.lists(st.integers(1, 6), min_size=2, max_size=6), xtrunc=st.integers(0, 10))
+def test_euler_side_rejects_repeated_terms(terms, xtrunc):
+    a_seq = SequenceSpec.table(terms)
+    if len(set(terms)) == len(terms):
+        assert euler_limit_side(a_seq, xtrunc).coefficient(0, 0) == 1
+    else:
+        with pytest.raises(NonDistinctA):
+            euler_limit_side(a_seq, xtrunc)
+
+
+@settings(deadline=None)
+@given(a_seq=sequences, b_seq=sequences, xtrunc=st.integers(-1, 6), qtrunc=st.integers(-1, 24))
+def test_two_variable_side_matches_sparse_fold(a_seq, b_seq, xtrunc, qtrunc):
+    def fold():
+        extents = [e for e in (a_seq.extent, b_seq.extent) if e is not None]
+        last = min(extents) if extents else max(qtrunc, 0)
+        positions = [(a_seq.at(i), b_seq.at(i)) for i in range(1, last + 1)]
+        acc = sparse_fold(
+            (
+                geometric_factor(1, a, a * b, xtrunc, qtrunc)
+                for a, b in positions
+                if a * b <= qtrunc and a <= xtrunc
+            ),
+            xtrunc, qtrunc,
+        )
+        if not extents and a_seq.at(last + 1) * b_seq.at(last + 1) <= qtrunc:
+            raise ResourceBound("rule products never decrease: infinitely many factors")
+        return acc
+
+    expected = outcome(fold)
+    assert outcome(lambda: two_var_product_side(a_seq, b_seq, xtrunc, qtrunc)) == expected
+
+
+@pytest.mark.parametrize(
+    "side",
+    [
+        lambda: product_side(ONE, 10**8),
+        lambda: product_side(WeightSpec.random_table(1, 10**8), 10**8),
+        lambda: distinct_product_side(10**8),
+        lambda: euler_limit_side(NAT, 10**9),
+        lambda: euler_limit_side(SequenceSpec.table([1, 2]), 10**7),
+        lambda: two_var_product_side(NAT, NAT, 10**5, 10**8),
+        lambda: two_var_product_side(SequenceSpec.ones(), NAT, 10, 10**6),
+    ],
+)
+def test_oversized_product_refused_before_allocation(side):
+    start = time.perf_counter()
+    with pytest.raises(ResourceBound):
+        side()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_product_and_seqcong_sides_share_the_cell_cap():
+    # q * (q + 1) cells for both: q = 3161 fits in 10**7, q = 3162 does not
+    for side in (product_side, seqcong_sum_side):
+        with pytest.raises(ResourceBound):
+            side(ONE, 3162)
+    assert product_side(ONE, 3161) == seqcong_sum_side(ONE, 3161)

@@ -4,7 +4,8 @@ Subcommands: check, map, orbit, enum, ideal, series, zeta.  Results go to
 stdout (JSON unless noted), diagnostics to stderr.  Exit codes: 0 success
 or property verified; 1 predicate false or property violation (witness on
 stdout); 2 usage, parse, or extent error; 3 resource cap exceeded (an item
-cap, or a count or series side whose table would exceed 10**7 cells).
+cap, a count or series side whose table would exceed 10**7 cells, or an
+enumerative side that would build more than 10**7 members).
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from itertools import islice
+from typing import TYPE_CHECKING
 
-import mpmath
-
-from . import families, maps, predicates, series
+# families, series, fractions and mpmath are imported by the handlers that
+# use them, so map, check and orbit start without loading them
+from . import maps, predicates
 from .errors import (
     BoundsMismatch,
     DivergentParameters,
@@ -37,6 +38,10 @@ from .errors import (
 from .partition import Partition
 from .predicates import ViolationReport
 from .sequences import SequenceSpec
+
+if TYPE_CHECKING:
+    from .families import FamilyDescriptor
+    from .series import BivariateSeries, WeightSpec
 
 _USAGE_ERRORS = (
     ParseError,
@@ -178,21 +183,24 @@ def _membership_function(text: str):
     return lambda p: fn(p).ok
 
 
+# kind -> name of the families constructor, looked up when a family is parsed
 _SIMPLE_FAMILIES = {
-    "all": families.all_of_size,
-    "distinct": families.distinct_of_size,
-    "seqcong-lg": families.seqcong_largest,
-    "step-lg": families.step_bounded_largest,
+    "all": "all_of_size",
+    "distinct": "distinct_of_size",
+    "seqcong-lg": "seqcong_largest",
+    "step-lg": "step_bounded_largest",
 }
 
 
-def parse_family(text: str) -> families.FamilyDescriptor:
+def parse_family(text: str) -> FamilyDescriptor:
+    from . import families
+
     if ":" not in text:
         raise ParseError(f"family {text!r} needs parameters after ':'")
     kind, rest = text.split(":", 1)
     if kind in _SIMPLE_FAMILIES:
         try:
-            return _SIMPLE_FAMILIES[kind](int(rest))
+            return getattr(families, _SIMPLE_FAMILIES[kind])(int(rest))
         except ValueError as e:
             raise ParseError(f"bad family size in {text!r}: {e}")
     kv = _parse_kv(rest, f"family {kind}")
@@ -220,7 +228,11 @@ def parse_family(text: str) -> families.FamilyDescriptor:
     raise ParseError(f"unknown family kind {kind!r}")
 
 
-def parse_weights(text: str, extent: int) -> series.WeightSpec:
+def parse_weights(text: str, extent: int) -> WeightSpec:
+    from fractions import Fraction
+
+    from . import series
+
     if text in ("one", "1"):
         return series.WeightSpec.one()
     if text.startswith(("random-seeded:", "random:")):
@@ -244,18 +256,31 @@ def parse_weights(text: str, extent: int) -> series.WeightSpec:
     raise ParseError(f"unknown weight spec {text!r}")
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for counts: a negative value is a usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int, why: str = ""):
+    """argparse type for an int: a value below `low` is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}{why}, got {value}")
+        return value
+
+    return parse
 
 
-def _format_fixed(value, places: int = 12) -> str:
+# zeta prints _ZETA_PLACES decimal places.  A sum of up to 10**7 terms (the
+# item cap), each rounded once, can lose about seven of the working digits,
+# so --dps must cover the places, the digits before the point and eight more.
+_ZETA_PLACES = 12
+_ZETA_MIN_DPS = _ZETA_PLACES + 8  # for a value below 10
+
+
+def _format_fixed(value, places: int = _ZETA_PLACES) -> str:
+    import mpmath
+
     scaled = int(mpmath.nint(value * mpmath.mpf(10) ** places))
     sign = "-" if scaled < 0 else ""
     ip, fp = divmod(abs(scaled), 10**places)
@@ -321,6 +346,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    from . import families
+
     desc = parse_family(args.family)
     if args.count_only:
         # the count of the listing --limit and --max-items would allow
@@ -346,6 +373,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
+    from . import families
+
     if args.ideal_cmd == "closure":
         report = families.check_ideal_closure(
             _membership_function(args.family), args.max_size
@@ -396,6 +425,8 @@ def _cmd_ideal(args) -> int:
 
 def _series_pair(args):
     """Build the two sides of the requested identity."""
+    from . import series
+
     n = args.qtrunc
     if args.identity == "product-sum":
         f = parse_weights(args.f, n)
@@ -416,6 +447,8 @@ def _series_pair(args):
 
 
 def _cmd_series_verify(args) -> int:
+    from . import series
+
     lhs, rhs = _series_pair(args)
     outcome = series.compare(lhs, rhs)
     if outcome.equal:
@@ -428,7 +461,9 @@ def _cmd_series_verify(args) -> int:
     return 1
 
 
-def _expand_series(args) -> series.BivariateSeries:
+def _expand_series(args) -> BivariateSeries:
+    from . import series
+
     n = args.qtrunc
     side = args.side
     if side in ("product", "partition-sum", "seqcong-sum"):
@@ -486,12 +521,23 @@ def _cmd_series_expand(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from fractions import Fraction
+
+    from . import series
+
     try:
         part_set = [int(v) for v in args.T.split(",")]
         s = Fraction(args.s)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad zeta parameters: {e}")
     result = series.partition_zeta(part_set, s, args.depth, dps=args.dps)
+    whole = int(result.product_side)  # the sum never exceeds the product
+    need = _ZETA_MIN_DPS + len(str(whole)) - 1
+    if args.dps < need:
+        raise ParseError(
+            f"--dps {args.dps} is too small for {_ZETA_PLACES} correct places of a "
+            f"value above {whole}; use --dps {need} or more"
+        )
     print(f"sum_side {_format_fixed(result.sum_side)}")
     print(f"product_side {_format_fixed(result.product_side)}")
     print(f"depth {result.qdepth} terms {result.terms}")
@@ -533,11 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="stream a family as JSON lines")
     p.add_argument("family", help="all:N | distinct:N | seqcong-lg:N | step-lg:N | "
                    "parts:T=...;n=N | pba:A=...;B=...;n=N | sna-lg:A=...;n=N")
-    p.add_argument("--limit", type=_nonnegative_int)
+    p.add_argument("--limit", type=_int_at_least(0))
     p.add_argument("--count-only", action="store_true",
                    help="print min(count, --limit), computed without enumerating")
     p.add_argument("--json", action="store_true", help="one JSON array instead of lines")
-    p.add_argument("--max-items", type=_nonnegative_int, default=None)
+    p.add_argument("--max-items", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("ideal", help="deletion-closure and count-invariance checks")
@@ -591,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", required=True, help="comma-separated part set, all >= 2")
     p.add_argument("--s", required=True, help="rational exponent > 1, e.g. 2 or 5/2")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dps", type=int, default=30)
+    p.add_argument("--dps", type=_int_at_least(_ZETA_MIN_DPS, f" for {_ZETA_PLACES} correct places"),
+                   default=30, help="decimal digits of working precision")
     p.set_defaults(func=_cmd_zeta)
 
     return parser

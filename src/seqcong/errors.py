@@ -65,7 +65,8 @@ class BoundsMismatch(SeqcongError):
 
 
 class DivergentParameters(SeqcongError):
-    """Zeta parameters outside the convergence region (s <= 1 or 1 in T)."""
+    """Zeta parameters outside their valid range: s <= 1, a part below 2,
+    an empty part set, or a negative depth or precision."""
 
 
 class ParseError(SeqcongError):

@@ -287,35 +287,57 @@ def _pba_value_pairs(
         i += 1
 
 
-def _gen_pba_len(
-    a_seq: SequenceSpec, b_seq: SequenceSpec, n: int
-) -> Iterator[tuple[int, ...]]:
-    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=n, ab_bound=None))
-    members: list[tuple[int, ...]] = []
-    chosen: list[tuple[int, int]] = []
+def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[int, ...]]:
+    # A level is one (B-value, A-term) pair, by B-value descending, and picks
+    # how many copies of the B-value to take, a multiple of the A-term, from
+    # the largest down.  Larger values and more copies of them come first, so
+    # members are strictly decreasing and each is yielded as soon as its
+    # copies are all placed.  Bit r of reach[i] says whether pairs[i:] can
+    # place r copies, so only choices that lead to a member are taken and
+    # the work before each member is at most one step per level.
+    n = desc.n
+    pairs = sorted(
+        _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None), reverse=True
+    )
+    if n == 0:
+        yield ()
+        return
+    _require_cells(desc.describe(), len(pairs), n)  # the counter's table, as bits
+    mask = (1 << (n + 1)) - 1
+    reach = [0] * len(pairs) + [1]
+    for i in range(len(pairs) - 1, -1, -1):
+        row, a = reach[i + 1], pairs[i][1]
+        while a <= n:  # row |= row << k*a for every k >= 1, by doubling
+            row |= (row << a) & mask
+            a *= 2
+        reach[i] = row
 
-    def rec(idx: int, rem: int) -> None:
-        if rem == 0:
-            parts: list[int] = []
-            for value, mult in chosen:
-                parts.extend([value] * mult)
-            parts.sort(reverse=True)
-            members.append(tuple(parts))
-            return
-        if idx == len(pairs):
-            return
-        b, a = pairs[idx]
-        rec(idx + 1, rem)
-        m = a
-        while m <= rem:
-            chosen.append((b, m))
-            rec(idx + 1, rem - m)
-            chosen.pop()
-            m += a
+    def choices(level: int, rem: int) -> Iterator[int]:
+        a, after = pairs[level][1], reach[level + 1]
+        return (m for m in range(rem - rem % a, -1, -a) if after >> (rem - m) & 1)
 
-    rec(0, n)
-    members.sort(reverse=True)
-    yield from members
+    parts: list[int] = []
+    taken: list[int] = []  # copies taken at each level below the top
+    rem = n  # copies still to place
+    stack = [choices(0, rem)] if reach[0] >> n & 1 else []
+    while stack:
+        level = len(stack) - 1
+        b = pairs[level][0]
+        for m in stack[-1]:
+            if m == rem:
+                yield tuple(parts) + (b,) * m
+                continue
+            parts += [b] * m
+            rem -= m
+            taken.append(m)
+            stack.append(choices(level + 1, rem))
+            break
+        else:  # choices exhausted: take back the copies the level below took
+            stack.pop()
+            if taken:
+                m = taken.pop()
+                del parts[len(parts) - m :]
+                rem += m
 
 
 def iter_pba_by_size(
@@ -331,28 +353,44 @@ def iter_pba_by_size(
     contributes when a*b <= max_size; that keeps the candidate value set
     finite for every sequence kind.
     """
-    # deterministic stream, largest values first
+    # Deterministic stream, largest values first: a level is one pair, by
+    # B-value descending, and picks its copies from 0 up; a member is yielded
+    # once every pair has picked.  B-values are >= 1, so max_size also bounds
+    # the length.
     pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
-    chosen: list[tuple[int, int]] = []
+    if not pairs:
+        yield Partition(())
+        return
+    parts: list[int] = []
+    taken: list[int] = []  # copies taken at each level below the top
+    size_left = max_size
+    len_left = max_size if max_length is None else max(max_length, 0)
 
-    def rec(idx: int, size_left: int, len_left: int | None) -> Iterator[Partition]:
-        if idx == len(pairs):
-            parts: list[int] = []
-            for value, mult in chosen:
-                parts.extend([value] * mult)
-            parts.sort(reverse=True)
-            yield Partition(parts)
-            return
-        b, a = pairs[idx]
-        yield from rec(idx + 1, size_left, len_left)
-        m = a
-        while m * b <= size_left and (len_left is None or m <= len_left):
-            chosen.append((b, m))
-            yield from rec(idx + 1, size_left - m * b, None if len_left is None else len_left - m)
-            chosen.pop()
-            m += a
+    def choices(level: int) -> Iterator[int]:
+        b, a = pairs[level]
+        return iter(range(0, min(size_left // b, len_left) + 1, a))
 
-    yield from rec(0, max_size, max_length)
+    stack = [choices(0)]
+    while stack:
+        level = len(stack) - 1
+        b = pairs[level][0]
+        for m in stack[-1]:
+            if level + 1 == len(pairs):
+                yield Partition(parts + [b] * m)
+                continue
+            parts += [b] * m
+            size_left -= m * b
+            len_left -= m
+            taken.append(m)
+            stack.append(choices(level + 1))
+            break
+        else:
+            stack.pop()
+            if taken:
+                m = taken.pop()
+                del parts[len(parts) - m :]
+                size_left += m * pairs[len(stack) - 1][0]
+                len_left += m
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +478,16 @@ def _pentagonal_counts(n: int) -> list[int]:
     return p
 
 
-def _coin_change(label: str, coins: Iterable[int], n: int) -> int:
-    """Ways to write n as a sum of one multiple of each coin; equal coins
-    count as different coins."""
+def _coin_change(label: str, coins: Iterable[int], n: int) -> list[int]:
+    """Entry v (0 <= v <= n) counts the ways to write v as a sum of one
+    multiple of each coin; equal coins count as different coins."""
     coins = [c for c in coins if c <= n]
     _require_cells(label, len(coins), n)
     ways = [1] + [0] * n
     for c in coins:
         for v in range(c, n + 1):
             ways[v] += ways[v - c]
-    return ways[n]
+    return ways
 
 
 def _count_distinct(desc: FamilyDescriptor) -> int:
@@ -502,7 +540,7 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
     for _, a in _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None):
         coins.append(a)
         _require_cells(label, len(coins), n)
-    return _coin_change(label, coins, n)
+    return _coin_change(label, coins, n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +552,7 @@ _KINDS = {
     "all": (lambda d: _gen_by_size(d.n, 0), lambda d: _pentagonal_counts(d.n)[d.n]),
     "parts-in": (
         lambda d: _gen_parts_in(d.part_set, d.n),
-        lambda d: _coin_change(d.describe(), d.part_set, d.n),
+        lambda d: _coin_change(d.describe(), d.part_set, d.n)[d.n],
     ),
     "distinct": (lambda d: _gen_by_size(d.n, 1), _count_distinct),
     "seqcong-lg": (
@@ -523,7 +561,7 @@ _KINDS = {
     ),
     "step-lg": (lambda d: _gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)[d.n]),
     "sna-lg": (lambda d: _gen_sna_lg(d.a_seq, d.n), _count_sna_lg),
-    "pba-len": (lambda d: _gen_pba_len(d.a_seq, d.b_seq, d.n), _count_pba_len),
+    "pba-len": (_gen_pba_len, _count_pba_len),
 }
 
 

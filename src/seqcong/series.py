@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
-
-import mpmath
 import random
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .errors import (
     BoundsMismatch,
@@ -28,7 +26,11 @@ from .errors import (
     ResourceBound,
 )
 from .families import (
+    DEFAULT_ITEM_CAP,
     _a_value_set,
+    _coin_change,
+    _pba_value_pairs,
+    _pentagonal_counts,
     _require_cells,
     enumerate_family,
     iter_pba_by_size,
@@ -38,6 +40,9 @@ from .families import (
     step_bounded_counts,
 )
 from .sequences import SequenceSpec
+
+if TYPE_CHECKING:
+    import mpmath  # imported by partition_zeta, the one function that evaluates
 
 
 class BivariateSeries:
@@ -296,6 +301,17 @@ def _dense_product(
     )
 
 
+def _require_members(label: str, counts: Iterable[int]) -> None:
+    """Refuse an enumerative side whose members, totalled from exact counts
+    before any is built, would exceed DEFAULT_ITEM_CAP."""
+    total = sum(counts)
+    if total > DEFAULT_ITEM_CAP:
+        raise ResourceBound(
+            f"{label} would enumerate {total} members, more than the cap of "
+            f"{DEFAULT_ITEM_CAP}"
+        )
+
+
 def product_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     """Product over n of 1 / (1 - f(n) q^n), truncated at q^qtrunc.
 
@@ -311,8 +327,11 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     the parts (with multiplicity), by direct enumeration.
 
     This side stays enumerative on purpose: it is the independent side of
-    the ``product-sum`` identity, so no dynamic program replaces it.
+    the ``product-sum`` identity, so no dynamic program replaces it.  The
+    pentagonal counts only size it: more than DEFAULT_ITEM_CAP partitions
+    of size <= qtrunc raise :class:`ResourceBound` before any is built.
     """
+    _require_members(f"partition sum side q^{qtrunc}", _pentagonal_counts(qtrunc))
     coeffs: dict[tuple[int, int], Fraction] = {}
     for n in range(qtrunc + 1):
         total = Fraction(0)
@@ -383,7 +402,18 @@ def pba_sum_side(
     a_seq: SequenceSpec, b_seq: SequenceSpec, xtrunc: int, qtrunc: int
 ) -> BivariateSeries:
     """Coefficient of x^m q^n counts the members of the (A, B) divisibility
-    family with length m and size n, by direct enumeration."""
+    family with length m and size n, by direct enumeration.
+
+    The dense kernel only sizes it, over the (B-value, A-term) pairs the
+    enumeration uses (a length never exceeds its size): more than
+    DEFAULT_ITEM_CAP members raise :class:`ResourceBound` before any is built.
+    """
+    label = f"pba sum side x^{xtrunc} q^{qtrunc}"
+    rows = min(xtrunc, qtrunc)
+    _require_grid(label, 1, rows, qtrunc)  # before the walk over up to qtrunc positions
+    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=qtrunc))
+    counts = _dense_product(label, len(pairs), ((1, a, a * b) for b, a in pairs), rows, qtrunc)
+    _require_members(label, (c for _, c in counts.items()))
     coeffs: dict[tuple[int, int], Fraction] = {}
     for p in iter_pba_by_size(a_seq, b_seq, qtrunc, max_length=xtrunc):
         key = (p.length, p.size)
@@ -471,9 +501,12 @@ def partition_zeta(
     set (N = product of the parts, sizes up to qdepth) alongside the closed
     product over the set of 1 / (1 - t^(-s)).
 
-    Requires every set element >= 2 and s > 1 for convergence; anything
-    else raises :class:`DivergentParameters`.  No equality is asserted
-    here; callers decide what agreement to demand at which depth.
+    Requires every set element >= 2 and s > 1 for convergence, qdepth >= 0
+    and dps >= 1 (decimal digits of working precision); anything else
+    raises :class:`DivergentParameters`.  More than DEFAULT_ITEM_CAP
+    partitions of size <= qdepth, totalled by coin change before any is
+    built, raise :class:`ResourceBound`.  No equality is asserted here;
+    callers decide what agreement to demand at which depth.
     """
     values = sorted(set(int(v) for v in part_set))
     if not values:
@@ -485,6 +518,12 @@ def partition_zeta(
         raise DivergentParameters(f"exponent s must exceed 1, got {s}")
     if qdepth < 0:
         raise DivergentParameters(f"qdepth must be >= 0, got {qdepth}")
+    if dps < 1:
+        raise DivergentParameters(f"dps must be >= 1, got {dps}")
+    label = f"zeta sum over parts in {values} to depth {qdepth}"
+    _require_members(label, _coin_change(label, values, qdepth))
+    import mpmath
+
     with mpmath.workdps(dps):
         s_mp = mpmath.mpf(s.numerator) / s.denominator
         prod = mpmath.mpf(1)

@@ -296,6 +296,12 @@ class TestSeries:
         ("series", "verify", "product-sum", "--qtrunc", "100000000", "--f", "one"),
         # the random table is drawn only on the first weight lookup, after the guard
         ("series", "expand", "seqcong-sum", "--qtrunc", "3000000", "--f", "random:1"),
+        # the enumerative sides total their members before building one
+        ("series", "expand", "partition-sum", "--qtrunc", "100000000"),
+        ("series", "expand", "partition-sum", "--qtrunc", "63"),
+        ("series", "expand", "pba-sum", "--A", "naturals", "--B", "naturals",
+         "--xtrunc", "100000000", "--qtrunc", "100000000"),
+        ("zeta", "--T", "2,3", "--s", "2", "--depth", "100000000"),
     ],
 )
 def test_oversized_series_sides_exit_3_within_a_second(run_limited, argv):
@@ -307,7 +313,11 @@ def test_oversized_series_sides_exit_3_within_a_second(run_limited, argv):
 
 @pytest.mark.parametrize(
     "family, first",
-    [("seqcong-lg:1200", [1200] * 1200), ("parts:T=1;n=1200", [1] * 1200)],
+    [
+        ("seqcong-lg:1200", [1200] * 1200),
+        ("parts:T=1;n=1200", [1] * 1200),
+        ("pba:A=naturals;B=naturals;n=1200", [1200] * 1200),
+    ],
 )
 def test_members_longer_than_the_recursion_limit_are_listed(run_limited, family, first):
     done, elapsed = run_limited("enum", family, "--limit", "1")
@@ -332,6 +342,25 @@ class TestZeta:
     def test_fraction_exponent(self, capsys):
         code, out, _ = run(capsys, "zeta", "--T", "2,3", "--s", "5/2", "--depth", "20")
         assert code == 0 and out.startswith("sum_side ")
+
+    @pytest.mark.parametrize("dps", ["-3", "0", "10", "19"])
+    def test_too_few_digits_for_the_printed_places(self, capsys, dps):
+        # --dps 10 used to print product_side 1.499999999985 for 1.5
+        code, out, err = run(capsys, "zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", dps)
+        assert code == 2 and out == "" and "must be >= 20" in err
+
+    def test_fewest_digits_accepted(self, capsys):
+        code, out, _ = run(capsys, "zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", "20")
+        assert code == 0
+        assert out.splitlines()[1] == "product_side 1.500000000000"
+
+    def test_digits_before_the_point_need_more_precision(self, capsys):
+        # the product over 2..60 at s = 21/20 is about 38.5, two digits before the point
+        argv = ("zeta", "--T", ",".join(map(str, range(2, 61))), "--s", "21/20", "--depth", "8")
+        code, out, err = run(capsys, *argv, "--dps", "20")
+        assert code == 2 and out == "" and "--dps 21 or more" in err
+        code, out, _ = run(capsys, *argv, "--dps", "21")
+        assert code == 0 and out.splitlines()[1] == "product_side 38.508872561389"
 
 
 def test_usage_error_exit_code(capsys):

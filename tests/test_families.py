@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from seqcong import (
@@ -35,6 +37,7 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
+from seqcong.families import _pba_value_pairs
 
 NAT = SequenceSpec.naturals()
 ODD = SequenceSpec.odds()
@@ -232,6 +235,88 @@ class TestPbaLength:
         empty = SequenceSpec.table([])
         assert list(enumerate_family(pba_length(empty, empty, 0))) == [EMPTY]
         assert list(enumerate_family(pba_length(empty, empty, 3))) == []
+
+
+def _pba_len_reference(a_seq, b_seq, n):
+    """The recursive enumerator the explicit-stack walk replaced: every
+    member of length n built, then sorted."""
+    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=n, ab_bound=None))
+    members = []
+
+    def rec(idx, rem, parts):
+        if rem == 0:
+            members.append(tuple(sorted(parts, reverse=True)))
+        elif idx < len(pairs):
+            b, a = pairs[idx]
+            for m in range(0, rem + 1, a):
+                rec(idx + 1, rem - m, parts + [b] * m)
+
+    rec(0, n, [])
+    return sorted(members, reverse=True)
+
+
+def _pba_by_size_reference(a_seq, b_seq, max_size, max_length=None):
+    """The recursive form of iter_pba_by_size: pairs by B-value descending,
+    each taking 0, a, 2a, ... copies."""
+    pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
+    out = []
+
+    def rec(idx, size_left, len_left, parts):
+        if idx == len(pairs):
+            out.append(tuple(parts))
+            return
+        b, a = pairs[idx]
+        m = 0
+        while m * b <= size_left and (len_left is None or m <= len_left):
+            rec(idx + 1, size_left - m * b, None if len_left is None else len_left - m, parts + [b] * m)
+            m += a
+
+    rec(0, max_size, max_length, [])
+    return out
+
+
+PBA_SPECS = [
+    (NAT, NAT),
+    (ODD, NAT),
+    (NAT, ODD),
+    (ODD, ODD),
+    (SequenceSpec.table([2, 3]), SequenceSpec.table([5, 7])),
+    (SequenceSpec.table([1, 2, 3, 5, 7, 11]), NAT),
+    (SequenceSpec.table([3, 1, 2]), SequenceSpec.table([4, 2, 9])),
+    (NAT, SequenceSpec.table([2, 2, 3])),  # a repeated B-value keeps its first position
+]
+
+
+@pytest.mark.parametrize("a_seq, b_seq", PBA_SPECS)
+def test_pba_walks_match_the_recursive_references(a_seq, b_seq):
+    for n in range(21):
+        got = [p.parts for p in enumerate_family(pba_length(a_seq, b_seq, n))]
+        assert got == _pba_len_reference(a_seq, b_seq, n)
+    for max_size in range(17):
+        for max_length in (None, 0, 3, 6):
+            got = [p.parts for p in iter_pba_by_size(a_seq, b_seq, max_size, max_length)]
+            assert got == _pba_by_size_reference(a_seq, b_seq, max_size, max_length)
+
+
+def test_pba_listing_is_lazy():
+    start = time.perf_counter()
+    # the first of the 10**30-odd members of length 1200 comes at once
+    first = next(enumerate_family(pba_length(NAT, NAT, 1200)))
+    assert first.parts == (1200,) * 1200
+    # the only member takes all 101 copies of 1; the five even A-terms could
+    # fill millions of partial choices, none of which leads to a member
+    a_seq = SequenceSpec.table([2, 2, 2, 2, 2, 101])
+    b_seq = SequenceSpec.table([100, 99, 98, 97, 96, 1])
+    assert [p.parts for p in enumerate_family(pba_length(a_seq, b_seq, 101))] == [(1,) * 101]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_pba_listing_shares_the_counters_cell_cap():
+    # one bit row per pair, n + 1 bits each: n (n + 1) <= 10**7 up to 3161
+    assert next(enumerate_family(pba_length(NAT, NAT, 3161))).parts == (3161,) * 3161
+    for refused in (count, lambda d: next(enumerate_family(d))):
+        with pytest.raises(ResourceBound, match="cells"):
+            refused(pba_length(NAT, NAT, 3162))
 
 
 def test_iter_pba_by_size_bounds():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcong import series
 from seqcong import (
     BivariateSeries,
     BoundsMismatch,
@@ -295,6 +296,11 @@ class TestPartitionZeta:
         result = partition_zeta([2], Fraction(3, 2), 10)
         assert result.sum_side < result.product_side
 
+    @pytest.mark.parametrize("dps", [0, -3])
+    def test_precision_below_one_digit_rejected(self, dps):
+        with pytest.raises(DivergentParameters, match="dps must be >= 1"):
+            partition_zeta([2, 3], 2, 10, dps=dps)
+
 
 # ---------------------------------------------------------------------------
 # every product side against the sparse fold of its factors by __mul__
@@ -424,6 +430,31 @@ def test_oversized_product_refused_before_allocation(side):
     with pytest.raises(ResourceBound):
         side()
     assert time.perf_counter() - start < 0.5
+
+
+class _EnumerationStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "side, enumerator, fits",
+    [
+        # the last sizes whose members total at most 10**7: sum of p(n) for
+        # n <= 62, coin change over {2, 3} to 10951, over the squares to 290
+        (lambda q: partition_sum_side(ONE, q), "partitions_of", 62),
+        (lambda d: partition_zeta([2, 3], 2, d), "enumerate_family", 10951),
+        (lambda q: pba_sum_side(NAT, NAT, q, q), "iter_pba_by_size", 290),
+    ],
+)
+def test_enumerative_sides_total_their_members_first(monkeypatch, side, enumerator, fits):
+    def started(*args, **kwargs):
+        raise _EnumerationStarted
+
+    monkeypatch.setattr(series, enumerator, started)
+    with pytest.raises(ResourceBound, match="would enumerate"):
+        side(fits + 1)
+    with pytest.raises(_EnumerationStarted):
+        side(fits)
 
 
 def test_product_and_seqcong_sides_share_the_cell_cap():

@@ -4,8 +4,9 @@ Subcommands: check, map, orbit, enum, ideal, series, zeta.  Results go to
 stdout (JSON unless noted), diagnostics to stderr.  Exit codes: 0 success
 or property verified; 1 predicate false or property violation (witness on
 stdout); 2 usage, parse, or extent error; 3 resource cap exceeded (an item
-cap, a count or series side whose table would exceed 10**7 cells, or an
-enumerative side that would build more than 10**7 members).
+cap, a count or series side whose table would exceed 10**7 cells, an
+enumerative side that would build more than 10**7 members, or a partition
+of more than 10**7 parts to print).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     PartNotInA,
     ResourceBound,
 )
-from .partition import Partition
+from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport
 from .sequences import SequenceSpec
 
@@ -56,8 +57,20 @@ _USAGE_ERRORS = (
 )
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# json.dumps(obj, separators=(",", ":")), without a new encoder per call
+_dump = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _partition_json(p: Partition) -> str:
+    """The parts as a JSON array, byte for byte ``_dump(list(p.parts))``,
+    written one run at a time without expanding the parts.  A partition of
+    more than DEFAULT_ITEM_CAP parts raises :class:`ResourceBound` before
+    any text is built."""
+    if p.length > DEFAULT_ITEM_CAP:
+        raise ResourceBound(
+            f"printing {p.length} parts is more than the cap of {DEFAULT_ITEM_CAP}"
+        )
+    return "[" + ",".join([(f"{v}," * m)[:-1] for v, m in p.runs]) + "]"
 
 
 def _report_json(report: ViolationReport) -> str:
@@ -74,13 +87,14 @@ def parse_partition(text: str) -> Partition:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"bad JSON at position {e.pos}: {e.msg}")
-        if not isinstance(data, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in data
-        ):
+        if not isinstance(data, list):
             raise ParseError("partition JSON must be an array of integers")
         try:
             return Partition.from_parts(data)
         except InvalidPart as e:
+            # a non-integer anywhere outranks a negative one before it
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in data):
+                raise ParseError("partition JSON must be an array of integers")
             raise ParseError(str(e))
     freq: dict[int, int] = {}
     for pos, tok in enumerate(text.split(), start=1):
@@ -124,6 +138,16 @@ def _parse_kv(rest: str, what: str) -> dict[str, str]:
     return out
 
 
+def _bool_check(predicate, yes: str, no: str):
+    """A boolean predicate as a ViolationReport callable, evaluated once per input."""
+
+    def check(p: Partition) -> ViolationReport:
+        ok = predicate(p)
+        return ViolationReport(ok, None, yes if ok else no)
+
+    return check
+
+
 def _check_function(text: str):
     """Map a family string to a Partition -> ViolationReport callable."""
     if text == "seqcong":
@@ -133,17 +157,9 @@ def _check_function(text: str):
     if text == "step":
         return predicates.is_step_bounded_seqcong
     if text == "distinct":
-        return lambda p: ViolationReport(
-            predicates.has_distinct_parts(p),
-            None,
-            "all parts distinct" if predicates.has_distinct_parts(p) else "a part repeats",
-        )
+        return _bool_check(predicates.has_distinct_parts, "all parts distinct", "a part repeats")
     if text == "selfconj":
-        return lambda p: ViolationReport(
-            predicates.is_self_conjugate(p),
-            None,
-            "self-conjugate" if predicates.is_self_conjugate(p) else "not self-conjugate",
-        )
+        return _bool_check(predicates.is_self_conjugate, "self-conjugate", "not self-conjugate")
     if text.startswith("pba:"):
         kv = _parse_kv(text[4:], "pba family")
         if "A" not in kv or "B" not in kv:
@@ -166,7 +182,7 @@ def _membership_function(text: str):
     if text == "empty":
         return lambda p: p.length == 0
     if text == "oddparts":
-        return lambda p: all(v % 2 == 1 for v in p.parts)
+        return lambda p: all(v % 2 == 1 for v, _ in p.runs)
     if text == "distinct":
         return predicates.has_distinct_parts
     if text == "selfconj":
@@ -178,7 +194,7 @@ def _membership_function(text: str):
             raise ParseError(f"bad part set in {text!r}: {e}")
         if not allowed or any(v < 1 for v in allowed):
             raise ParseError(f"part set in {text!r} must be positive integers")
-        return lambda p: all(v in allowed for v in p.parts)
+        return lambda p: all(v in allowed for v, _ in p.runs)
     fn = _check_function(text)
     return lambda p: fn(p).ok
 
@@ -329,19 +345,18 @@ def _cmd_map(args) -> int:
             result = maps.scale_map(lam, a, b)
         else:
             result = maps.scale_map_inverse(lam, a, b)
-    print(_dump(list(result.parts)))
+    print(_partition_json(result))
     return 0
 
 
 def _cmd_orbit(args) -> int:
     lam = parse_partition(args.partition)
     trace = maps.orbit(lam, side=args.side)
-    payload = {
-        "states": [list(p.parts) for p in trace.states],
-        "cycle_length": trace.cycle_length,
-        "closed": trace.closed,
-    }
-    print(_dump(payload))
+    states = ",".join([_partition_json(p) for p in trace.states])
+    print(
+        f'{{"states":[{states}],"cycle_length":{trace.cycle_length},'
+        f'"closed":{_dump(trace.closed)}}}'
+    )
     return 0
 
 
@@ -365,10 +380,10 @@ def _cmd_enum(args) -> int:
     if args.limit is not None:
         stream = islice(stream, args.limit)
     if args.json:
-        print(_dump([list(p.parts) for p in stream]))
+        print("[" + ",".join([_partition_json(p) for p in stream]) + "]")
         return 0
     for p in stream:
-        print(_dump(list(p.parts)))
+        print(_partition_json(p))
     return 0
 
 

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
-from .partition import Partition
+from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport, is_member_pba
 from .sequences import SequenceSpec
-
-DEFAULT_ITEM_CAP = 10**7
 
 Membership = Callable[[Partition], bool]
 
@@ -355,13 +353,13 @@ def iter_pba_by_size(
     """
     # Deterministic stream, largest values first: a level is one pair, by
     # B-value descending, and picks its copies from 0 up; a member is yielded
-    # once every pair has picked.  B-values are >= 1, so max_size also bounds
-    # the length.
+    # once every pair has picked, built from the (B-value, copies) runs the
+    # levels chose.  B-values are >= 1, so max_size also bounds the length.
     pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
     if not pairs:
-        yield Partition(())
+        yield Partition._from_runs(())
         return
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []  # the nonempty choices below the top
     taken: list[int] = []  # copies taken at each level below the top
     size_left = max_size
     len_left = max_size if max_length is None else max(max_length, 0)
@@ -376,9 +374,10 @@ def iter_pba_by_size(
         b = pairs[level][0]
         for m in stack[-1]:
             if level + 1 == len(pairs):
-                yield Partition(parts + [b] * m)
+                yield Partition._from_runs((*runs, (b, m)) if m else tuple(runs))
                 continue
-            parts += [b] * m
+            if m:
+                runs.append((b, m))
             size_left -= m * b
             len_left -= m
             taken.append(m)
@@ -388,7 +387,8 @@ def iter_pba_by_size(
             stack.pop()
             if taken:
                 m = taken.pop()
-                del parts[len(parts) - m :]
+                if m:
+                    runs.pop()
                 size_left += m * pairs[len(stack) - 1][0]
                 len_left += m
 
@@ -456,17 +456,18 @@ def step_bounded_counts(n: int) -> list[int]:
     return w
 
 
-def _pentagonal_counts(n: int) -> list[int]:
+def _pentagonal_counts(label: str, n: int) -> list[int]:
     """p(0), ..., p(n) by Euler's pentagonal-number recurrence: p(m) is the
-    sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
-    _require_cells(f"all:{n}", 1, n)  # also bounds the walk over the offsets
+    sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)).
+    `label` names the caller's request in a refusal."""
+    _require_cells(label, 1, n)  # also bounds the walk over the offsets
     offsets: list[tuple[int, int]] = []  # (generalized pentagonal number, sign), ascending
     k = 1
     while k * (3 * k - 1) // 2 <= n:
         sign = 1 if k % 2 else -1
         offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
         k += 1
-    _require_cells(f"all:{n}", len(offsets), n)
+    _require_cells(label, len(offsets), n)
     p = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0
@@ -549,7 +550,7 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
 
 # kind -> (generator of raw member tuples, exact counter), both given the descriptor
 _KINDS = {
-    "all": (lambda d: _gen_by_size(d.n, 0), lambda d: _pentagonal_counts(d.n)[d.n]),
+    "all": (lambda d: _gen_by_size(d.n, 0), lambda d: _pentagonal_counts(d.describe(), d.n)[d.n]),
     "parts-in": (
         lambda d: _gen_parts_in(d.part_set, d.n),
         lambda d: _coin_change(d.describe(), d.part_set, d.n)[d.n],
@@ -586,7 +587,7 @@ def enumerate_family(
             raise ResourceBound(
                 f"enumeration of {desc.describe()} exceeded the cap of {cap} items"
             )
-        yield Partition(t)
+        yield Partition._from_sorted(t)
 
 
 def count(desc: FamilyDescriptor, max_items: int | None = None) -> int:
@@ -662,7 +663,7 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
         for p in partitions_of(n):
             if not membership(p):
                 continue
-            for value in sorted(set(p.parts)):
+            for value, _ in reversed(p.runs):
                 reduced = p.delete_parts(value, 1)
                 if not membership(reduced):
                     return ViolationReport(

@@ -15,7 +15,7 @@ from .errors import (
     NotSequentiallyCongruent,
     PartNotInA,
 )
-from .partition import Partition
+from .partition import Partition, _run_ends
 from .predicates import is_member_pba, is_sequentially_congruent
 from .sequences import SequenceSpec
 
@@ -25,16 +25,19 @@ def pi(lam: Partition) -> Partition:
     input part plus the sum of all later parts.
 
     The image of a partition of n has largest part n and the same length.
+    A run of value v ending at index e maps to a run of the same length and
+    value e*v plus the sum of the parts after it, so the work is one step
+    per run.
     """
-    parts = lam.parts
     out = []
-    tail = 0
-    for i in range(len(parts), 0, -1):
-        v = parts[i - 1]
-        out.append(i * v + tail)
-        tail += v
+    tail = 0  # sum of the parts after the current run
+    end = lam.length  # last index of the current run
+    for v, m in reversed(lam.runs):
+        out.append((end * v + tail, m))
+        tail += v * m
+        end -= m
     out.reverse()
-    result = Partition(out)
+    result = Partition._from_runs(tuple(out))
     # guaranteed by construction; a failure here is a defect, not user error
     assert is_sequentially_congruent(result).ok
     return result
@@ -47,28 +50,33 @@ def pi_inverse(phi: Partition) -> Partition:
 
     Raises :class:`NotSequentiallyCongruent` when the input is not in the
     domain; any inexact division or ordering failure afterwards would mean a
-    library defect and raises :class:`InternalContradiction`.
+    library defect and raises :class:`InternalContradiction`.  Inside a run
+    ending at index e every index recovers the same part (c - tail) / e, so
+    the division is made once per run.
     """
     report = is_sequentially_congruent(phi)
     if not report.ok:
         raise NotSequentiallyCongruent(report)
-    parts = phi.parts
-    r = len(parts)
-    lam = [0] * r
-    tail = 0
-    for i in range(r, 0, -1):
-        num = parts[i - 1] - tail
-        if num <= 0 or num % i:
+    out = []
+    tail = 0  # sum of the recovered parts after the current run
+    end = phi.length
+    for c, m in reversed(phi.runs):
+        num = c - tail
+        if num <= 0 or num % end:
             raise InternalContradiction(
-                f"recovering part {i} of {list(parts)}: residue {num} not a "
-                f"positive multiple of {i}"
+                f"recovering part {end} of {list(phi.parts)}: residue {num} not a "
+                f"positive multiple of {end}"
             )
-        lam[i - 1] = num // i
-        tail += lam[i - 1]
-    for i in range(r - 1):
-        if lam[i] < lam[i + 1]:
-            raise InternalContradiction(f"recovered parts {lam} are not ordered")
-    return Partition(lam)
+        v = num // end
+        if out and v <= out[-1][0]:
+            raise InternalContradiction(
+                f"recovered runs {out[::-1]} and ({v}, {m}) are not ordered"
+            )
+        out.append((v, m))
+        tail += v * m
+        end -= m
+    out.reverse()
+    return Partition._from_runs(tuple(out))
 
 
 def sigma(phi: Partition) -> Partition:
@@ -76,22 +84,23 @@ def sigma(phi: Partition) -> Partition:
     multiplicity of i is the i-th successive difference divided by i
     (zero-extended past the length).
 
-    The result has size equal to the largest part of the input.
+    The result has size equal to the largest part of the input.  Only the
+    last index of each run has a nonzero difference, so the result has one
+    run per run of the input.
     """
     report = is_sequentially_congruent(phi)
     if not report.ok:
         raise NotSequentiallyCongruent(report)
-    r = phi.length
-    freq: dict[int, int] = {}
-    for i in range(1, r + 1):
-        d = phi.part_at(i) - phi.part_at(i + 1)
+    out = []
+    for i, a, b in _run_ends(phi.runs):
+        d = a - b
         if d % i:
             raise InternalContradiction(
                 f"difference {d} at index {i} of {list(phi.parts)} not divisible by {i}"
             )
-        if d:
-            freq[i] = d // i
-    return Partition.from_frequencies(freq)
+        out.append((i, d // i))
+    out.reverse()
+    return Partition._from_runs(tuple(out))
 
 
 def sigma_inverse(gam: Partition) -> Partition:

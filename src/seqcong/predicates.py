@@ -2,8 +2,10 @@
 
 Each structured predicate returns a :class:`ViolationReport` rather than a
 bare boolean so that callers (and the CLI) can point at the first broken
-condition.  The mod-1 condition at index 1 is always satisfied but is still
-evaluated, keeping index bookkeeping aligned with the definition.
+condition.  Every predicate reads the partition's runs: a condition on the
+difference lambda_i - lambda_{i+1} holds trivially inside a run, where the
+difference is 0, so it is checked at the last index of each run only, and
+the index reported is the one the definition numbers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ExtentExceeded
-from .partition import Partition
+from .partition import Partition, _run_ends
 from .sequences import SequenceSpec
 
 
@@ -43,25 +45,21 @@ def is_sequentially_congruent(lam: Partition) -> ViolationReport:
     Index i < length reports a broken congruence between parts i and i+1;
     index == length reports the divisibility condition on the smallest part.
     """
-    r = lam.length
-    for i in range(1, r + 1):
-        a = lam.part_at(i)
-        b = lam.part_at(i + 1)
+    for i, a, b in _run_ends(lam.runs):
         if (a - b) % i:
-            if i == r:
-                return _failed(i, f"smallest part {a} is not congruent to 0 modulo {r}")
+            if not b:
+                return _failed(i, f"smallest part {a} is not congruent to 0 modulo {i}")
             return _failed(i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {i}")
     return _passed("all sequential congruences hold")
 
 
 def is_frequency_congruent(lam: Partition) -> ViolationReport:
     """Each part divides its own multiplicity; the failing part is the index."""
-    freq = lam.frequencies()
-    for part in sorted(freq):
-        if freq[part] % part:
+    for part, mult in reversed(lam.runs):  # smallest part first
+        if mult % part:
             return _failed(
                 part,
-                f"part {part} has multiplicity {freq[part]}, not divisible by {part}",
+                f"part {part} has multiplicity {mult}, not divisible by {part}",
             )
     return _passed("every part divides its multiplicity")
 
@@ -74,16 +72,15 @@ def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> V
     an explicit table raises :class:`ExtentExceeded`.  With A = B = naturals
     this reduces exactly to :func:`is_frequency_congruent`.
     """
-    freq = lam.frequencies()
-    for part in sorted(freq):
+    for part, mult in reversed(lam.runs):  # smallest part first
         pos = b_seq.index_of(part)
         if pos is None:
             return _failed(part, f"part {part} is not a term of B ({b_seq.describe()})")
         a = a_seq.at(pos)
-        if freq[part] % a:
+        if mult % a:
             return _failed(
                 part,
-                f"multiplicity {freq[part]} of part {part} is not divisible by "
+                f"multiplicity {mult} of part {part} is not divisible by "
                 f"{a} (A term at position {pos})",
             )
     return _passed("all multiplicities divisible as required")
@@ -99,9 +96,7 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
         raise ExtentExceeded(
             f"partition of length {r} needs A terms beyond extent {ext}"
         )
-    for i in range(1, r + 1):
-        a = lam.part_at(i)
-        b = lam.part_at(i + 1)
+    for i, a, b in _run_ends(lam.runs):
         m = a_seq.at(i)
         if (a - b) % m:
             return _failed(
@@ -112,7 +107,7 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
 
 def has_distinct_parts(lam: Partition) -> bool:
     """True when every multiplicity equals 1."""
-    return len(set(lam.parts)) == lam.length
+    return all(m == 1 for _, m in lam.runs)
 
 
 def is_step_bounded_seqcong(lam: Partition) -> ViolationReport:
@@ -120,14 +115,14 @@ def is_step_bounded_seqcong(lam: Partition) -> ViolationReport:
 
     Partitions passing this are automatically sequentially congruent.
     """
-    r = lam.length
-    for i in range(1, r + 1):
-        step = lam.part_at(i) - lam.part_at(i + 1)
-        if step not in (0, i):
+    for i, a, b in _run_ends(lam.runs):
+        step = a - b
+        if step != i:
             return _failed(i, f"step {step} at index {i} is neither 0 nor {i}")
     return _passed("all steps are 0 or the index")
 
 
 def is_self_conjugate(lam: Partition) -> bool:
-    """True when the partition equals its own diagram transpose."""
+    """True when the partition equals its own diagram transpose (compared
+    run by run)."""
     return lam.conjugate() == lam

@@ -331,7 +331,8 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     pentagonal counts only size it: more than DEFAULT_ITEM_CAP partitions
     of size <= qtrunc raise :class:`ResourceBound` before any is built.
     """
-    _require_members(f"partition sum side q^{qtrunc}", _pentagonal_counts(qtrunc))
+    label = f"partition sum side q^{qtrunc}"
+    _require_members(label, _pentagonal_counts(label, qtrunc))
     coeffs: dict[tuple[int, int], Fraction] = {}
     for n in range(qtrunc + 1):
         total = Fraction(0)
@@ -538,8 +539,8 @@ def partition_zeta(
                 continue
             for p in enumerate_family(parts_in(values, n)):
                 norm = 1
-                for part in p.parts:
-                    norm *= part
+                for part, mult in p.runs:
+                    norm *= part**mult
                 total += mpmath.power(norm, -s_mp)
                 terms += 1
     return ZetaEvaluation(total, prod, qdepth, terms)

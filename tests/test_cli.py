@@ -326,6 +326,75 @@ def test_members_longer_than_the_recursion_limit_are_listed(run_limited, family,
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, rc, out",
+    [
+        # predicates and maps work on runs, so a 12-byte argument naming
+        # 10**9 parts is answered without building them
+        (("check", "seqcong", "1^1000000000"), 1,
+         '{"ok":false,"index":1000000000,"detail":"smallest part 1 is not congruent '
+         'to 0 modulo 1000000000"}\n'),
+        (("check", "freqcong", "2^1000000000"), 0,
+         '{"ok":true,"index":null,"detail":"every part divides its multiplicity"}\n'),
+        (("check", "selfconj", "[1000000000]"), 1,
+         '{"ok":false,"index":null,"detail":"not self-conjugate"}\n'),
+        (("check", "distinct", "1^1000000000"), 1,
+         '{"ok":false,"index":null,"detail":"a part repeats"}\n'),
+        (("check", "step", "1^1000000000"), 1,
+         '{"ok":false,"index":1000000000,"detail":"step 1 at index 1000000000 is '
+         'neither 0 nor 1000000000"}\n'),
+        (("check", "sna:A=odds", "3^1000000000"), 1,
+         '{"ok":false,"index":1000000000,"detail":"lambda_1000000000=3 is not '
+         'congruent to lambda_1000000001=0 modulo 1999999999"}\n'),
+        (("check", "pba:A=naturals;B=naturals", "7^1000000000"), 1,
+         '{"ok":false,"index":7,"detail":"multiplicity 1000000000 of part 7 is not '
+         'divisible by 7 (A term at position 7)"}\n'),
+        (("map", "sigma", "1000000000^1000000000"), 0, "[1000000000]\n"),
+        (("map", "scale", "1^1000000000", "--A", "naturals", "--B", "naturals"), 3, ""),
+        # printing 10**9 parts is refused before any text is built
+        (("map", "pi", "1^1000000000"), 3, ""),
+        (("map", "conjugate", "[1000000000]"), 3, ""),
+        (("map", "sigma-inv", "[1000000000]"), 3, ""),
+        (("orbit", "[1000000000]"), 3, ""),
+        (("orbit", "1000000000^1000000000", "--side", "S"), 3, ""),
+    ],
+)
+def test_partitions_of_a_billion_parts_within_a_second(run_limited, argv, rc, out):
+    done, elapsed = run_limited(*argv)
+    assert done.returncode == rc, done.stderr
+    assert done.stdout == out
+    if rc == 3:
+        assert "printing 1000000000 parts is more than the cap of 10000000" in done.stderr
+    assert elapsed < 1.0
+
+
+def test_partition_sum_refusal_names_the_side(capsys):
+    code, out, err = run(capsys, "series", "expand", "partition-sum", "--qtrunc", "100000000")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: partition sum side q^100000000 needs a table of 100000001 cells, "
+        "more than the cap of 10000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, name, parts, detail",
+    [
+        ("selfconj", "is_self_conjugate", "[2,2]", "self-conjugate"),
+        ("distinct", "has_distinct_parts", "[3,3]", "a part repeats"),
+    ],
+)
+def test_boolean_checks_evaluate_once(capsys, monkeypatch, family, name, parts, detail):
+    from seqcong import predicates
+
+    calls = []
+    original = getattr(predicates, name)
+    monkeypatch.setattr(predicates, name, lambda p: calls.append(p) or original(p))
+    code, out, _ = run(capsys, "check", family, parts)
+    assert json.loads(out)["detail"] == detail
+    assert len(calls) == 1
+
+
 class TestZeta:
     def test_single_part_bytes(self, capsys):
         code, out, _ = run(capsys, "zeta", "--T", "2", "--s", "2", "--depth", "60")

@@ -284,6 +284,7 @@ PBA_SPECS = [
     (SequenceSpec.table([1, 2, 3, 5, 7, 11]), NAT),
     (SequenceSpec.table([3, 1, 2]), SequenceSpec.table([4, 2, 9])),
     (NAT, SequenceSpec.table([2, 2, 3])),  # a repeated B-value keeps its first position
+    (SequenceSpec.ones(), SequenceSpec.table([5, 3, 2])),  # single copies above the last pair
 ]
 
 

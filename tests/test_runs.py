@@ -1,0 +1,410 @@
+"""The run-length representation against per-part references.
+
+Each reference below is the straightforward per-part definition (a loop
+over every index, the Young diagram for conjugation); the package computes
+the same things from (value, multiplicity) runs.  Partitions are drawn as
+frequency maps, so long runs occur, and the empty partition is included.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from seqcong import (
+    InsufficientMultiplicity,
+    NotSequentiallyCongruent,
+    Partition,
+    ResourceBound,
+    SequenceSpec,
+    ViolationReport,
+    all_of_size,
+    enumerate_family,
+    has_distinct_parts,
+    is_frequency_congruent,
+    is_member_pba,
+    is_member_sna,
+    is_self_conjugate,
+    is_sequentially_congruent,
+    is_step_bounded_seqcong,
+    orbit,
+    partitions_of,
+    pba_length,
+    pi,
+    pi_inverse,
+    seqcong_largest,
+    sigma,
+    sigma_inverse,
+    step_bounded_largest,
+)
+from seqcong import cli
+from seqcong.errors import ExtentExceeded
+
+# ---------------------------------------------------------------------------
+# per-part references
+
+
+def ref_at(t, k):
+    return t[k - 1] if k <= len(t) else 0
+
+
+def ref_conjugate(t):
+    """Diagram transpose: column k has one cell per part >= k."""
+    cols = [0] * (t[0] if t else 0)
+    for v in t:
+        for k in range(v):
+            cols[k] += 1
+    return tuple(cols)
+
+
+def ref_pi(t):
+    out, tail = [], 0
+    for i in range(len(t), 0, -1):
+        out.append(i * t[i - 1] + tail)
+        tail += t[i - 1]
+    return tuple(reversed(out))
+
+
+def ref_seqcong(t):
+    r = len(t)
+    for i in range(1, r + 1):
+        a, b = ref_at(t, i), ref_at(t, i + 1)
+        if (a - b) % i:
+            if i == r:
+                return ViolationReport(False, i, f"smallest part {a} is not congruent to 0 modulo {r}")
+            return ViolationReport(
+                False, i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {i}"
+            )
+    return ViolationReport(True, None, "all sequential congruences hold")
+
+
+def ref_pi_inverse(t):
+    r = len(t)
+    lam, tail = [0] * r, 0
+    for i in range(r, 0, -1):
+        num = t[i - 1] - tail
+        assert num > 0 and num % i == 0
+        lam[i - 1] = num // i
+        tail += lam[i - 1]
+    return tuple(lam)
+
+
+def ref_sigma(t):
+    freq = {}
+    for i in range(1, len(t) + 1):
+        d = ref_at(t, i) - ref_at(t, i + 1)
+        assert d % i == 0
+        if d:
+            freq[i] = d // i
+    return tuple(v for v in sorted(freq, reverse=True) for _ in range(freq[v]))
+
+
+def ref_freqs(t):
+    freq = {}
+    for v in t:
+        freq[v] = freq.get(v, 0) + 1
+    return freq
+
+
+def ref_freqcong(t):
+    freq = ref_freqs(t)
+    for part in sorted(freq):
+        if freq[part] % part:
+            return ViolationReport(
+                False, part, f"part {part} has multiplicity {freq[part]}, not divisible by {part}"
+            )
+    return ViolationReport(True, None, "every part divides its multiplicity")
+
+
+def ref_pba(t, a_seq, b_seq):
+    freq = ref_freqs(t)
+    for part in sorted(freq):
+        pos = b_seq.index_of(part)
+        if pos is None:
+            return ViolationReport(False, part, f"part {part} is not a term of B ({b_seq.describe()})")
+        a = a_seq.at(pos)
+        if freq[part] % a:
+            return ViolationReport(
+                False,
+                part,
+                f"multiplicity {freq[part]} of part {part} is not divisible by "
+                f"{a} (A term at position {pos})",
+            )
+    return ViolationReport(True, None, "all multiplicities divisible as required")
+
+
+def ref_sna(t, a_seq):
+    r = len(t)
+    if a_seq.extent is not None and r > a_seq.extent:
+        raise ExtentExceeded("too long")
+    for i in range(1, r + 1):
+        a, b, m = ref_at(t, i), ref_at(t, i + 1), a_seq.at(i)
+        if (a - b) % m:
+            return ViolationReport(
+                False, i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {m}"
+            )
+    return ViolationReport(True, None, "all congruences modulo A hold")
+
+
+def ref_step(t):
+    for i in range(1, len(t) + 1):
+        step = ref_at(t, i) - ref_at(t, i + 1)
+        if step not in (0, i):
+            return ViolationReport(False, i, f"step {step} at index {i} is neither 0 nor {i}")
+    return ViolationReport(True, None, "all steps are 0 or the index")
+
+
+def ref_delete(t, value, count):
+    vals = list(t)
+    for _ in range(count):
+        vals.remove(value)
+    return tuple(vals)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+multiplicities = st.one_of(st.integers(1, 4), st.integers(1, 300))
+freq_maps = st.dictionaries(st.integers(1, 40), multiplicities, max_size=6)
+
+
+@st.composite
+def partitions(draw):
+    """A partition drawn as a frequency map, returned with its parts tuple."""
+    freq = draw(freq_maps)
+    t = tuple(v for v in sorted(freq, reverse=True) for _ in range(freq[v]))
+    return Partition.from_frequencies(freq), t
+
+
+@st.composite
+def seqcong_members(draw):
+    """pi of a drawn partition, or a drawn partition that usually is not a member."""
+    lam, t = draw(partitions())
+    if draw(st.booleans()):
+        image = ref_pi(t)
+        return Partition(image), image
+    return lam, t
+
+
+SEQUENCES = [
+    SequenceSpec.naturals(),
+    SequenceSpec.odds(),
+    SequenceSpec.ones(),
+    SequenceSpec.constant(3),
+    SequenceSpec.table([2, 3, 1, 4, 6, 5, 9, 8]),
+    SequenceSpec.table([1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
+]
+sequences = st.sampled_from(SEQUENCES)
+
+
+def outcome(fn, *args):
+    """The value, or the type of the SeqcongError raised."""
+    try:
+        return fn(*args)
+    except (ExtentExceeded, NotSequentiallyCongruent) as e:
+        return type(e)
+
+
+# ---------------------------------------------------------------------------
+# value semantics
+
+
+@given(partitions())
+def test_views_match_the_tuple(pair):
+    lam, t = pair
+    built = Partition(t)
+    assert lam.parts == t and tuple(lam) == t and list(built) == list(t)
+    assert lam == built and hash(lam) == hash(built)
+    assert repr(lam) == repr(built) == f"Partition({t!r})"
+    assert (lam.size, lam.length, lam.largest) == (sum(t), len(t), t[0] if t else 0)
+    assert len(lam) == len(t)
+    assert lam.frequencies() == ref_freqs(t)
+    assert Partition.from_parts(list(reversed(t)) + [0]) == lam
+
+
+@given(partitions(), st.integers(1, 1200))
+def test_part_at_matches_the_tuple(pair, k):
+    lam, t = pair
+    for i in {k, 1, max(len(t), 1), len(t) + 1}:  # the last part and just past it
+        assert lam.part_at(i) == ref_at(t, i)
+
+
+@given(partitions(), st.data())
+def test_delete_parts_matches_the_tuple(pair, data):
+    lam, t = pair
+    # mostly a present value and a count up to one past its multiplicity
+    value = data.draw(st.sampled_from(sorted(set(t))) if t and data.draw(st.booleans()) else st.integers(1, 40))
+    count = data.draw(st.integers(1, t.count(value) + 1))
+    if t.count(value) < count:
+        with pytest.raises(InsufficientMultiplicity):
+            lam.delete_parts(value, count)
+        return
+    reduced = lam.delete_parts(value, count)
+    assert reduced.parts == ref_delete(t, value, count)
+    assert reduced == Partition(ref_delete(t, value, count))
+
+
+def test_delete_parts_refusal_names_the_runs():
+    lam = Partition.from_frequencies({1: 10**6, 3: 2})
+    with pytest.raises(InsufficientMultiplicity, match=r"^partition 3\^2 1\^1000000 has only 0 copies of 2"):
+        lam.delete_parts(2)
+
+
+def test_runs_of_known_partitions():
+    assert Partition((3, 3, 1)) != Partition((3, 1, 1))
+    assert Partition((3, 3, 1)).runs == ((3, 2), (1, 1))
+    assert Partition(()).runs == ()
+
+
+# ---------------------------------------------------------------------------
+# maps
+
+
+@given(partitions())
+def test_pi_and_conjugate_match_the_references(pair):
+    lam, t = pair
+    assert pi(lam).parts == ref_pi(t)
+    assert lam.conjugate().parts == ref_conjugate(t)
+    assert sigma_inverse(lam).parts == ref_pi(ref_conjugate(t))
+
+
+@given(seqcong_members())
+def test_inverse_maps_match_the_references(pair):
+    phi, t = pair
+    expected = ref_seqcong(t)
+    assert is_sequentially_congruent(phi) == expected
+    if expected.ok:
+        assert pi_inverse(phi).parts == ref_pi_inverse(t)
+        assert sigma(phi).parts == ref_sigma(t)
+    else:
+        for fn in (pi_inverse, sigma):
+            with pytest.raises(NotSequentiallyCongruent) as err:
+                fn(phi)
+            assert err.value.report == expected
+
+
+@given(partitions())
+def test_orbit_states_match_the_references(pair):
+    lam, t = pair
+    conj = ref_conjugate(t)
+    states = [t, ref_pi(t), t] if conj == t else [t, ref_pi(t), conj, ref_pi(conj), t]
+    assert [p.parts for p in orbit(lam).states] == states
+
+
+# ---------------------------------------------------------------------------
+# predicates
+
+
+@given(partitions())
+def test_plain_predicates_match_the_references(pair):
+    lam, t = pair
+    assert is_sequentially_congruent(lam) == ref_seqcong(t)
+    assert is_frequency_congruent(lam) == ref_freqcong(t)
+    assert is_step_bounded_seqcong(lam) == ref_step(t)
+    assert has_distinct_parts(lam) is (len(set(t)) == len(t))
+    assert is_self_conjugate(lam) is (ref_conjugate(t) == t)
+
+
+@given(seqcong_members(), sequences, sequences)
+def test_sequence_predicates_match_the_references(pair, a_seq, b_seq):
+    lam, t = pair
+    assert outcome(is_member_sna, lam, a_seq) == outcome(ref_sna, t, a_seq)
+    assert outcome(is_member_pba, lam, a_seq, b_seq) == outcome(ref_pba, t, a_seq, b_seq)
+
+
+@st.composite
+def pba_members(draw):
+    """A member of the (A, B) family: the B-term at each drawn position,
+    taken a multiple of the A-term at that position times."""
+    a_seq, b_seq = draw(sequences), draw(sequences)
+    assume(b_seq.is_distinct_through(8))
+    chosen = draw(st.dictionaries(st.integers(1, 8), st.integers(1, 30), max_size=4))
+    freq = {b_seq.at(pos): a_seq.at(pos) * k for pos, k in chosen.items()}
+    t = tuple(v for v in sorted(freq, reverse=True) for _ in range(freq[v]))
+    return Partition.from_frequencies(freq), t, a_seq, b_seq
+
+
+@given(pba_members())
+def test_pba_members_match_the_reference(drawn):
+    lam, t, a_seq, b_seq = drawn
+    report = is_member_pba(lam, a_seq, b_seq)
+    assert report.ok and report == ref_pba(t, a_seq, b_seq)
+
+
+def test_family_members_match_the_references_exhaustively():
+    for n in range(17):
+        for lam in partitions_of(n):
+            t = lam.parts
+            assert is_self_conjugate(lam) is (ref_conjugate(t) == t)
+            assert lam.conjugate().parts == ref_conjugate(t)
+        for family in (seqcong_largest(n), step_bounded_largest(n)):
+            for phi in enumerate_family(family):
+                t = phi.parts
+                assert is_sequentially_congruent(phi) == ref_seqcong(t)
+                assert is_step_bounded_seqcong(phi) == ref_step(t)
+                assert sigma(phi).parts == ref_sigma(t)
+                assert pi_inverse(phi).parts == ref_pi_inverse(t)
+
+
+# ---------------------------------------------------------------------------
+# the CLI writer
+
+
+def dumped(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@given(partitions())
+def test_writer_matches_json_dumps(pair):
+    lam, t = pair
+    assert cli._partition_json(lam) == dumped(list(t))
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=30)
+@given(partitions())
+def test_map_and_orbit_output_match_json_dumps(pair):
+    lam, t = pair
+    trace = orbit(lam)
+    payload = {
+        "states": [list(p.parts) for p in trace.states],
+        "cycle_length": trace.cycle_length,
+        "closed": trace.closed,
+    }
+    assert cli_stdout("orbit", dumped(list(t))) == (0, dumped(payload) + "\n")
+    assert cli_stdout("map", "pi", dumped(list(t))) == (0, dumped(list(ref_pi(t))) + "\n")
+
+
+@pytest.mark.parametrize("family, desc", [
+    ("all:9", all_of_size(9)),
+    ("seqcong-lg:9", seqcong_largest(9)),
+    ("pba:A=naturals;B=naturals;n=8", pba_length(SequenceSpec.naturals(), SequenceSpec.naturals(), 8)),
+])
+def test_enum_output_matches_json_dumps(family, desc):
+    members = [list(p.parts) for p in enumerate_family(desc)]
+    assert cli_stdout("enum", family) == (0, "".join(dumped(m) + "\n" for m in members))
+    assert cli_stdout("enum", family, "--json") == (0, dumped(members) + "\n")
+
+
+def test_writer_refuses_more_parts_than_the_cap():
+    cap = cli.DEFAULT_ITEM_CAP
+    assert cli._partition_json(Partition.from_frequencies({2: 3})) == "[2,2,2]"
+    with pytest.raises(ResourceBound):
+        cli._partition_json(Partition.from_frequencies({1: cap + 1}))
+
+
+def test_ferrers_refuses_more_cells_than_the_cap():
+    cap = cli.DEFAULT_ITEM_CAP
+    assert Partition.from_frequencies({2: 2}).ferrers() == "..\n.."
+    with pytest.raises(ResourceBound):
+        Partition((cap + 1,)).ferrers()
+    with pytest.raises(ResourceBound):
+        Partition.from_frequencies({1: cap + 1}).ferrers()

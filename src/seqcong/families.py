@@ -1,4 +1,4 @@
-"""Deterministic generators and exact counters for every partition family
+"""Deterministic run walkers and exact counters for every partition family
 in the package, plus the finite-truncation ideal checks.
 
 Enumeration order for every family is strictly decreasing lexicographic on
@@ -6,15 +6,19 @@ the parts sequence, and two runs produce identical streams.  A configurable
 item cap (default 10**7) turns runaway requests into a clean
 :class:`ResourceBound` error.
 
+A level of every walker picks one (value, multiplicity) run, so a member
+costs time in its distinct parts, not its parts, and becomes a
+:class:`Partition` as the runs it was built from.
+
 Counts never enumerate.  :func:`count` runs a dynamic program for each
 kind: a row recursion over (index, current part) read off the congruence
 conditions for ``seqcong-lg``, ``step-lg`` and ``sna-lg``, Euler's
 pentagonal-number recurrence for ``all``, a 0/1 knapsack for ``distinct``
 and coin change for ``parts-in`` and ``pba-len``.  Each program refuses,
 before it allocates anything, a table of more than ``DEFAULT_ITEM_CAP``
-cells.  The generators stay as the oracles the tests hold the counters to.
+cells.  The walkers stay as the oracles the tests hold the counters to.
 
-The sequentially congruent generator builds members directly from the
+The sequentially congruent walker builds members directly from the
 congruence conditions (right-to-left residue choices, realized as a DFS
 from the fixed largest part); it deliberately does not reuse the dual map,
 so that counting agreement with the plain enumerator is a genuine check.
@@ -98,118 +102,124 @@ def _check_n(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# raw generators (tuples, strictly decreasing lexicographic)
+# run walkers (tuples of runs, strictly decreasing lexicographic on the parts)
+
+Run = tuple[int, int]  # (value, multiplicity)
+# A level offers (run, below, stop) choices: the run that extends the prefix,
+# the level of runs that may follow it (None when the extended prefix is a
+# member and nothing follows), and whether the extended prefix is also a
+# member once its extensions are done.
+Level = Iterator[tuple[Run, Optional[Iterator], bool]]
 
 
-def _gen_by_size(n: int, gap: int) -> Iterator[tuple[int, ...]]:
-    """Parts summing to n, each at most the one before minus `gap`: every
-    partition of n for gap 0, the partitions into distinct parts for gap 1."""
-    # Explicit-stack walks here and below: members may be thousands of parts
-    # long, far past Python's recursion limit.  `stack` holds one iterator of
-    # choices per open level and `top` is the last of them.  Here a level
-    # picks the next part; rem is what the parts in cur leave of n.
+def _walk_runs(n: int, top: Level) -> Iterator[tuple[Run, ...]]:
+    """Members as tuples of runs; for n = 0 the empty partition is the only
+    one.  A member is yielded after its extensions, which are
+    lexicographically larger, so levels that offer larger values first,
+    and more copies of a value before fewer, give the members in strictly
+    decreasing lexicographic order on the parts.  The stack is explicit:
+    a member may have thousands of runs, past Python's recursion limit."""
     if n == 0:
         yield ()
         return
-    cur: list[int] = []
-    rem = n
-    top = iter(range(n, 0, -1))
+    runs: list[Run] = []  # the run each open level below the top was opened by
+    stops: list[bool] = []
     stack = [top]
-    while True:
-        for k in top:
-            if k == rem:
-                yield (*cur, k)
+    while stack:
+        for run, below, stop in stack[-1]:
+            if below is None:
+                yield (*runs, run)
                 continue
-            cur.append(k)
-            rem -= k
-            top = iter(range(min(rem, k - gap), 0, -1))
-            stack.append(top)
+            runs.append(run)
+            stops.append(stop)
+            stack.append(below)
             break
-        else:  # choices exhausted: take back the part that opened them
+        else:  # choices exhausted: close the level and the run that opened it
             stack.pop()
-            if not stack:
+            if runs:
+                if stops.pop():
+                    yield tuple(runs)
+                runs.pop()
+
+
+def _gen_by_size(n: int, distinct: bool) -> Iterator[tuple[Run, ...]]:
+    """Every partition of n, or those into distinct parts.  Only choices
+    that lead to a member are offered: 1s can fill any remainder, and
+    distinct parts up to v sum to at most v (v + 1) / 2."""
+
+    def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
+        for v in range(min(top, rem), 0, -1):
+            if distinct and 2 * rem > v * (v + 1):
                 return
-            rem += cur.pop()
-            top = stack[-1]
+            copies = (1,) if distinct else (rem,) if v == 1 else range(rem // v, 0, -1)
+            for m in copies:
+                left = rem - v * m
+                if left:
+                    yield (v, m), level(v - 1, left), False
+                else:
+                    yield (v, m), None, True
+
+    return _walk_runs(n, level(n, n))
 
 
-def _gen_parts_in(part_set: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+def _gen_parts_in(part_set: tuple[int, ...], n: int) -> Iterator[tuple[Run, ...]]:
     allowed = sorted(part_set, reverse=True)
-    if n == 0:
-        yield ()
-        return
-    cur: list[int] = []
-    rem = n
-    top = iter(range(len(allowed)))  # indices into allowed; parts never increase
-    stack = [top]
-    while True:
-        for idx in top:
+
+    def level(k: int, rem: int) -> Level:  # runs of allowed[k:] summing to rem
+        for idx in range(k, len(allowed)):
             v = allowed[idx]
             if v > rem:
                 continue
-            if v == rem:
-                yield (*cur, v)
-                continue
-            cur.append(v)
-            rem -= v
-            top = iter(range(idx, len(allowed)))
-            stack.append(top)
-            break
-        else:
-            stack.pop()
-            if not stack:
+            if idx + 1 == len(allowed):  # the smallest part takes the rest or nothing
+                if rem % v == 0:
+                    yield (v, rem // v), None, True
                 return
-            rem += cur.pop()
-            top = stack[-1]
+            for m in range(rem // v, 0, -1):
+                left = rem - v * m
+                if left:
+                    yield (v, m), level(idx + 1, left), False
+                else:
+                    yield (v, m), None, True
+
+    return _walk_runs(n, level(0, n))
 
 
-def _walk_from_largest(
-    n: int, level: Callable[[int, int], tuple[Iterator[int], bool]]
-) -> Iterator[tuple[int, ...]]:
-    """Members with largest part n, in strictly decreasing lexicographic
-    order.  ``level(i, c)`` is called once for each prefix of depth i ending
-    in part c; it returns the possible next parts, descending, and whether
-    the prefix itself is a member.  A member is yielded after its
-    extensions, which are lexicographically larger.
-    """
-    if n == 0:
-        yield ()
-        return
-    prefix: list[int] = []
-    stops: list[bool] = []
-    top = iter((n,))
-    stack = [top]
-    while True:
-        for c in top:
-            prefix.append(c)
-            top, stop = level(len(prefix), c)
-            stops.append(stop)
-            stack.append(top)
-            break
-        else:
-            stack.pop()
-            if not stack:
-                return
-            if stops.pop():
-                yield tuple(prefix)
-            prefix.pop()
-            top = stack[-1]
+# The largest-part walkers below choose, for a run of c that starts at index
+# i, the index j at which it ends.  Only the congruence at j can fail (the
+# steps inside a run are 0), so a run ending at j is a member if c meets the
+# last-part condition at j, and continues with a smaller part c' that meets
+# the congruence at j.  More copies of c come first, then the continuations
+# by c' descending, then the stop.
 
 
-def _gen_seqcong_lg(n: int) -> Iterator[tuple[int, ...]]:
-    # Prefixes extend while the next part can still reach a valid smallest
-    # part (a part at depth r must be a positive multiple of r, hence >= r):
-    # c' = c mod i with i+1 <= c' <= c.  A prefix stops where i | c.
-    return _walk_from_largest(n, lambda i, c: (iter(range(c, i, -i)), c % i == 0))
+def _gen_seqcong_lg(n: int) -> Iterator[tuple[Run, ...]]:
+    # A member's last part is a positive multiple of its index, so a part
+    # at index r is at least r, and a continuation at j is c' = c - k j > j;
+    # a run of c from index i <= c can always run on to index c and stop.
+    # An end j >= c/2 admits no continuation and stops only at j = c or
+    # j = c/2; every end j < c/2 has the continuation c - j, and stops
+    # where j | c.
+    def level(i: int, values: Iterable[int]) -> Level:
+        for c in values:
+            yield (c, c - i + 1), None, True
+            if c % 2 == 0 and 2 * i <= c:
+                yield (c, c // 2 - i + 1), None, True
+            for j in range((c - 1) // 2, i - 1, -1):
+                yield (c, j - i + 1), level(j + 1, range(c - j, j, -j)), c % j == 0
+
+    return _walk_runs(n, level(1, (n,)))
 
 
-def _gen_step_lg(n: int) -> Iterator[tuple[int, ...]]:
-    # Steps of 0 or i; a later stop needs a part equal to its depth, so every
-    # next part exceeds i.  A prefix stops where c = i.
-    def level(i: int, c: int) -> tuple[Iterator[int], bool]:
-        return iter((c, c - i) if c - i > i else (c,) if c > i else ()), c == i
+def _gen_step_lg(n: int) -> Iterator[tuple[Run, ...]]:
+    # Steps of 0 or j: a run of c stops only at j = c and continues only
+    # with c - j, which must exceed j, as every later stop needs a part
+    # equal to its index.
+    def level(i: int, c: int) -> Level:
+        yield (c, c - i + 1), None, True
+        for j in range((c - 1) // 2, i - 1, -1):
+            yield (c, j - i + 1), level(j + 1, c - j), False
 
-    return _walk_from_largest(n, level)
+    return _walk_runs(n, level(1, n))
 
 
 def _require_strictly_increasing(a_seq: SequenceSpec) -> None:
@@ -220,19 +230,36 @@ def _require_strictly_increasing(a_seq: SequenceSpec) -> None:
         )
 
 
-def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[int, ...]]:
-    # Stops at depth r need a_r | part_r, so part_r >= a_r; strictly
-    # increasing terms bound the depth.  Constant-like rules admit members
-    # of every length and the family is infinite.
+def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
+    # Stops at index r need a_r | part_r, so part_r >= a_r; strictly
+    # increasing terms bound the length.  Constant-like rules admit members
+    # of every length and the family is infinite.  A run of c reaches index
+    # j + 1 when c > a_j and c >= a_{j+1}, and continues at j with the
+    # c' = c (mod a_j) with a_{j+1} <= c' < c; a_{j+1} is read only when
+    # c > a_j, so a short table raises where the per-part walk did.
     _require_strictly_increasing(a_seq)
+    terms = [0]  # terms[k] = a_k, read from A once each, in index order
 
-    def level(i: int, c: int) -> tuple[Iterator[int], bool]:
-        a_i = a_seq.at(i)
-        # a continuation can only stop at a strictly larger term
-        nxt = range(c, a_seq.at(i + 1) - 1, -a_i) if c > a_i else ()
-        return iter(nxt), c % a_i == 0
+    def a(k: int) -> int:
+        while len(terms) <= k:
+            terms.append(a_seq.at(len(terms)))
+        return terms[k]
 
-    return _walk_from_largest(n, level)
+    def level(i: int, values: Iterable[int]) -> Level:
+        for c in values:
+            last = i
+            while c > a(last) and c >= a(last + 1):
+                last += 1
+            for j in range(last, i - 1, -1):
+                a_j = a(j)
+                nxt = range(c - a_j, a(j + 1) - 1, -a_j) if c > a_j else ()
+                stop = c % a_j == 0
+                if nxt:
+                    yield (c, j - i + 1), level(j + 1, nxt), stop
+                elif stop:
+                    yield (c, j - i + 1), None, True
+
+    return _walk_runs(n, level(1, (n,)))
 
 
 def _pba_value_pairs(
@@ -285,21 +312,17 @@ def _pba_value_pairs(
         i += 1
 
 
-def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[int, ...]]:
-    # A level is one (B-value, A-term) pair, by B-value descending, and picks
-    # how many copies of the B-value to take, a multiple of the A-term, from
-    # the largest down.  Larger values and more copies of them come first, so
-    # members are strictly decreasing and each is yielded as soon as its
-    # copies are all placed.  Bit r of reach[i] says whether pairs[i:] can
+def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
+    # A level takes the next pair, by B-value descending, that gets copies,
+    # and a positive multiple of its A-term copies, from the most down.
+    # Larger values and more copies of them come first, so members are
+    # strictly decreasing.  Bit r of reach[i] says whether pairs[i:] can
     # place r copies, so only choices that lead to a member are taken and
-    # the work before each member is at most one step per level.
+    # the work before each member is at most one step per pair.
     n = desc.n
     pairs = sorted(
         _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None), reverse=True
     )
-    if n == 0:
-        yield ()
-        return
     _require_cells(desc.describe(), len(pairs), n)  # the counter's table, as bits
     mask = (1 << (n + 1)) - 1
     reach = [0] * len(pairs) + [1]
@@ -310,32 +333,19 @@ def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[int, ...]]:
             a *= 2
         reach[i] = row
 
-    def choices(level: int, rem: int) -> Iterator[int]:
-        a, after = pairs[level][1], reach[level + 1]
-        return (m for m in range(rem - rem % a, -1, -a) if after >> (rem - m) & 1)
+    def level(k: int, rem: int) -> Level:  # runs of pairs[k:] placing rem copies
+        for idx in range(k, len(pairs)):
+            if not reach[idx] >> rem & 1:
+                return
+            (b, a), after = pairs[idx], reach[idx + 1]
+            for m in range(rem - rem % a, 0, -a):
+                left = rem - m
+                if not left:
+                    yield (b, m), None, True
+                elif after >> left & 1:
+                    yield (b, m), level(idx + 1, left), False
 
-    parts: list[int] = []
-    taken: list[int] = []  # copies taken at each level below the top
-    rem = n  # copies still to place
-    stack = [choices(0, rem)] if reach[0] >> n & 1 else []
-    while stack:
-        level = len(stack) - 1
-        b = pairs[level][0]
-        for m in stack[-1]:
-            if m == rem:
-                yield tuple(parts) + (b,) * m
-                continue
-            parts += [b] * m
-            rem -= m
-            taken.append(m)
-            stack.append(choices(level + 1, rem))
-            break
-        else:  # choices exhausted: take back the copies the level below took
-            stack.pop()
-            if taken:
-                m = taken.pop()
-                del parts[len(parts) - m :]
-                rem += m
+    return _walk_runs(n, level(0, n))
 
 
 def iter_pba_by_size(
@@ -406,6 +416,17 @@ def _require_cells(label: str, rows: int, n: int) -> None:
     if cells > DEFAULT_ITEM_CAP:
         raise ResourceBound(
             f"{label} needs a table of {cells} cells, more than the cap of "
+            f"{DEFAULT_ITEM_CAP}"
+        )
+
+
+def _require_members(label: str, counts: Iterable[int]) -> None:
+    """Refuse a walk whose members, totalled from exact counts before any
+    is built, would exceed DEFAULT_ITEM_CAP."""
+    total = sum(counts)
+    if total > DEFAULT_ITEM_CAP:
+        raise ResourceBound(
+            f"{label} would enumerate {total} members, more than the cap of "
             f"{DEFAULT_ITEM_CAP}"
         )
 
@@ -548,14 +569,17 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
 # public enumeration and counting API
 
 
-# kind -> (generator of raw member tuples, exact counter), both given the descriptor
+# kind -> (run walker, exact counter), both given the descriptor
 _KINDS = {
-    "all": (lambda d: _gen_by_size(d.n, 0), lambda d: _pentagonal_counts(d.describe(), d.n)[d.n]),
+    "all": (
+        lambda d: _gen_by_size(d.n, False),
+        lambda d: _pentagonal_counts(d.describe(), d.n)[d.n],
+    ),
     "parts-in": (
         lambda d: _gen_parts_in(d.part_set, d.n),
         lambda d: _coin_change(d.describe(), d.part_set, d.n)[d.n],
     ),
-    "distinct": (lambda d: _gen_by_size(d.n, 1), _count_distinct),
+    "distinct": (lambda d: _gen_by_size(d.n, True), _count_distinct),
     "seqcong-lg": (
         lambda d: _gen_seqcong_lg(d.n),
         lambda d: seqcong_weight_sums(d.n, lambda i: 1)[d.n],
@@ -577,17 +601,17 @@ def enumerate_family(
     desc: FamilyDescriptor, max_items: int | None = None
 ) -> Iterator[Partition]:
     """Yield every member of the family once, in strictly decreasing
-    lexicographic order on the parts sequence."""
+    lexicographic order on the parts sequence, built from runs."""
     cap = DEFAULT_ITEM_CAP if max_items is None else max_items
     produced = 0
     generate, _ = _kind(desc)
-    for t in generate(desc):
+    for runs in generate(desc):
         produced += 1
         if produced > cap:
             raise ResourceBound(
                 f"enumeration of {desc.describe()} exceeded the cap of {cap} items"
             )
-        yield Partition._from_sorted(t)
+        yield Partition._from_runs(runs)
 
 
 def count(desc: FamilyDescriptor, max_items: int | None = None) -> int:
@@ -623,9 +647,14 @@ def partition_count(n: int) -> int:
 
 def counts_by_size(membership: Membership, bound: int) -> list[int]:
     """Entry n is the number of partitions of n satisfying `membership`,
-    for 0 <= n <= bound (the empty partition counts at n = 0)."""
+    for 0 <= n <= bound (the empty partition counts at n = 0).  More than
+    DEFAULT_ITEM_CAP partitions in all, totalled first, raise
+    :class:`ResourceBound` before any is built: bound 62 fits, 63 does not.
+    """
     if bound < 0:
         raise InvalidPart(f"bound must be >= 0, got {bound}")
+    label = f"counts by size to {bound}"
+    _require_members(label, _pentagonal_counts(label, bound))
     return [
         sum(1 for p in partitions_of(n) if membership(p)) for n in range(bound + 1)
     ]
@@ -657,8 +686,11 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
     ones by induction, so this check is complete.
 
     On failure the report's index is the deleted part and the detail names
-    the witness member.
+    the witness member.  Partitions are totalled first, as in
+    :func:`counts_by_size`.
     """
+    label = f"ideal closure to size {bound}"
+    _require_members(label, _pentagonal_counts(label, max(bound, 0))[1:])
     for n in range(1, bound + 1):
         for p in partitions_of(n):
             if not membership(p):
@@ -702,7 +734,12 @@ def check_quasi_ideal(
 ) -> ViolationReport:
     """Verify that deleting any allowed multiple of copies of any part keeps
     membership in the (A, B) divisibility family, over members of size
-    <= bound."""
+    <= bound.  More than DEFAULT_ITEM_CAP members, totalled first by coin
+    change over the products a b of the pairs, raise :class:`ResourceBound`
+    before any is built."""
+    label = f"quasi-ideal check to size {bound}"
+    pairs = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=bound)
+    _require_members(label, _coin_change(label, [a * b for b, a in pairs], bound))
     for p in iter_pba_by_size(a_seq, b_seq, bound):
         freq = p.frequencies()
         for value in sorted(freq):
@@ -796,9 +833,9 @@ def count_invariance_suite(
     counts: list[int] = []
     differs_at: Optional[int] = None
     for n in range(bound + 1):
-        base = sorted(p.parts for p in enumerate_family(pba_length(a_seq, b_seq, n)))
+        base = sorted(p.runs for p in enumerate_family(pba_length(a_seq, b_seq, n)))
         permuted = sorted(
-            p.parts for p in enumerate_family(pba_length(a_prime, b_seq, n))
+            p.runs for p in enumerate_family(pba_length(a_prime, b_seq, n))
         )
         replaced = count(pba_length(a_seq, b_prime, n))
         expected = restricted_count(a_seq, n)

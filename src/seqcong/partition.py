@@ -78,15 +78,6 @@ class Partition:
         return p
 
     @classmethod
-    def _from_sorted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Trusted: `parts` is already a canonical tuple (a family walker's
-        member), so only its runs are found, and no part is checked."""
-        p = cls.__new__(cls)
-        p._runs = _runs_of(parts)
-        p._parts = parts
-        return p
-
-    @classmethod
     def from_parts(cls, raw: Iterable[int]) -> "Partition":
         """Canonicalize an arbitrary finite sequence: drop zeros, sort descending.
 
@@ -99,7 +90,7 @@ class Partition:
             if v:
                 vals.append(v)
         vals.sort(reverse=True)
-        return cls._from_sorted(tuple(vals))
+        return cls._from_runs(_runs_of(tuple(vals)))
 
     @classmethod
     def from_frequencies(cls, fv: Mapping[int, int]) -> "Partition":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 import random
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
@@ -26,16 +27,13 @@ from .errors import (
     ResourceBound,
 )
 from .families import (
-    DEFAULT_ITEM_CAP,
     _a_value_set,
     _coin_change,
     _pba_value_pairs,
     _pentagonal_counts,
     _require_cells,
-    enumerate_family,
+    _require_members,
     iter_pba_by_size,
-    parts_in,
-    partitions_of,
     seqcong_weight_sums,
     step_bounded_counts,
 )
@@ -301,15 +299,35 @@ def _dense_product(
     )
 
 
-def _require_members(label: str, counts: Iterable[int]) -> None:
-    """Refuse an enumerative side whose members, totalled from exact counts
-    before any is built, would exceed DEFAULT_ITEM_CAP."""
-    total = sum(counts)
-    if total > DEFAULT_ITEM_CAP:
-        raise ResourceBound(
-            f"{label} would enumerate {total} members, more than the cap of "
-            f"{DEFAULT_ITEM_CAP}"
-        )
+def _size_totals(values: list[int], factors: list[list], bound: int, one) -> tuple[list, int]:
+    """Totals by size, 0 to bound, of the weights of the partitions of size
+    <= bound into parts among `values` (ascending), and how many there
+    are.  ``factors[k][m]`` weighs a run of m copies of ``values[k]``; a
+    partition weighs the product of its runs, the empty one `one`.  Each
+    node of the walk is a member, and a child adds one run of a value below
+    the node's smallest part: its weight is the node's times one factor,
+    added to the total for its size.  One step per member."""
+    totals = [0] * (bound + 1)
+    totals[0] = one
+    members = 1
+    room = bound - (values[0] if values else 0)  # the largest size a child can grow from
+    stack = [(one, 0, len(values))]  # (weight, size, values allowed below it)
+    while stack:
+        w, size, k = stack.pop()
+        rem = bound - size
+        for j in range(k):
+            v = values[j]
+            if v > rem:
+                break
+            runs, s = factors[j], size
+            for m in range(1, rem // v + 1):
+                s += v
+                c = w * runs[m]
+                totals[s] += c
+                if j and s <= room:
+                    stack.append((c, s, j))
+            members += rem // v
+    return totals, members
 
 
 def product_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -330,20 +348,28 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     the ``product-sum`` identity, so no dynamic program replaces it.  The
     pentagonal counts only size it: more than DEFAULT_ITEM_CAP partitions
     of size <= qtrunc raise :class:`ResourceBound` before any is built.
+    Then f(1), ..., f(qtrunc) are read in that order (so a short table
+    raises :class:`ExtentExceeded` at its extent + 1), and one walk over all
+    sizes carries each weight down from the parent, one factor per run.
     """
+    # In integers: with L the lcm of the denominators, a run of m copies of
+    # v weighs (f(v) L^v)^m, so a partition of size n weighs L^n times its
+    # weight, and each size's total is divided by L^n once.  Parts of
+    # weight 0 are left out, as every partition holding one adds 0.
     label = f"partition sum side q^{qtrunc}"
+    _require_grid(label, 1, 0, qtrunc)  # a negative qtrunc raises InvalidExponent
     _require_members(label, _pentagonal_counts(label, qtrunc))
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for n in range(qtrunc + 1):
-        total = Fraction(0)
-        for p in partitions_of(n):
-            w = Fraction(1)
-            for part, mult in p.frequencies().items():
-                w *= f.value(part) ** mult
-            total += w
-        if total:
-            coeffs[(0, n)] = total
-    return BivariateSeries(0, qtrunc, coeffs)
+    weights = [Fraction(f.value(v)) for v in range(1, qtrunc + 1)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    values = [v for v, w in enumerate(weights, start=1) if w]
+    factors = []
+    for v in values:
+        c = weights[v - 1].numerator * (scale**v // weights[v - 1].denominator)
+        factors.append([c**m for m in range(qtrunc // v + 1)])
+    totals, _ = _size_totals(values, factors, qtrunc, 1)
+    return BivariateSeries(
+        0, qtrunc, {(0, n): Fraction(c, scale**n) for n, c in enumerate(totals)}
+    )
 
 
 def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -506,8 +532,9 @@ def partition_zeta(
     and dps >= 1 (decimal digits of working precision); anything else
     raises :class:`DivergentParameters`.  More than DEFAULT_ITEM_CAP
     partitions of size <= qdepth, totalled by coin change before any is
-    built, raise :class:`ResourceBound`.  No equality is asserted here;
-    callers decide what agreement to demand at which depth.
+    built, raise :class:`ResourceBound`; the sum is one walk with one step
+    per partition, so this bounds its work too.  No equality is asserted
+    here; callers decide what agreement to demand at which depth.
     """
     values = sorted(set(int(v) for v in part_set))
     if not values:
@@ -530,17 +557,12 @@ def partition_zeta(
         prod = mpmath.mpf(1)
         for t in values:
             prod /= 1 - mpmath.power(t, -s_mp)
-        total = mpmath.mpf(0)
-        terms = 0
-        for n in range(qdepth + 1):
-            if n == 0:
-                total += 1  # the empty partition has product 1
-                terms += 1
-                continue
-            for p in enumerate_family(parts_in(values, n)):
-                norm = 1
-                for part, mult in p.runs:
-                    norm *= part**mult
-                total += mpmath.power(norm, -s_mp)
-                terms += 1
+        # a term is its parent's times t^(-s m) for its last run, m copies
+        # of t: rounded once per distinct part, however deep the walk goes
+        factors = [
+            [None] + [mpmath.power(t, -s_mp * m) for m in range(1, qdepth // t + 1)]
+            for t in values
+        ]
+        totals, terms = _size_totals(values, factors, qdepth, mpmath.mpf(1))
+        total = sum(filter(None, totals), mpmath.mpf(0))  # skip the sizes no partition has
     return ZetaEvaluation(total, prod, qdepth, terms)

@@ -368,6 +368,36 @@ def test_partitions_of_a_billion_parts_within_a_second(run_limited, argv, rc, ou
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # the walkers yield runs, so a first member of 10**8 parts is one
+        # run, and the writer refuses it before building any text
+        (("enum", "step-lg:100000000", "--limit", "1"),
+         "error: printing 100000000 parts is more than the cap of 10000000\n"),
+        (("enum", "parts:T=1;n=100000000", "--limit", "1"),
+         "error: printing 100000000 parts is more than the cap of 10000000\n"),
+        (("enum", "seqcong-lg:100000000", "--limit", "1"),
+         "error: printing 100000000 parts is more than the cap of 10000000\n"),
+        # the ideal checks total their members before walking any
+        (("ideal", "equiv", "distinct", "oddparts", "--max-size", "77"),
+         "error: counts by size to 77 would enumerate 81446349 members, more than "
+         "the cap of 10000000\n"),
+        (("ideal", "closure", "distinct", "--max-size", "63"),
+         "error: ideal closure to size 63 would enumerate 10566508 members, more than "
+         "the cap of 10000000\n"),
+        (("ideal", "quasi", "--A", "naturals", "--B", "naturals", "--max-size", "2000"),
+         "error: quasi-ideal check to size 2000 would enumerate 1458482069440492 "
+         "members, more than the cap of 10000000\n"),
+    ],
+)
+def test_huge_walks_exit_3_within_a_second(run_limited, argv, err):
+    done, elapsed = run_limited(*argv)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == "" and done.stderr == err
+    assert elapsed < 1.0
+
+
 def test_partition_sum_refusal_names_the_side(capsys):
     code, out, err = run(capsys, "series", "expand", "partition-sum", "--qtrunc", "100000000")
     assert code == 3 and out == ""

@@ -37,6 +37,7 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
+from seqcong import families
 from seqcong.families import _pba_value_pairs
 
 NAT = SequenceSpec.naturals()
@@ -345,6 +346,54 @@ def test_resource_cap_trips():
 def test_rejects_negative_family_parameter():
     with pytest.raises(InvalidPart):
         all_of_size(-1)
+
+
+class _WalkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "check, walker, fits",
+    [
+        # sum of p(n) for n <= 62 is 9061010, for n <= 63 it is 10566509
+        (lambda m: counts_by_size(has_distinct_parts, m), "partitions_of", 62),
+        (lambda m: check_ideal_closure(has_distinct_parts, m), "partitions_of", 62),
+        # partitions into squares of size <= 290, as for pba_sum_side
+        (lambda m: check_quasi_ideal(NAT, NAT, m), "iter_pba_by_size", 290),
+    ],
+)
+def test_ideal_checks_total_their_members_first(monkeypatch, check, walker, fits):
+    def started(*args, **kwargs):
+        raise _WalkStarted
+
+    monkeypatch.setattr(families, walker, started)
+    with pytest.raises(ResourceBound, match="would enumerate .* members, more than the cap of 10000000"):
+        check(fits + 1)
+    with pytest.raises(_WalkStarted):
+        check(fits)
+
+
+def test_ideal_check_refusals_name_the_check():
+    with pytest.raises(ResourceBound) as refused:
+        counts_by_size(has_distinct_parts, 63)
+    assert str(refused.value) == (
+        "counts by size to 63 would enumerate 10566509 members, more than the cap of 10000000"
+    )
+    with pytest.raises(ResourceBound) as refused:
+        check_ideal_closure(has_distinct_parts, 63)
+    assert str(refused.value).startswith("ideal closure to size 63 would enumerate 10566508 members")
+    with pytest.raises(ResourceBound) as refused:
+        check_quasi_ideal(NAT, NAT, 291)
+    assert str(refused.value).startswith("quasi-ideal check to size 291 would enumerate")
+
+
+def test_invariance_suite_compares_runs_not_parts(monkeypatch):
+    def expanded(self):
+        raise AssertionError("a member was expanded into parts")
+
+    monkeypatch.setattr(Partition, "parts", property(expanded))
+    report = count_invariance_suite(SequenceSpec.table([2, 3]), SequenceSpec.table([5, 7]), 8)
+    assert report.ok and report.sets_differ_at == 2
 
 
 class TestCountsBySize:

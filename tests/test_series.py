@@ -440,9 +440,10 @@ class _EnumerationStarted(Exception):
     "side, enumerator, fits",
     [
         # the last sizes whose members total at most 10**7: sum of p(n) for
-        # n <= 62, coin change over {2, 3} to 10951, over the squares to 290
-        (lambda q: partition_sum_side(ONE, q), "partitions_of", 62),
-        (lambda d: partition_zeta([2, 3], 2, d), "enumerate_family", 10951),
+        # n <= 62, coin change over {2, 3} to 10951, over the squares to 290;
+        # the partition sum and zeta sides walk all sizes in one _size_totals
+        (lambda q: partition_sum_side(ONE, q), "_size_totals", 62),
+        (lambda d: partition_zeta([2, 3], 2, d), "_size_totals", 10951),
         (lambda q: pba_sum_side(NAT, NAT, q, q), "iter_pba_by_size", 290),
     ],
 )

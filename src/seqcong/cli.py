@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 # families, series, fractions and mpmath are imported by the handlers that
 # use them, so map, check and orbit start without loading them
@@ -75,6 +75,38 @@ def _partition_json(p: Partition) -> str:
 
 def _report_json(report: ViolationReport) -> str:
     return _dump({"ok": report.ok, "index": report.index, "detail": report.detail})
+
+
+# characters per sys.stdout.write: print costs two writes a line, each a
+# system call when stdout is unbuffered
+_CHUNK_CHARS = 1 << 16
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, as print would, in writes of
+    about _CHUNK_CHARS characters.  A chunk is written as soon as it reaches
+    that size, so at most one chunk and one line are held however long the
+    lines are.  The lines taken before `lines` raises are written before the
+    error propagates, so partial output is unchanged."""
+    pending: list[str] = []
+    size = 0
+    try:
+        for line in lines:
+            pending.append(line)
+            size += len(line) + 1
+            if size >= _CHUNK_CHARS:
+                _write_chunk(pending)
+                size = 0
+    finally:
+        _write_chunk(pending)
+
+
+def _write_chunk(pending: list[str]) -> None:
+    if pending:
+        pending.append("")
+        text = "\n".join(pending)
+        pending.clear()
+        sys.stdout.write(text)
 
 
 def parse_partition(text: str) -> Partition:
@@ -316,11 +348,16 @@ def _cmd_check(args) -> int:
     # parse everything first so bad input never yields partial output
     inputs = [parse_partition(text) for text in texts]
     worst = 0
-    for lam in inputs:
-        report = fn(lam)
-        print(_report_json(report))
-        if not report.ok:
-            worst = 1
+
+    def lines():
+        nonlocal worst
+        for lam in inputs:
+            report = fn(lam)
+            if not report.ok:
+                worst = 1
+            yield _report_json(report)
+
+    _write_lines(lines())
     return worst
 
 
@@ -382,8 +419,7 @@ def _cmd_enum(args) -> int:
     if args.json:
         print("[" + ",".join([_partition_json(p) for p in stream]) + "]")
         return 0
-    for p in stream:
-        print(_partition_json(p))
+    _write_lines(map(_partition_json, stream))
     return 0
 
 
@@ -525,13 +561,13 @@ def _cmd_series_expand(args) -> int:
             )
         )
         return 0
-    for (a, b), c in s.items():
-        if s.xtrunc == 0:
-            print(f"q^{b}: {c}")
-        elif s.qtrunc == 0:
-            print(f"x^{a}: {c}")
-        else:
-            print(f"x^{a} q^{b}: {c}")
+    if s.xtrunc == 0:
+        line = "q^{1}: {2}"
+    elif s.qtrunc == 0:
+        line = "x^{0}: {2}"
+    else:
+        line = "x^{0} q^{1}: {2}"
+    _write_lines(line.format(a, b, c) for (a, b), c in s.items())
     return 0
 
 

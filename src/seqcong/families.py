@@ -26,9 +26,9 @@ so that counting agreement with the plain enumerator is a genuine check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from ._values import Value
 from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
 from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport, is_member_pba
@@ -37,8 +37,7 @@ from .sequences import SequenceSpec
 Membership = Callable[[Partition], bool]
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(Value):
     """A named finite family of partitions.
 
     kinds: ``all`` (size n), ``parts-in`` (size n, parts from a set),
@@ -47,11 +46,21 @@ class FamilyDescriptor:
     modulo A), ``step-lg`` (largest part n, steps 0 or the index).
     """
 
-    kind: str
-    n: int
-    part_set: tuple[int, ...] | None = None
-    a_seq: SequenceSpec | None = None
-    b_seq: SequenceSpec | None = None
+    __slots__ = _fields = __match_args__ = ("kind", "n", "part_set", "a_seq", "b_seq")
+
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        part_set: tuple[int, ...] | None = None,
+        a_seq: SequenceSpec | None = None,
+        b_seq: SequenceSpec | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "part_set", part_set)
+        object.__setattr__(self, "a_seq", a_seq)
+        object.__setattr__(self, "b_seq", b_seq)
 
     def describe(self) -> str:
         bits = [self.kind, str(self.n)]
@@ -660,12 +669,22 @@ def counts_by_size(membership: Membership, bound: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    equivalent: bool
-    first_difference: Optional[int]
-    counts_first: tuple[int, ...]
-    counts_second: tuple[int, ...]
+class EquivalenceReport(Value):
+    __slots__ = _fields = __match_args__ = (
+        "equivalent", "first_difference", "counts_first", "counts_second",
+    )
+
+    def __init__(
+        self,
+        equivalent: bool,
+        first_difference: Optional[int],
+        counts_first: tuple[int, ...],
+        counts_second: tuple[int, ...],
+    ):
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "first_difference", first_difference)
+        object.__setattr__(self, "counts_first", counts_first)
+        object.__setattr__(self, "counts_second", counts_second)
 
 
 def ideal_equivalent_upto(
@@ -785,12 +804,16 @@ def restricted_count(a_seq: SequenceSpec, n: int) -> int:
     return count(parts_in(values, n))
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    ok: bool
-    detail: str
-    sets_differ_at: Optional[int]
-    counts: tuple[int, ...]
+class InvarianceReport(Value):
+    __slots__ = _fields = __match_args__ = ("ok", "detail", "sets_differ_at", "counts")
+
+    def __init__(
+        self, ok: bool, detail: str, sets_differ_at: Optional[int], counts: tuple[int, ...]
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "sets_differ_at", sets_differ_at)
+        object.__setattr__(self, "counts", counts)
 
 
 def count_invariance_suite(

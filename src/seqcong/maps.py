@@ -5,8 +5,7 @@ divisibility families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._values import Value
 from .errors import (
     ExtentExceeded,
     InternalContradiction,
@@ -114,8 +113,7 @@ def sigma_pi(lam: Partition) -> Partition:
     return sigma(pi(lam))
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(Value):
     """Alternating trace of the two maps, starting and ending at the input.
 
     `states` alternates between the plain-partition side and the
@@ -123,9 +121,12 @@ class OrbitTrace:
     (always 1 or 2).
     """
 
-    states: tuple[Partition, ...]
-    cycle_length: int
-    closed: bool
+    __slots__ = _fields = __match_args__ = ("states", "cycle_length", "closed")
+
+    def __init__(self, states: tuple[Partition, ...], cycle_length: int, closed: bool):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "cycle_length", cycle_length)
+        object.__setattr__(self, "closed", closed)
 
 
 def orbit(start: Partition, side: str = "P") -> OrbitTrace:

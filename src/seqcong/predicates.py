@@ -10,21 +10,23 @@ the index reported is the one the definition numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._values import Value
 from .errors import ExtentExceeded
 from .partition import Partition, _run_ends
 from .sequences import SequenceSpec
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Value):
     """Outcome of a membership test; `index` pins the first failure."""
 
-    ok: bool
-    index: Optional[int]
-    detail: str
+    __slots__ = _fields = __match_args__ = ("ok", "index", "detail")
+
+    def __init__(self, ok: bool, index: Optional[int], detail: str):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.ok

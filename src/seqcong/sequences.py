@@ -9,19 +9,21 @@ by one of a few total rules: ``naturals`` (i -> i), ``ones`` (i -> 1),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._values import Value
 from .errors import ExtentExceeded, InvalidPart
 
 _RULES = ("naturals", "ones", "constant", "odds")
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    kind: str
-    terms: tuple[int, ...] | None = None
-    k: int | None = None
+class SequenceSpec(Value):
+    __slots__ = _fields = __match_args__ = ("kind", "terms", "k")
+
+    def __init__(self, kind: str, terms: tuple[int, ...] | None = None, k: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "k", k)
 
     @classmethod
     def table(cls, terms) -> "SequenceSpec":

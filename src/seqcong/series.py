@@ -12,12 +12,12 @@ truncation depth instead of asserting agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 import random
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
+from ._values import Value
 from .errors import (
     BoundsMismatch,
     DivergentParameters,
@@ -141,8 +141,7 @@ class BivariateSeries:
         )
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Value):
     """Exact rational weight function on positive integers.
 
     kinds: ``one`` (constant 1), ``table`` (explicit values for 1..extent,
@@ -150,12 +149,25 @@ class WeightSpec:
     ``indicator`` (1 on a finite set, else 0).
     """
 
-    kind: str
-    table: tuple[Fraction, ...] | None = None
-    members: frozenset[int] | None = None
-    seed: int | None = None
-    extent: int | None = None
-    span: int | None = None
+    _fields = __match_args__ = ("kind", "table", "members", "seed", "extent", "span")
+    __slots__ = _fields + ("_drawn",)  # _drawn caches the random table, not a field
+
+    def __init__(
+        self,
+        kind: str,
+        table: tuple[Fraction, ...] | None = None,
+        members: frozenset[int] | None = None,
+        seed: int | None = None,
+        extent: int | None = None,
+        span: int | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_drawn", None)
 
     @classmethod
     def one(cls) -> "WeightSpec":
@@ -184,7 +196,7 @@ class WeightSpec:
         racing on one spec store the same values."""
         if self.kind == "table":
             return self.table
-        drawn = self.__dict__.get("_drawn")
+        drawn = self._drawn
         if drawn is None:
             rng = random.Random(self.seed)
             span = self.span
@@ -192,7 +204,7 @@ class WeightSpec:
                 Fraction(rng.randint(-span, span), rng.randint(1, span))
                 for _ in range(self.extent)
             )
-            object.__setattr__(self, "_drawn", drawn)  # a cache, not a field
+            object.__setattr__(self, "_drawn", drawn)
         return drawn
 
     def value(self, n: int) -> Fraction:
@@ -482,16 +494,27 @@ def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
     return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(counts)})
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
+class SeriesComparison(Value):
     """Outcome of a coefficientwise comparison; on inequality the fields
     name the first differing exponent pair and both values."""
 
-    equal: bool
-    x_exponent: Optional[int] = None
-    q_exponent: Optional[int] = None
-    lhs_coefficient: Optional[Fraction] = None
-    rhs_coefficient: Optional[Fraction] = None
+    __slots__ = _fields = __match_args__ = (
+        "equal", "x_exponent", "q_exponent", "lhs_coefficient", "rhs_coefficient",
+    )
+
+    def __init__(
+        self,
+        equal: bool,
+        x_exponent: Optional[int] = None,
+        q_exponent: Optional[int] = None,
+        lhs_coefficient: Optional[Fraction] = None,
+        rhs_coefficient: Optional[Fraction] = None,
+    ):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "x_exponent", x_exponent)
+        object.__setattr__(self, "q_exponent", q_exponent)
+        object.__setattr__(self, "lhs_coefficient", lhs_coefficient)
+        object.__setattr__(self, "rhs_coefficient", rhs_coefficient)
 
 
 def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
@@ -510,15 +533,17 @@ def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
     return SeriesComparison(True)
 
 
-@dataclass(frozen=True)
-class ZetaEvaluation:
+class ZetaEvaluation(Value):
     """Both sides of the restricted-partition zeta identity, as high
     precision reals, with the truncation depth that produced the sum."""
 
-    sum_side: mpmath.mpf
-    product_side: mpmath.mpf
-    qdepth: int
-    terms: int
+    __slots__ = _fields = __match_args__ = ("sum_side", "product_side", "qdepth", "terms")
+
+    def __init__(self, sum_side: mpmath.mpf, product_side: mpmath.mpf, qdepth: int, terms: int):
+        object.__setattr__(self, "sum_side", sum_side)
+        object.__setattr__(self, "product_side", product_side)
+        object.__setattr__(self, "qdepth", qdepth)
+        object.__setattr__(self, "terms", terms)
 
 
 def partition_zeta(

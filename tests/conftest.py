@@ -19,14 +19,16 @@ def _limit_memory():
 def run_limited():
     """Run ``python -m seqcong.cli *argv`` in a child limited to 512 MiB of
     address space (the limit acts on the child only); returns the completed
-    process and its wall time in seconds."""
+    process and its wall time in seconds.  ``stdout=subprocess.DEVNULL``
+    discards the child's output instead of capturing it."""
 
-    def run(*argv: str):
+    def run(*argv: str, stdout=subprocess.PIPE):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "seqcong.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=10, preexec_fn=_limit_memory,
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=10,
+            preexec_fn=_limit_memory,
         )
         return done, time.perf_counter() - start
 

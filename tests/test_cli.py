@@ -1,4 +1,5 @@
 import json
+import subprocess
 
 import pytest
 
@@ -164,8 +165,56 @@ class TestEnum:
         assert first == second
 
     def test_resource_cap(self, capsys):
-        code, _, err = run(capsys, "enum", "all:8", "--max-items", "3")
-        assert code == 3 and "cap" in err
+        code, out, err = run(capsys, "enum", "all:8", "--max-items", "3")
+        # the members listed before the cap are written before the exit
+        assert code == 3 and out == "[8]\n[7,1]\n[6,2]\n" and "cap" in err
+        # more members than one write holds, then the cap
+        code, out, err = run(capsys, "enum", "all:30", "--max-items", "5000")
+        lines = out.splitlines()
+        assert code == 3 and len(lines) == 5000 and out.endswith("\n") and "cap" in err
+        assert lines[0] == "[30]" and lines[1] == "[29,1]"
+        assert run(capsys, "enum", "all:30", "--limit", "5000")[:2] == (0, out)
+
+    def test_long_members_are_written_a_chunk_at_a_time(self, capsys, monkeypatch):
+        # 1024 members of about 2000 parts each: no write holds more than
+        # one chunk and one member, however few lines make up a chunk
+        import io
+        import sys
+
+        from seqcong import cli
+
+        sizes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        argv = ["enum", "parts:T=1,2;n=4000", "--limit", "1024"]
+        as_json = run(capsys, *argv, "--json")
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        lines = sink.getvalue().splitlines()
+        assert as_json == (0, "[" + ",".join(lines) + "]\n", "")
+        assert len(lines) == 1024 and len(sizes) > 1
+        assert max(sizes) <= cli._CHUNK_CHARS + max(map(len, lines)) + 1
+
+    def test_extent_error_after_output(self, capsys, monkeypatch):
+        # sna-lg reads the deepest A term it needs before its first member,
+        # so a short table fails it before any output
+        assert run(capsys, "enum", "sna-lg:A=1,2,3;n=4")[:2] == (2, "")
+        # check reads its inputs one at a time: the reports before the
+        # partition longer than A's table are written, then exit 2
+        code, out, err = run(
+            capsys, "check", "sna:A=2,3,1",
+            stdin="[9,5,2]\n[4,2]\n[1,1,1,1]\n[3]\n", monkeypatch=monkeypatch,
+        )
+        assert code == 2 and "beyond extent 3" in err
+        assert out == (
+            '{"ok":true,"index":null,"detail":"all congruences modulo A hold"}\n'
+            '{"ok":false,"index":2,"detail":"lambda_2=2 is not congruent to lambda_3=0 modulo 3"}\n'
+        )
 
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "enum", "everything:4")
@@ -324,6 +373,16 @@ def test_members_longer_than_the_recursion_limit_are_listed(run_limited, family,
     assert done.returncode == 0, done.stderr
     assert done.stdout == json.dumps(first, separators=(",", ":")) + "\n"
     assert elapsed < 1.0
+
+
+def test_long_members_are_listed_within_the_memory_limit(run_limited):
+    # 1024 members of about 3*10**5 parts, 300 MB of text in all: a writer
+    # holding them at once, with their join, would pass the 512 MiB limit
+    done, elapsed = run_limited(
+        "enum", "parts:T=1,2;n=300000", "--limit", "1024", stdout=subprocess.DEVNULL
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize(

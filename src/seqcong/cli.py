@@ -160,120 +160,95 @@ def parse_sequence(text: str) -> SequenceSpec:
         raise ParseError(f"bad sequence {text!r}: {e}")
 
 
-def _parse_kv(rest: str, what: str) -> dict[str, str]:
-    out = {}
-    for piece in rest.split(";"):
-        if "=" not in piece:
-            raise ParseError(f"expected key=value in {what}, got {piece!r}")
-        key, val = piece.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
+def _part_set(text: str) -> frozenset[int]:
+    allowed = frozenset(int(v) for v in text.split(","))
+    if any(v < 1 for v in allowed):
+        raise ParseError(f"part set {text!r} must be positive integers")
+    return allowed
+
+
+# key in a family text -> parser of its value
+_VALUES = {"T": _part_set, "A": parse_sequence, "B": parse_sequence, "n": int}
 
 
 def _bool_check(predicate, yes: str, no: str):
-    """A boolean predicate as a ViolationReport callable, evaluated once per input."""
-
-    def check(p: Partition) -> ViolationReport:
-        ok = predicate(p)
-        return ViolationReport(ok, None, yes if ok else no)
-
-    return check
+    """A boolean predicate as a ViolationReport callable, evaluated once per
+    input; the two reports are built once and shared, as records are
+    immutable."""
+    passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)
+    return lambda p: passed if predicate(p) else failed
 
 
-def _check_function(text: str):
-    """Map a family string to a Partition -> ViolationReport callable."""
-    if text == "seqcong":
-        return predicates.is_sequentially_congruent
-    if text == "freqcong":
-        return predicates.is_frequency_congruent
-    if text == "step":
-        return predicates.is_step_bounded_seqcong
-    if text == "distinct":
-        return _bool_check(predicates.has_distinct_parts, "all parts distinct", "a part repeats")
-    if text == "selfconj":
-        return _bool_check(predicates.is_self_conjugate, "self-conjugate", "not self-conjugate")
-    if text.startswith("pba:"):
-        kv = _parse_kv(text[4:], "pba family")
-        if "A" not in kv or "B" not in kv:
-            raise ParseError("pba family needs A=... and B=...")
-        a, b = parse_sequence(kv["A"]), parse_sequence(kv["B"])
-        return lambda p: predicates.is_member_pba(p, a, b)
-    if text.startswith("sna:"):
-        kv = _parse_kv(text[4:], "sna family")
-        if "A" not in kv:
-            raise ParseError("sna family needs A=...")
-        a = parse_sequence(kv["A"])
-        return lambda p: predicates.is_member_sna(p, a)
-    raise ParseError(f"unknown check family {text!r}")
-
-
-def _membership_function(text: str):
-    """Map a family string to a Partition -> bool callable."""
-    if text == "all":
-        return lambda p: True
-    if text == "empty":
-        return lambda p: p.length == 0
-    if text == "oddparts":
-        return lambda p: all(v % 2 == 1 for v, _ in p.runs)
-    if text == "distinct":
-        return predicates.has_distinct_parts
-    if text == "selfconj":
-        return predicates.is_self_conjugate
-    if text.startswith("parts:"):
-        try:
-            allowed = frozenset(int(v) for v in text[6:].split(","))
-        except ValueError as e:
-            raise ParseError(f"bad part set in {text!r}: {e}")
-        if not allowed or any(v < 1 for v in allowed):
-            raise ParseError(f"part set in {text!r} must be positive integers")
-        return lambda p: all(v in allowed for v, _ in p.runs)
-    fn = _check_function(text)
-    return lambda p: fn(p).ok
-
-
-# kind -> name of the families constructor, looked up when a family is parsed
-_SIMPLE_FAMILIES = {
-    "all": "all_of_size",
-    "distinct": "distinct_of_size",
-    "seqcong-lg": "seqcong_largest",
-    "step-lg": "step_bounded_largest",
+# The families, each named once: name -> (the keys its text takes, its
+# enum listings as suffix -> families constructor by name, which takes n
+# after the keys, and the ViolationReport check built from the keys'
+# values).  A text is `name` or `name:key=value;...`; the first key may be
+# written bare, as in `parts:2,3` or `all:5`.
+_FAMILIES = {
+    "all": ((), {"": "all_of_size"}, lambda: _bool_check(lambda p: True, "every partition", "")),
+    "empty": ((), {}, lambda: _bool_check(lambda p: p.length == 0, "empty", "not empty")),
+    "oddparts": ((), {}, lambda: _bool_check(
+        lambda p: all(v % 2 for v, _ in p.runs), "all parts odd", "a part is even")),
+    "distinct": ((), {"": "distinct_of_size"}, lambda: _bool_check(
+        predicates.has_distinct_parts, "all parts distinct", "a part repeats")),
+    "selfconj": ((), {}, lambda: _bool_check(
+        predicates.is_self_conjugate, "self-conjugate", "not self-conjugate")),
+    "parts": (("T",), {"": "parts_in"}, lambda t: _bool_check(
+        lambda p: all(v in t for v, _ in p.runs), "all parts allowed", "a part is not allowed")),
+    "seqcong": ((), {"-lg": "seqcong_largest"}, lambda: predicates.is_sequentially_congruent),
+    "freqcong": ((), {}, lambda: predicates.is_frequency_congruent),
+    "step": ((), {"-lg": "step_bounded_largest"}, lambda: predicates.is_step_bounded_seqcong),
+    "pba": (("A", "B"), {"": "pba_length"},
+            lambda a, b: lambda p: predicates.is_member_pba(p, a, b)),
+    "sna": (("A",), {"-lg": "sna_largest"}, lambda a: lambda p: predicates.is_member_sna(p, a)),
 }
+# enum name -> (the keys its text takes, families constructor by name)
+_LISTINGS = {
+    name + suffix: ((*keys, "n"), ctor)
+    for name, (keys, listings, _) in _FAMILIES.items()
+    for suffix, ctor in listings.items()
+}
+# enum name -> constructor name, a view the benchmark's tracer reads
+_SIMPLE_FAMILIES = {name: ctor for name, (_, ctor) in _LISTINGS.items()}
+
+
+def _parse_family_text(text: str, table: dict) -> tuple[str, list]:
+    """The name of a family text, which must be in `table`, and the parsed
+    values of the keys its entry takes, in the entry's order.  Keys the
+    entry does not take are ignored."""
+    name, colon, rest = text.partition(":")
+    if name not in table:
+        raise ParseError(f"unknown family {name!r}")
+    keys = table[name][0]
+    given = {}
+    for pos, piece in enumerate(rest.split(";") if colon else ()):
+        key, eq, value = piece.partition("=")
+        if not eq:
+            if pos or not keys:
+                raise ParseError(f"expected key=value in family {text!r}, got {piece!r}")
+            key, value = keys[0], piece
+        given[key.strip()] = value.strip()
+    missing = [f"{key}=..." for key in keys if key not in given]
+    if missing:
+        raise ParseError(f"family {name} needs {' and '.join(missing)}")
+    try:
+        return name, [_VALUES[key](given[key]) for key in keys]
+    except ValueError as e:
+        raise ParseError(f"bad value in family {text!r}: {e}")
+
+
+def _parse_check(text: str):
+    """A family text as a Partition -> ViolationReport callable."""
+    name, values = _parse_family_text(text, _FAMILIES)
+    return _FAMILIES[name][2](*values)
 
 
 def parse_family(text: str) -> FamilyDescriptor:
+    """An enum family text as the descriptor its listing constructor builds."""
     from . import families
 
-    if ":" not in text:
-        raise ParseError(f"family {text!r} needs parameters after ':'")
-    kind, rest = text.split(":", 1)
-    if kind in _SIMPLE_FAMILIES:
-        try:
-            return getattr(families, _SIMPLE_FAMILIES[kind])(int(rest))
-        except ValueError as e:
-            raise ParseError(f"bad family size in {text!r}: {e}")
-    kv = _parse_kv(rest, f"family {kind}")
-    if "n" not in kv:
-        raise ParseError(f"family {text!r} needs n=...")
-    try:
-        n = int(kv["n"])
-    except ValueError as e:
-        raise ParseError(f"bad n in {text!r}: {e}")
-    if kind == "parts":
-        if "T" not in kv:
-            raise ParseError("parts family needs T=...")
-        try:
-            return families.parts_in((int(v) for v in kv["T"].split(",")), n)
-        except ValueError as e:
-            raise ParseError(f"bad part set in {text!r}: {e}")
-    if kind == "pba":
-        if "A" not in kv or "B" not in kv:
-            raise ParseError("pba family needs A=... and B=...")
-        return families.pba_length(parse_sequence(kv["A"]), parse_sequence(kv["B"]), n)
-    if kind == "sna-lg":
-        if "A" not in kv:
-            raise ParseError("sna-lg family needs A=...")
-        return families.sna_largest(parse_sequence(kv["A"]), n)
-    raise ParseError(f"unknown family kind {kind!r}")
+    name, values = _parse_family_text(text, _LISTINGS)
+    return getattr(families, _LISTINGS[name][1])(*values)
 
 
 def parse_weights(text: str, extent: int) -> WeightSpec:
@@ -340,7 +315,7 @@ def _format_fixed(value, places: int = _ZETA_PLACES) -> str:
 
 
 def _cmd_check(args) -> int:
-    fn = _check_function(args.family)
+    fn = _parse_check(args.family)
     if args.partition is not None:
         texts = [args.partition]
     else:
@@ -427,9 +402,7 @@ def _cmd_ideal(args) -> int:
     from . import families
 
     if args.ideal_cmd == "closure":
-        report = families.check_ideal_closure(
-            _membership_function(args.family), args.max_size
-        )
+        report = families.check_ideal_closure(_parse_check(args.family), args.max_size)
         print(_report_json(report))
         return 0 if report.ok else 1
     if args.ideal_cmd == "quasi":
@@ -440,8 +413,7 @@ def _cmd_ideal(args) -> int:
         return 0 if report.ok else 1
     if args.ideal_cmd == "equiv":
         result = families.ideal_equivalent_upto(
-            _membership_function(args.family), _membership_function(args.other),
-            args.max_size,
+            _parse_check(args.family), _parse_check(args.other), args.max_size
         )
         print(
             _dump(
@@ -474,33 +446,48 @@ def _cmd_ideal(args) -> int:
     return 0 if report.ok else 1
 
 
-def _series_pair(args):
-    """Build the two sides of the requested identity."""
+# series expand side -> (series function by name, the flags it takes, in order)
+_SIDES = {
+    "product": ("product_side", ("f", "qtrunc")),
+    "partition-sum": ("partition_sum_side", ("f", "qtrunc")),
+    "seqcong-sum": ("seqcong_sum_side", ("f", "qtrunc")),
+    "two-variable": ("two_var_product_side", ("A", "B", "xtrunc", "qtrunc")),
+    "pba-sum": ("pba_sum_side", ("A", "B", "xtrunc", "qtrunc")),
+    "euler": ("euler_limit_side", ("A", "xtrunc")),
+    "distinct-product": ("distinct_product_side", ("qtrunc",)),
+    "step-sum": ("step_bounded_sum_side", ("qtrunc",)),
+}
+# series verify identity -> (left side, right side)
+_IDENTITIES = {
+    "product-sum": ("product", "partition-sum"),
+    "product-seqcong": ("product", "seqcong-sum"),
+    "two-variable": ("two-variable", "pba-sum"),
+    "distinct": ("distinct-product", "step-sum"),
+}
+
+
+def _expand_side(side: str, args) -> BivariateSeries:
+    """Build one side from the flags it takes; the function is looked up in
+    `series` on each call."""
     from . import series
 
-    n = args.qtrunc
-    if args.identity == "product-sum":
-        f = parse_weights(args.f, n)
-        return series.product_side(f, n), series.partition_sum_side(f, n)
-    if args.identity == "product-seqcong":
-        f = parse_weights(args.f, n)
-        return series.product_side(f, n), series.seqcong_sum_side(f, n)
-    if args.identity == "distinct":
-        return series.distinct_product_side(n), series.step_bounded_sum_side(n)
-    # two-variable
-    if args.A is None or args.B is None:
-        raise ParseError("identity two-variable needs --A and --B")
-    a, b = parse_sequence(args.A), parse_sequence(args.B)
-    m = args.xtrunc
-    if m is None:
-        raise ParseError("identity two-variable needs --xtrunc")
-    return series.two_var_product_side(a, b, m, n), series.pba_sum_side(a, b, m, n)
+    name, flags = _SIDES[side]
+    given = {flag: getattr(args, flag) for flag in flags}
+    missing = [f"--{flag}" for flag, value in given.items() if value is None]
+    if missing:
+        raise ParseError(f"side {side} needs {', '.join(missing)}")
+    for flag in ("A", "B"):
+        if flag in given:
+            given[flag] = parse_sequence(given[flag])
+    if "f" in given:
+        given["f"] = parse_weights(given["f"], args.qtrunc)
+    return getattr(series, name)(*given.values())
 
 
 def _cmd_series_verify(args) -> int:
     from . import series
 
-    lhs, rhs = _series_pair(args)
+    lhs, rhs = (_expand_side(side, args) for side in _IDENTITIES[args.identity])
     outcome = series.compare(lhs, rhs)
     if outcome.equal:
         print(f"PASS {args.identity} qtrunc={args.qtrunc}")
@@ -512,42 +499,8 @@ def _cmd_series_verify(args) -> int:
     return 1
 
 
-def _expand_series(args) -> BivariateSeries:
-    from . import series
-
-    n = args.qtrunc
-    side = args.side
-    if side in ("product", "partition-sum", "seqcong-sum"):
-        f = parse_weights(args.f, n if n is not None else 0)
-        if n is None:
-            raise ParseError(f"side {side} needs --qtrunc")
-        if side == "product":
-            return series.product_side(f, n)
-        if side == "partition-sum":
-            return series.partition_sum_side(f, n)
-        return series.seqcong_sum_side(f, n)
-    if side == "distinct-product":
-        if n is None:
-            raise ParseError("side distinct-product needs --qtrunc")
-        return series.distinct_product_side(n)
-    if side == "step-sum":
-        if n is None:
-            raise ParseError("side step-sum needs --qtrunc")
-        return series.step_bounded_sum_side(n)
-    if side == "euler":
-        if args.A is None or args.xtrunc is None:
-            raise ParseError("side euler needs --A and --xtrunc")
-        return series.euler_limit_side(parse_sequence(args.A), args.xtrunc)
-    if args.A is None or args.B is None or args.xtrunc is None or n is None:
-        raise ParseError(f"side {side} needs --A, --B, --xtrunc and --qtrunc")
-    a, b = parse_sequence(args.A), parse_sequence(args.B)
-    if side == "two-variable":
-        return series.two_var_product_side(a, b, args.xtrunc, n)
-    return series.pba_sum_side(a, b, args.xtrunc, n)
-
-
 def _cmd_series_expand(args) -> int:
-    s = _expand_series(args)
+    s = _expand_side(args.side, args)
     if args.json:
         print(
             _dump(
@@ -599,6 +552,15 @@ def _cmd_zeta(args) -> int:
 # parser
 
 
+def _forms(table: dict, example: str) -> str:
+    """Help text naming every family text of a table of families or listings."""
+    forms = [
+        name + (":" + ";".join(f"{key}=..." for key in entry[0]) if entry[0] else "")
+        for name, entry in table.items()
+    ]
+    return " | ".join(forms) + f"; the first key may be written bare, as in {example}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqcong",
@@ -606,10 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerators, series identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    family_help = _forms(_FAMILIES, "parts:2,3")
 
     p = sub.add_parser("check", help="membership test with first-violation witness")
-    p.add_argument("family", help="seqcong | freqcong | distinct | selfconj | step | "
-                   "pba:A=...;B=... | sna:A=...")
+    p.add_argument("family", help=family_help)
     p.add_argument("partition", nargs="?", help="JSON array or frequency form; "
                    "omit to read JSON lines from stdin")
     p.set_defaults(func=_cmd_check)
@@ -628,8 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("enum", help="stream a family as JSON lines")
-    p.add_argument("family", help="all:N | distinct:N | seqcong-lg:N | step-lg:N | "
-                   "parts:T=...;n=N | pba:A=...;B=...;n=N | sna-lg:A=...;n=N")
+    unlisted = [name for name, (_, listings, _) in _FAMILIES.items() if not listings]
+    p.add_argument("family", help=_forms(_LISTINGS, "all:5") + "; no listing for "
+                   + ", ".join(unlisted))
     p.add_argument("--limit", type=_int_at_least(0))
     p.add_argument("--count-only", action="store_true",
                    help="print min(count, --limit), computed without enumerating")
@@ -640,32 +603,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal", help="deletion-closure and count-invariance checks")
     isub = p.add_subparsers(dest="ideal_cmd", required=True)
     c = isub.add_parser("closure")
-    c.add_argument("family")
-    c.add_argument("--max-size", type=int, required=True)
+    c.add_argument("family", help=family_help)
+    c.add_argument("--max-size", type=_int_at_least(0), required=True)
     c.set_defaults(func=_cmd_ideal)
     c = isub.add_parser("quasi")
     c.add_argument("--A", required=True)
     c.add_argument("--B", required=True)
-    c.add_argument("--max-size", type=int, required=True)
+    c.add_argument("--max-size", type=_int_at_least(0), required=True)
     c.set_defaults(func=_cmd_ideal)
     c = isub.add_parser("equiv")
-    c.add_argument("family")
-    c.add_argument("other")
-    c.add_argument("--max-size", type=int, required=True)
+    c.add_argument("family", help=family_help)
+    c.add_argument("other", help="a second family, as above")
+    c.add_argument("--max-size", type=_int_at_least(0), required=True)
     c.set_defaults(func=_cmd_ideal)
     c = isub.add_parser("invariance")
     c.add_argument("--A", required=True)
     c.add_argument("--B", required=True)
     c.add_argument("--A-prime", dest="A_prime")
     c.add_argument("--B-prime", dest="B_prime")
-    c.add_argument("--max-size", type=int, required=True)
+    c.add_argument("--max-size", type=_int_at_least(0), required=True)
     c.set_defaults(func=_cmd_ideal)
 
     p = sub.add_parser("series", help="expand or verify generating-function identities")
     ssub = p.add_subparsers(dest="series_cmd", required=True)
     v = ssub.add_parser("verify")
-    v.add_argument("identity", choices=["product-sum", "product-seqcong",
-                                        "two-variable", "distinct"])
+    v.add_argument("identity", choices=list(_IDENTITIES))
     v.add_argument("--qtrunc", type=int, required=True)
     v.add_argument("--xtrunc", type=int)
     v.add_argument("--f", default="one")
@@ -673,9 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--B")
     v.set_defaults(func=_cmd_series_verify)
     e = ssub.add_parser("expand")
-    e.add_argument("side", choices=["product", "partition-sum", "seqcong-sum",
-                                    "two-variable", "pba-sum", "euler",
-                                    "distinct-product", "step-sum"])
+    e.add_argument("side", choices=list(_SIDES))
     e.add_argument("--qtrunc", type=int)
     e.add_argument("--xtrunc", type=int)
     e.add_argument("--f", default="one")

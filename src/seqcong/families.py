@@ -26,7 +26,8 @@ so that counting agreement with the plain enumerator is a genuine check.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ._values import Value
 from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
@@ -34,7 +35,7 @@ from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport, is_member_pba
 from .sequences import SequenceSpec
 
-Membership = Callable[[Partition], bool]
+Membership = Callable[[Partition], bool]  # or a check: a ViolationReport is truthy when ok
 
 
 class FamilyDescriptor(Value):
@@ -104,9 +105,9 @@ def step_bounded_largest(n: int) -> FamilyDescriptor:
     return FamilyDescriptor("step-lg", _check_n(n))
 
 
-def _check_n(n: int) -> int:
+def _check_n(n: int, name: str = "family parameter n") -> int:
     if n < 0:
-        raise InvalidPart(f"family parameter n must be >= 0, got {n}")
+        raise InvalidPart(f"{name} must be >= 0, got {n}")
     return n
 
 
@@ -271,54 +272,60 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
     return _walk_runs(n, level(1, (n,)))
 
 
-def _pba_value_pairs(
-    a_seq: SequenceSpec, b_seq: SequenceSpec, *, a_bound: int | None, ab_bound: int | None
+def _positions(
+    a_seq: SequenceSpec, b_seq: SequenceSpec, bound: int, weight: Callable[[int, int], int]
 ) -> Iterator[tuple[int, int]]:
-    """Distinct B-values paired with the A-term at their first position.
-
-    Positions are bounded by explicit tables when present; otherwise by the
-    requested a- or a*b-bound, which is only finite for rules whose relevant
-    product grows.  Repeated B-values keep their first position, matching
-    the membership predicate.  Pairs are yielded lazily, so a caller can
-    stop the walk early.
+    """(a_i, b_i) for i = 1, 2, ...: every position up to the shorter
+    extent when A or B is a table, whatever its weight(a_i, b_i); for two
+    rules, whose weights never decrease with i, the positions up to the
+    last with weight <= bound.  Pairs are yielded lazily, so a caller can
+    stop the walk early.  Two rules that keep more than `bound` positions
+    within the bound raise :class:`ResourceBound`: the walk would not end.
     """
-    seen: set[int] = set()
-
-    def keep(a: int, b: int) -> bool:
-        if b in seen:
-            return False
-        if a_bound is not None and a > a_bound:
-            return False
-        if ab_bound is not None and a * b > ab_bound:
-            return False
-        seen.add(b)
-        return True
-
     extents = [e for e in (a_seq.extent, b_seq.extent) if e is not None]
     if extents:
         for i in range(1, min(extents) + 1):
-            a, b = a_seq.at(i), b_seq.at(i)
-            if keep(a, b):
-                yield b, a
+            yield a_seq.at(i), b_seq.at(i)
         return
-    # both total rules
-    bound = a_bound if ab_bound is None else ab_bound
     i = 1
     while True:
         a, b = a_seq.at(i), b_seq.at(i)
-        prod = a if ab_bound is None else a * b
-        if prod > bound:
-            break
+        if weight(a, b) > bound:
+            return
         if i > bound:
-            if b_seq.kind in ("ones", "constant"):
-                break  # a single B-value; later positions repeat it
             raise ResourceBound(
-                f"A ({a_seq.describe()}) keeps infinitely many terms within "
-                f"the bound {bound}; the family is infinite"
+                f"A ({a_seq.describe()}) and B ({b_seq.describe()}) keep infinitely "
+                f"many positions within the bound {bound}"
             )
-        if keep(a, b):
-            yield b, a
+        yield a, b
         i += 1
+
+
+def _pba_value_pairs(
+    a_seq: SequenceSpec, b_seq: SequenceSpec, *, a_bound: int | None, ab_bound: int | None
+) -> Iterator[tuple[int, int]]:
+    """Distinct B-values paired with the A-term at their first position,
+    for the first positions within the bound: an A-term <= a_bound, or a
+    product a*b <= ab_bound (give one of the two).
+
+    A repeated B-value keeps its first position, matching the membership
+    predicate, even when that position is out of bound: then the value
+    has no pair.  A rule B that repeats a term repeats its first one
+    forever, so its walk stops after one position.
+    """
+    if ab_bound is None:
+        bound, weight = a_bound, lambda a, b: a
+    else:
+        bound, weight = ab_bound, lambda a, b: a * b
+    walk = _positions(a_seq, b_seq, bound, weight)
+    if b_seq.extent is None and not b_seq.is_distinct_through(2):
+        walk = islice(walk, 1)
+    seen: set[int] = set()
+    for a, b in walk:
+        if b not in seen:
+            seen.add(b)
+            if weight(a, b) <= bound:
+                yield b, a
 
 
 def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
@@ -659,9 +666,9 @@ def counts_by_size(membership: Membership, bound: int) -> list[int]:
     for 0 <= n <= bound (the empty partition counts at n = 0).  More than
     DEFAULT_ITEM_CAP partitions in all, totalled first, raise
     :class:`ResourceBound` before any is built: bound 62 fits, 63 does not.
+    A bound below 0 raises :class:`InvalidPart`.
     """
-    if bound < 0:
-        raise InvalidPart(f"bound must be >= 0, got {bound}")
+    _check_n(bound, "bound")
     label = f"counts by size to {bound}"
     _require_members(label, _pentagonal_counts(label, bound))
     return [
@@ -706,10 +713,11 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
 
     On failure the report's index is the deleted part and the detail names
     the witness member.  Partitions are totalled first, as in
-    :func:`counts_by_size`.
+    :func:`counts_by_size`.  A bound below 0 raises :class:`InvalidPart`.
     """
+    _check_n(bound, "bound")
     label = f"ideal closure to size {bound}"
-    _require_members(label, _pentagonal_counts(label, max(bound, 0))[1:])
+    _require_members(label, _pentagonal_counts(label, bound)[1:])
     for n in range(1, bound + 1):
         for p in partitions_of(n):
             if not membership(p):
@@ -755,7 +763,8 @@ def check_quasi_ideal(
     membership in the (A, B) divisibility family, over members of size
     <= bound.  More than DEFAULT_ITEM_CAP members, totalled first by coin
     change over the products a b of the pairs, raise :class:`ResourceBound`
-    before any is built."""
+    before any is built.  A bound below 0 raises :class:`InvalidPart`."""
+    _check_n(bound, "bound")
     label = f"quasi-ideal check to size {bound}"
     pairs = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=bound)
     _require_members(label, _coin_change(label, [a * b for b, a in pairs], bound))
@@ -778,25 +787,9 @@ def check_quasi_ideal(
     return ViolationReport(True, None, "closed under scaled deletions")
 
 
-def _a_value_set(a_seq: SequenceSpec, upto: int) -> Sequence[int]:
-    """Distinct term values of A that are <= upto, ascending.  The rules
-    give a range, so taking its length costs nothing however large upto is."""
-    if a_seq.kind == "table":
-        return tuple(sorted({v for v in a_seq.terms if v <= upto}))
-    if a_seq.kind == "naturals":
-        return range(1, upto + 1)
-    if a_seq.kind == "odds":
-        return range(1, upto + 1, 2)
-    if a_seq.kind == "ones":
-        return (1,) if upto >= 1 else ()
-    if a_seq.kind == "constant":
-        return (a_seq.k,) if a_seq.k <= upto else ()
-    raise ValueError(f"unknown sequence kind {a_seq.kind!r}")
-
-
 def restricted_count(a_seq: SequenceSpec, n: int) -> int:
     """Number of partitions of n with all parts among the terms of A."""
-    values = _a_value_set(a_seq, n)
+    values = a_seq.values_upto(n)
     if n == 0:
         return 1
     if not values:
@@ -831,16 +824,18 @@ def count_invariance_suite(
     table 1..extent(B) (or 1..bound for rule B).  A, B and `b_prime` must
     have distinct terms, otherwise :class:`NonDistinctA` is raised.  The report also records
     the first n at which the A-permuted family differs as a set, which it
-    must somewhere when the permutation is nontrivial.
+    must somewhere when the permutation is nontrivial.  A bound below 0
+    raises :class:`InvalidPart`.
     """
+    _check_n(bound, "bound")
     probe = max(bound, a_seq.extent or 0)
     if not a_seq.is_distinct_through(probe):
         raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
     if a_prime is None:
-        if a_seq.kind != "table":
+        if a_seq.extent is None:
             raise InvalidPart("a_prime is required when A is not an explicit table")
         a_prime = SequenceSpec.table(tuple(reversed(a_seq.terms)))
-    if a_seq.kind == "table" and a_prime.kind == "table":
+    if a_seq.extent is not None and a_prime.extent is not None:
         if sorted(a_seq.terms) != sorted(a_prime.terms):
             raise InvalidPart(
                 f"a_prime ({a_prime.describe()}) is not a permutation of A "

@@ -9,7 +9,7 @@ by one of a few total rules: ``naturals`` (i -> i), ``ones`` (i -> 1),
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._values import Value
 from .errors import ExtentExceeded, InvalidPart
@@ -96,6 +96,21 @@ class SequenceSpec(Value):
             return 1 if value == self.k else None
         if self.kind == "odds":
             return (value + 1) // 2 if value % 2 == 1 else None
+        raise ValueError(f"unknown sequence kind {self.kind!r}")
+
+    def values_upto(self, n: int) -> Sequence[int]:
+        """Distinct term values <= n, ascending.  The rules give a range, so
+        taking its length costs nothing however large n is."""
+        if self.kind == "table":
+            return tuple(sorted({v for v in self.terms if v <= n}))
+        if self.kind == "naturals":
+            return range(1, n + 1)
+        if self.kind == "odds":
+            return range(1, n + 1, 2)
+        if self.kind == "ones":
+            return (1,) if n >= 1 else ()
+        if self.kind == "constant":
+            return (self.k,) if self.k <= n else ()
         raise ValueError(f"unknown sequence kind {self.kind!r}")
 
     def is_distinct_through(self, n: int) -> bool:

@@ -24,13 +24,12 @@ from .errors import (
     ExtentExceeded,
     InvalidExponent,
     NonDistinctA,
-    ResourceBound,
 )
 from .families import (
-    _a_value_set,
     _coin_change,
     _pba_value_pairs,
     _pentagonal_counts,
+    _positions,
     _require_cells,
     _require_members,
     iter_pba_by_size,
@@ -398,33 +397,6 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(sums)})
 
 
-def _factor_positions(
-    a_seq: SequenceSpec, b_seq: SequenceSpec, qtrunc: int
-) -> list[tuple[int, int]]:
-    """(a_n, b_n) pairs, one per position n with a_n * b_n <= qtrunc."""
-    extents = [e for e in (a_seq.extent, b_seq.extent) if e is not None]
-    pairs = []
-    if extents:
-        for i in range(1, min(extents) + 1):
-            a, b = a_seq.at(i), b_seq.at(i)
-            if a * b <= qtrunc:
-                pairs.append((a, b))
-        return pairs
-    i = 1
-    while True:
-        a, b = a_seq.at(i), b_seq.at(i)
-        if a * b > qtrunc:  # rule products never decrease with the position
-            break
-        if i > qtrunc:
-            raise ResourceBound(
-                "A and B keep infinitely many factors within the truncation; "
-                "the product is not a finite computation"
-            )
-        pairs.append((a, b))
-        i += 1
-    return pairs
-
-
 def two_var_product_side(
     a_seq: SequenceSpec, b_seq: SequenceSpec, xtrunc: int, qtrunc: int
 ) -> BivariateSeries:
@@ -432,7 +404,9 @@ def two_var_product_side(
     label = f"two-variable product side x^{xtrunc} q^{qtrunc}"
     _require_grid(label, 1, xtrunc, qtrunc)  # before the walk over up to qtrunc positions
     factors = [
-        (1, a, a * b) for a, b in _factor_positions(a_seq, b_seq, qtrunc) if a <= xtrunc
+        (1, a, a * b)
+        for a, b in _positions(a_seq, b_seq, qtrunc, lambda a, b: a * b)
+        if a <= xtrunc and a * b <= qtrunc
     ]
     return _dense_product(label, len(factors), factors, xtrunc, qtrunc)
 
@@ -466,14 +440,12 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
 
     Computed directly from the product, never by a numeric limit.
     """
-    if a_seq.kind in ("ones", "constant"):
-        raise NonDistinctA(f"A ({a_seq.describe()}) repeats its terms")
-    if a_seq.kind == "table" and not a_seq.is_distinct_through(len(a_seq.terms)):
+    if not a_seq.is_distinct_through(a_seq.extent or 2):  # a rule repeats by its 2nd term
         raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
-    values = _a_value_set(a_seq, xtrunc)
-    return _dense_product(
-        f"euler side x^{xtrunc}", len(values), ((1, a, 0) for a in values), xtrunc, 0
-    )
+    label = f"euler side x^{xtrunc}"
+    _require_grid(label, 1, xtrunc, 0)  # before a range too long for len() is sized
+    values = a_seq.values_upto(xtrunc)
+    return _dense_product(label, len(values), ((1, a, 0) for a in values), xtrunc, 0)
 
 
 def distinct_product_side(qtrunc: int) -> BivariateSeries:

@@ -41,6 +41,7 @@ from .predicates import ViolationReport
 from .sequences import SequenceSpec
 
 if TYPE_CHECKING:
+    from ._values import Value
     from .families import FamilyDescriptor
     from .series import BivariateSeries, WeightSpec
 
@@ -73,8 +74,9 @@ def _partition_json(p: Partition) -> str:
     return "[" + ",".join([(f"{v}," * m)[:-1] for v, m in p.runs]) + "]"
 
 
-def _report_json(report: ViolationReport) -> str:
-    return _dump({"ok": report.ok, "index": report.index, "detail": report.detail})
+def _record_json(record: Value) -> str:
+    """A record as one JSON object: its fields and values, in field order."""
+    return _dump(dict(zip(record._fields, record._astuple())))
 
 
 # characters per sys.stdout.write: print costs two writes a line, each a
@@ -330,7 +332,7 @@ def _cmd_check(args) -> int:
             report = fn(lam)
             if not report.ok:
                 worst = 1
-            yield _report_json(report)
+            yield _record_json(report)
 
     _write_lines(lines())
     return worst
@@ -402,48 +404,25 @@ def _cmd_ideal(args) -> int:
     from . import families
 
     if args.ideal_cmd == "closure":
-        report = families.check_ideal_closure(_parse_check(args.family), args.max_size)
-        print(_report_json(report))
-        return 0 if report.ok else 1
-    if args.ideal_cmd == "quasi":
-        report = families.check_quasi_ideal(
+        record = families.check_ideal_closure(_parse_check(args.family), args.max_size)
+    elif args.ideal_cmd == "quasi":
+        record = families.check_quasi_ideal(
             parse_sequence(args.A), parse_sequence(args.B), args.max_size
         )
-        print(_report_json(report))
-        return 0 if report.ok else 1
-    if args.ideal_cmd == "equiv":
-        result = families.ideal_equivalent_upto(
+    elif args.ideal_cmd == "equiv":
+        record = families.ideal_equivalent_upto(
             _parse_check(args.family), _parse_check(args.other), args.max_size
         )
-        print(
-            _dump(
-                {
-                    "equivalent": result.equivalent,
-                    "first_difference": result.first_difference,
-                    "counts_first": list(result.counts_first),
-                    "counts_second": list(result.counts_second),
-                }
-            )
+    else:
+        record = families.count_invariance_suite(
+            parse_sequence(args.A),
+            parse_sequence(args.B),
+            args.max_size,
+            a_prime=parse_sequence(args.A_prime) if args.A_prime else None,
+            b_prime=parse_sequence(args.B_prime) if args.B_prime else None,
         )
-        return 0 if result.equivalent else 1
-    report = families.count_invariance_suite(
-        parse_sequence(args.A),
-        parse_sequence(args.B),
-        args.max_size,
-        a_prime=parse_sequence(args.A_prime) if args.A_prime else None,
-        b_prime=parse_sequence(args.B_prime) if args.B_prime else None,
-    )
-    print(
-        _dump(
-            {
-                "ok": report.ok,
-                "detail": report.detail,
-                "sets_differ_at": report.sets_differ_at,
-                "counts": list(report.counts),
-            }
-        )
-    )
-    return 0 if report.ok else 1
+    print(_record_json(record))
+    return 0 if getattr(record, record._fields[0]) else 1  # the verdict: ok or equivalent
 
 
 # series expand side -> (series function by name, the flags it takes, in order)
@@ -664,10 +643,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NotSequentiallyCongruent, NotMemberPBA) as e:
-        print(_report_json(e.report))
+        print(_record_json(e.report))
         return 1
     except PartNotInA as e:
-        print(_dump({"ok": False, "index": None, "detail": str(e)}))
+        print(_record_json(ViolationReport(False, None, str(e))))
         return 1
     except ResourceBound as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,12 +11,14 @@ costs time in its distinct parts, not its parts, and becomes a
 :class:`Partition` as the runs it was built from.
 
 Counts never enumerate.  :func:`count` runs a dynamic program for each
-kind: a row recursion over (index, current part) read off the congruence
-conditions for ``seqcong-lg``, ``step-lg`` and ``sna-lg``, Euler's
-pentagonal-number recurrence for ``all``, a 0/1 knapsack for ``distinct``
-and coin change for ``parts-in`` and ``pba-len``.  Each program refuses,
-before it allocates anything, a table of more than ``DEFAULT_ITEM_CAP``
-cells.  The walkers stay as the oracles the tests hold the counters to.
+kind: one row recursion over (index i, current part), with modulus a_i
+and floor a_{i+1}, read off the congruences modulo A for ``sna-lg`` and,
+with A = naturals, ``seqcong-lg`` (:func:`sna_weight_sums`), its variant
+with steps 0 or i for ``step-lg``, Euler's pentagonal-number recurrence
+for ``all``, a 0/1 knapsack for ``distinct`` and coin change for
+``parts-in`` and ``pba-len``.  Each program refuses, before it allocates
+anything, a table of more than ``DEFAULT_ITEM_CAP`` cells.  The walkers
+stay as the oracles the tests hold the counters to.
 
 The sequentially congruent walker builds members directly from the
 congruence conditions (right-to-left residue choices, realized as a DFS
@@ -33,7 +35,7 @@ from ._values import Value
 from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
 from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport, is_member_pba
-from .sequences import SequenceSpec
+from .sequences import NATURALS, SequenceSpec
 
 Membership = Callable[[Partition], bool]  # or a check: a ViolationReport is truthy when ok
 
@@ -243,26 +245,28 @@ def _require_strictly_increasing(a_seq: SequenceSpec) -> None:
 def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
     # Stops at index r need a_r | part_r, so part_r >= a_r; strictly
     # increasing terms bound the length.  Constant-like rules admit members
-    # of every length and the family is infinite.  A run of c reaches index
-    # j + 1 when c > a_j and c >= a_{j+1}, and continues at j with the
-    # c' = c (mod a_j) with a_{j+1} <= c' < c; a_{j+1} is read only when
-    # c > a_j, so a short table raises where the per-part walk did.
+    # of every length and the family is infinite.  A run of c from index i
+    # runs on while c > a_j and c >= a_{j+1}, so its last possible end is
+    # k = max(i, first index with a_k >= c), a stop when a_k = c.  Below k,
+    # an end j with a_j >= c/2 admits no continuation (c - a_j < a_{j+1}),
+    # so only the first such j can stop, when a_j = c/2.  Every end j with
+    # a_j < c/2 may continue with a c' = c (mod a_j), a_{j+1} <= c' < c.
+    # A table that never reaches c raises from first_at_least, before any
+    # member of the run is offered, where the per-part walk did.
     _require_strictly_increasing(a_seq)
-    terms = [0]  # terms[k] = a_k, read from A once each, in index order
-
-    def a(k: int) -> int:
-        while len(terms) <= k:
-            terms.append(a_seq.at(len(terms)))
-        return terms[k]
+    at, first_at_least = a_seq.at, a_seq.first_at_least
 
     def level(i: int, values: Iterable[int]) -> Level:
         for c in values:
-            last = i
-            while c > a(last) and c >= a(last + 1):
-                last += 1
-            for j in range(last, i - 1, -1):
-                a_j = a(j)
-                nxt = range(c - a_j, a(j + 1) - 1, -a_j) if c > a_j else ()
+            k = max(i, first_at_least(c))
+            if at(k) == c:
+                yield (c, k - i + 1), None, True
+            half = max(i, first_at_least((c + 1) // 2))
+            if half < k and 2 * at(half) == c:
+                yield (c, half - i + 1), None, True
+            for j in range(half - 1, i - 1, -1):
+                a_j = at(j)
+                nxt = range(c - a_j, at(j + 1) - 1, -a_j)
                 stop = c % a_j == 0
                 if nxt:
                     yield (c, j - i + 1), level(j + 1, nxt), stop
@@ -447,32 +451,46 @@ def _require_members(label: str, counts: Iterable[int]) -> None:
         )
 
 
-def seqcong_weight_sums(n: int, weight: Callable[[int], Any]) -> list:
-    """Entry v (0 <= v <= n) sums, over the sequentially congruent partitions
-    with largest part v, the product over i of weight(i) raised to
-    (lambda_i - lambda_{i+1}) / i.  With weight 1 it counts them.
+def sna_weight_sums(
+    a_seq: SequenceSpec, n: int, weight: Callable[[int], Any], label: str
+) -> list:
+    """Entry v (0 <= v <= n) sums, over the partitions with largest part v
+    whose successive parts are congruent modulo A (the members of S_N(A);
+    A = naturals gives the sequentially congruent ones), the product over
+    i of weight(i) raised to (lambda_i - lambda_{i+1}) / a_i.  With weight
+    1 it counts them.
 
     With f = weight, W(i, v) weighs the completions at depth i with current
-    part v: stop when i | v, with weight f(i)^(v/i), or go on to a part
-    c = v (mod i) with i < c <= v, with weight f(i)^((v-c)/i).  So
-    W(i, v) = [i | v] f(i)^(v/i) + T(i, v), where T(i, v) = W(i+1, v)
-    + f(i) T(i, v-i) for v > i and T(i, v) = 0 for v <= i.  Rows roll from
-    i = n down to 1 in O(n) memory, and row 1 answers every largest part at
-    once.  `weight` is called once per i, from n down to 1, so a weight
-    table shorter than n raises from its own lookup.
+    part v: stop when a_i | v, with weight f(i)^(v/a_i), or go on to a part
+    c = v (mod a_i) with a_{i+1} <= c <= v, with weight f(i)^((v-c)/a_i).
+    So W(i, v) = [a_i | v] f(i)^(v/a_i) + T(i, v), where T(i, v) =
+    W(i+1, v) + f(i) T(i, v - a_i) for v >= a_{i+1} and T(i, v) = 0 below.
+    Rows roll from D, the first index with a_D >= n (no continuation
+    there), down to 1 in O(n) memory, and row 1 answers every largest part
+    at once.  `weight` is called once per i, from D down to 1, so a weight
+    table shorter than D raises from its own lookup.  A must increase
+    strictly; a table that never reaches n raises :class:`ExtentExceeded`.
+    A table of more than DEFAULT_ITEM_CAP cells is refused under `label`.
     """
-    _require_cells(f"seqcong-lg:{n}", n, n)
-    w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v <= i
-    t = [0] * (n + 1)  # T(i, v); zero for v <= i
-    for i in range(n, 0, -1):
-        f = weight(i)
-        for v in range(i + 1, n + 1):
-            t[v] = w[v] + f * t[v - i]
+    _require_strictly_increasing(a_seq)
+    if n <= 0:  # no rows: the empty partition alone
+        return [1]
+    _require_cells(label, 1, n)
+    depth = a_seq.first_at_least(n)
+    _require_cells(label, depth, n)
+    w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v < a_{i+1}
+    t = [0] * (n + 1)  # T(i, v); zero below a_{i+1}
+    floor = n + 1  # a_{D+1} > n
+    for i in range(depth, 0, -1):
+        a, f = a_seq.at(i), weight(i)
+        for v in range(floor, n + 1):
+            t[v] = w[v] + f * t[v - a]
             w[v] = t[v]
         stop = 1
-        for v in range(i, n + 1, i):
+        for v in range(a, n + 1, a):
             stop *= f
             w[v] += stop
+        floor = a
     return w
 
 
@@ -480,7 +498,7 @@ def step_bounded_counts(n: int) -> list[int]:
     """Entry v (0 <= v <= n) counts the sequentially congruent partitions
     with largest part v whose steps lambda_i - lambda_{i+1} are all 0 or i.
 
-    The rows of :func:`seqcong_weight_sums`, with transitions only to
+    The rows of :func:`sna_weight_sums` for A = naturals, with transitions only to
     c in {v, v-i} and a stop only at v = i:
     W(i, v) = [v = i] + [v > i] W(i+1, v) + [v-i > i] W(i+1, v-i).
     """
@@ -539,36 +557,6 @@ def _count_distinct(desc: FamilyDescriptor) -> int:
     return ways[n]
 
 
-def _count_sna_lg(desc: FamilyDescriptor) -> int:
-    """Rows over (depth i, current part v) with modulus a_i and floor a_{i+1}:
-    W(i, v) = [a_i | v] + T(i, v), where T(i, v) = W(i+1, v) + T(i, v - a_i)
-    sums W(i+1, c) over c = v (mod a_i) with a_{i+1} <= c <= v.
-
-    A is read exactly where :func:`_gen_sna_lg` reads it: a_{i+1} is looked
-    up when a_i < n, so a short table raises in the same cases.
-    """
-    a_seq, n, label = desc.a_seq, desc.n, desc.describe()
-    _require_strictly_increasing(a_seq)
-    if n == 0:
-        return 1
-    _require_cells(label, 1, n)
-    mods = [a_seq.at(1)]  # a_1, ..., a_D
-    while mods[-1] < n:
-        mods.append(a_seq.at(len(mods) + 1))
-        _require_cells(label, len(mods), n)
-    w = [0] * (n + 1)  # W(i+1, v) before row i, W(i, v) after; zero below a_{i+1}
-    t = [0] * (n + 1)  # T(i, v); zero below a_{i+1}
-    for i in range(len(mods), 0, -1):
-        a = mods[i - 1]
-        floor = mods[i] if i < len(mods) else n + 1  # no continuation from depth D
-        for v in range(floor, n + 1):
-            t[v] = w[v] + t[v - a]
-            w[v] = t[v]
-        for v in range(a, n + 1, a):
-            w[v] += 1
-    return w[n]
-
-
 def _count_pba_len(desc: FamilyDescriptor) -> int:
     """Coin change over the A-terms of the same (B-value, A-term) pairs the
     enumerator uses: each B-value takes a multiple of its A-term copies."""
@@ -598,10 +586,13 @@ _KINDS = {
     "distinct": (lambda d: _gen_by_size(d.n, True), _count_distinct),
     "seqcong-lg": (
         lambda d: _gen_seqcong_lg(d.n),
-        lambda d: seqcong_weight_sums(d.n, lambda i: 1)[d.n],
+        lambda d: sna_weight_sums(NATURALS, d.n, lambda i: 1, d.describe())[d.n],
     ),
     "step-lg": (lambda d: _gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)[d.n]),
-    "sna-lg": (lambda d: _gen_sna_lg(d.a_seq, d.n), _count_sna_lg),
+    "sna-lg": (
+        lambda d: _gen_sna_lg(d.a_seq, d.n),
+        lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe())[d.n],
+    ),
     "pba-len": (_gen_pba_len, _count_pba_len),
 }
 

@@ -4,26 +4,36 @@ maps, enumerators and series builders.
 A sequence is described either by an explicit finite table (the complete
 sequence; querying past its end raises, it is never silently extended) or
 by one of a few total rules: ``naturals`` (i -> i), ``ones`` (i -> 1),
-``constant(k)`` (i -> k) and ``odds`` (i -> 2i - 1).
+``constant(k)`` (i -> k) and ``odds`` (i -> 2i - 1).  Every rule is the
+arithmetic progression a_i = a_1 + (i - 1) step, so each lookup reads a
+sequence one of two ways: as a table or as a progression.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 from ._values import Value
 from .errors import ExtentExceeded, InvalidPart
 
-_RULES = ("naturals", "ones", "constant", "odds")
+# rule -> (a_1, step); ``constant:k`` is (k, 0)
+_PROGRESSIONS = {"naturals": (1, 1), "odds": (1, 2), "ones": (1, 0)}
 
 
 class SequenceSpec(Value):
-    __slots__ = _fields = __match_args__ = ("kind", "terms", "k")
+    # _first and _step hold a rule's (a_1, step), looked up once in
+    # __init__, so that a lookup reads them without a call
+    __slots__ = ("kind", "terms", "k", "_first", "_step")
+    _fields = __match_args__ = ("kind", "terms", "k")
 
     def __init__(self, kind: str, terms: tuple[int, ...] | None = None, k: int | None = None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "k", k)
+        first, step = _PROGRESSIONS.get(kind, (k, 0))
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_step", step)
 
     @classmethod
     def table(cls, terms) -> "SequenceSpec":
@@ -65,15 +75,7 @@ class SequenceSpec(Value):
                     f"table {list(self.terms)} has no term at index {i}"
                 )
             return self.terms[i - 1]
-        if self.kind == "naturals":
-            return i
-        if self.kind == "ones":
-            return 1
-        if self.kind == "constant":
-            return self.k
-        if self.kind == "odds":
-            return 2 * i - 1
-        raise ValueError(f"unknown sequence kind {self.kind!r}")
+        return self._first + (i - 1) * self._step
 
     def index_of(self, value: int) -> Optional[int]:
         """Smallest 1-based index whose term equals `value`, or None.
@@ -88,50 +90,55 @@ class SequenceSpec(Value):
                 return self.terms.index(value) + 1
             except ValueError:
                 return None
-        if self.kind == "naturals":
-            return value
-        if self.kind == "ones":
-            return 1 if value == 1 else None
-        if self.kind == "constant":
-            return 1 if value == self.k else None
-        if self.kind == "odds":
-            return (value + 1) // 2 if value % 2 == 1 else None
-        raise ValueError(f"unknown sequence kind {self.kind!r}")
+        first, step = self._first, self._step
+        if value == first:
+            return 1
+        if step and value > first and (value - first) % step == 0:
+            return (value - first) // step + 1
+        return None
 
     def values_upto(self, n: int) -> Sequence[int]:
         """Distinct term values <= n, ascending.  The rules give a range, so
         taking its length costs nothing however large n is."""
         if self.kind == "table":
             return tuple(sorted({v for v in self.terms if v <= n}))
-        if self.kind == "naturals":
-            return range(1, n + 1)
-        if self.kind == "odds":
-            return range(1, n + 1, 2)
-        if self.kind == "ones":
-            return (1,) if n >= 1 else ()
-        if self.kind == "constant":
-            return (self.k,) if self.k <= n else ()
-        raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if self._step:
+            return range(self._first, n + 1, self._step)
+        return (self._first,) if self._first <= n else ()
 
     def is_distinct_through(self, n: int) -> bool:
         """True when the first n terms are pairwise distinct."""
         if n <= 1:
             return True
-        if self.kind in ("naturals", "odds"):
-            return True
-        if self.kind in ("ones", "constant"):
-            return False
-        head = self.terms[: min(n, len(self.terms))]
-        return len(set(head)) == len(head)
+        if self.kind == "table":
+            head = self.terms[:n]
+            return len(set(head)) == len(head)
+        return self._step > 0
 
     @property
     def strictly_increasing(self) -> bool:
         """True when terms provably grow without bound (or the table does so)."""
-        if self.kind in ("naturals", "odds"):
-            return True
         if self.kind == "table":
             return all(a < b for a, b in zip(self.terms, self.terms[1:]))
-        return False
+        return self._step > 0
+
+    def first_at_least(self, c: int) -> int:
+        """The first index whose term is >= c, for a strictly increasing
+        sequence: a closed form for a progression, a bisection for a table.
+        A table whose terms all stay below c raises the
+        :class:`ExtentExceeded` that ``at(extent + 1)`` raises; so does a
+        constant rule below c, which never reaches it."""
+        if self.kind == "table":
+            i = bisect_left(self.terms, c) + 1
+            if i > len(self.terms):
+                self.at(i)  # raises, as reading the term after the last does
+            return i
+        first, step = self._first, self._step
+        if c <= first:
+            return 1
+        if not step:
+            raise ExtentExceeded(f"{self.describe()} never reaches {c}")
+        return (c - first - 1) // step + 2
 
     def describe(self) -> str:
         if self.kind == "table":

@@ -33,10 +33,10 @@ from .families import (
     _require_cells,
     _require_members,
     iter_pba_by_size,
-    seqcong_weight_sums,
+    sna_weight_sums,
     step_bounded_counts,
 )
-from .sequences import SequenceSpec
+from .sequences import NATURALS, SequenceSpec
 
 if TYPE_CHECKING:
     import mpmath  # imported by partition_zeta, the one function that evaluates
@@ -387,13 +387,15 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     """Sum over sequentially congruent partitions of q^(largest part),
     weighted by f(i) raised to the i-th successive difference over i.
 
-    Read off one row table of :func:`families.seqcong_weight_sums`, which
-    holds every largest part up to qtrunc at once; the enumerator is its
-    oracle in the tests.  Lengths never exceed the largest part, so f's
-    extent need only reach qtrunc, and a shorter table raises
-    :class:`ExtentExceeded`.
+    Read off one row table of :func:`families.sna_weight_sums` with
+    A = naturals, which holds every largest part up to qtrunc at once; the
+    enumerator is its oracle in the tests.  Lengths never exceed the
+    largest part, so f's extent need only reach qtrunc, and a shorter table
+    raises :class:`ExtentExceeded`.
     """
-    sums = seqcong_weight_sums(qtrunc, lambda i: _exact(f.value(i)))
+    sums = sna_weight_sums(
+        NATURALS, qtrunc, lambda i: _exact(f.value(i)), f"seqcong-lg:{qtrunc}"
+    )
     return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(sums)})
 
 

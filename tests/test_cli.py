@@ -448,6 +448,11 @@ def test_partitions_of_a_billion_parts_within_a_second(run_limited, argv, rc, ou
         (("ideal", "quasi", "--A", "naturals", "--B", "naturals", "--max-size", "2000"),
          "error: quasi-ideal check to size 2000 would enumerate 1458482069440492 "
          "members, more than the cap of 10000000\n"),
+        # sna-lg computes its run ends, so no list of terms up to c is built
+        (("enum", "sna-lg:A=naturals;n=100000000", "--limit", "1"),
+         "error: printing 100000000 parts is more than the cap of 10000000\n"),
+        (("enum", "sna-lg:A=odds;n=100000001", "--limit", "1"),
+         "error: printing 50000001 parts is more than the cap of 10000000\n"),
     ],
 )
 def test_huge_walks_exit_3_within_a_second(run_limited, argv, err):

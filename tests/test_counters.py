@@ -27,6 +27,7 @@ from seqcong import (
     parts_in,
     pba_length,
     product_side,
+    restricted_count,
     seqcong_largest,
     seqcong_sum_side,
     sna_largest,
@@ -198,6 +199,28 @@ def test_step_count_at_200_is_distinct_count():
 def test_weighted_identity_at_q_200():
     f = WeightSpec.random_table(5, 200)
     assert compare(product_side(f, 200), seqcong_sum_side(f, 200)).equal
+
+
+# S_N(A) by largest part is Prod 1/(1 - x^{a_k}): at x = 1, the members with
+# largest part n are as many as the partitions of n into terms of A.  The
+# left side is the congruence rows, the right side coin change.
+PRIMES_TO_47 = T([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+
+
+@pytest.mark.parametrize("a_seq, top", [(NATURALS, 300), (ODDS, 300), (PRIMES_TO_47, 47)])
+def test_sna_count_is_the_count_of_partitions_into_terms_of_a(a_seq, top):
+    for n in range(top + 1):
+        assert count(sna_largest(a_seq, n)) == restricted_count(a_seq, n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(a_seq=_increasing_tables(8, 40), n=st.integers(0, 40))
+def test_property_sna_count_is_the_count_of_partitions_into_terms_of_a(a_seq, n):
+    if n and (not a_seq.terms or a_seq.terms[-1] < n):  # the table never reaches n
+        with pytest.raises(ExtentExceeded):
+            count(sna_largest(a_seq, n))
+    else:
+        assert count(sna_largest(a_seq, n)) == restricted_count(a_seq, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The one walk over the positions of A and B, the (B-value, A-term) pairs
-taken on top of it, and the sequence and bound checks beside them."""
+"""The lookups of a sequence against its first terms, the one walk over the
+positions of A and B, the (B-value, A-term) pairs taken on top of it, and
+the sequence and bound checks beside them."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong.errors import InvalidPart, NonDistinctA, ResourceBound
+from seqcong.errors import ExtentExceeded, InvalidPart, NonDistinctA, ResourceBound
 from seqcong.families import (
     _pba_value_pairs,
     check_ideal_closure,
@@ -27,6 +28,69 @@ sequences = st.one_of(
     st.sampled_from(RULES),
     st.lists(st.integers(1, 6), max_size=6).map(SequenceSpec.table),
 )
+
+
+# ---------------------------------------------------------------------------
+# each lookup against brute force over the first terms
+
+FIRST = 60  # terms listed for a rule; every value below is reached by then
+TERM = {"naturals": lambda i: i, "odds": lambda i: 2 * i - 1, "ones": lambda i: 1}
+
+
+def first_terms(seq):
+    if seq.kind == "table":
+        return list(seq.terms)
+    term = TERM.get(seq.kind, lambda i: seq.k)
+    return [term(i) for i in range(1, FIRST + 1)]
+
+
+def past_the_end(seq, beyond=0):
+    return f"table {list(seq.terms)} has no term at index {len(seq.terms) + 1 + beyond}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=sequences, probe=st.integers(-1, 20))
+def test_lookups_match_the_first_terms(seq, probe):
+    terms = first_terms(seq)
+    for i, term in enumerate(terms, start=1):
+        assert seq.at(i) == term
+    with pytest.raises(ExtentExceeded, match="index 0 must be >= 1"):
+        seq.at(0)
+    if seq.extent is not None:
+        with pytest.raises(ExtentExceeded) as e:
+            seq.at(seq.extent + 1 + max(probe, 0))
+        assert str(e.value) == past_the_end(seq, max(probe, 0))
+    assert seq.index_of(probe) == (terms.index(probe) + 1 if probe in terms else None)
+    assert list(seq.values_upto(probe)) == sorted({v for v in terms if v <= probe})
+    head = terms[: max(probe, 0)]
+    assert seq.is_distinct_through(probe) == (len(set(head)) == len(head))
+    assert seq.strictly_increasing == all(a < b for a, b in zip(terms, terms[1:]))
+
+
+increasing = st.one_of(
+    st.sampled_from([NAT, ODDS]),
+    st.sets(st.integers(1, 30), max_size=6).map(lambda s: SequenceSpec.table(sorted(s))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=increasing, c=st.integers(-1, 40))
+def test_first_at_least_matches_the_first_terms(seq, c):
+    reached = [i for i, term in enumerate(first_terms(seq), start=1) if term >= c]
+    if reached:
+        assert seq.first_at_least(c) == reached[0]
+    else:  # the error of reading the term after the table's last
+        with pytest.raises(ExtentExceeded) as e:
+            seq.first_at_least(c)
+        assert str(e.value) == past_the_end(seq)
+
+
+def test_first_at_least_a_huge_value_costs_nothing():
+    assert NAT.first_at_least(10**30) == 10**30
+    assert ODDS.first_at_least(10**30) == 10**30 // 2 + 1
+    assert SequenceSpec.constant(3).first_at_least(3) == 1
+    with pytest.raises(ExtentExceeded):  # a constant rule never reaches a larger value
+        SequenceSpec.constant(3).first_at_least(4)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ the sum sides weigh every member anew.  The package must give the
 same streams, in the same order, with the same errors, and the same sums.
 """
 
+import time
 from fractions import Fraction
 from math import prod
 from typing import Callable, Iterator
@@ -208,6 +209,7 @@ HUGE = 10**8
     "desc, runs",
     [
         (seqcong_largest(HUGE), ((HUGE, HUGE),)),
+        (sna_largest(SequenceSpec.naturals(), HUGE), ((HUGE, HUGE),)),
         (step_bounded_largest(HUGE), ((HUGE, HUGE),)),
         (parts_in([1], HUGE), ((1, HUGE),)),
         (all_of_size(HUGE), ((HUGE, 1),)),
@@ -215,6 +217,16 @@ HUGE = 10**8
 )
 def test_a_first_member_of_one_run_is_built_as_one_run(desc, runs):
     assert next(enumerate_family(desc)).runs == runs
+
+
+def test_the_sna_walker_computes_its_run_ends():
+    # the second member ends its run at a_j = c/2; reading A up to c/2 to
+    # find that end would take seconds and hundreds of megabytes
+    start = time.perf_counter()
+    members = enumerate_family(sna_largest(SequenceSpec.naturals(), HUGE))
+    next(members)
+    assert next(members).runs == ((HUGE, HUGE // 2),)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

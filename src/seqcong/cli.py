@@ -11,51 +11,34 @@ of more than 10**7 parts to print).
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from itertools import islice
+from itertools import islice, zip_longest
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
-# families, series, fractions and mpmath are imported by the handlers that
-# use them, so map, check and orbit start without loading them
+# sequences, families, series, fractions and mpmath are imported where they
+# are used, so map, check and orbit start without loading them
 from . import maps, predicates
 from .errors import (
-    BoundsMismatch,
-    DivergentParameters,
-    ExtentExceeded,
-    InsufficientMultiplicity,
-    InvalidDeletion,
-    InvalidExponent,
+    InternalContradiction,
     InvalidPart,
-    NonDistinctA,
     NotMemberPBA,
     NotSequentiallyCongruent,
     ParseError,
     PartNotInA,
     ResourceBound,
+    SeqcongError,
 )
 from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport
-from .sequences import SequenceSpec
 
 if TYPE_CHECKING:
     from ._values import Value
     from .families import FamilyDescriptor
+    from .sequences import SequenceSpec
     from .series import BivariateSeries, WeightSpec
-
-_USAGE_ERRORS = (
-    ParseError,
-    ExtentExceeded,
-    NonDistinctA,
-    InvalidPart,
-    InvalidExponent,
-    InvalidDeletion,
-    BoundsMismatch,
-    DivergentParameters,
-    InsufficientMultiplicity,
-)
 
 
 # json.dumps(obj, separators=(",", ":")), without a new encoder per call
@@ -68,9 +51,7 @@ def _partition_json(p: Partition) -> str:
     more than DEFAULT_ITEM_CAP parts raises :class:`ResourceBound` before
     any text is built."""
     if p.length > DEFAULT_ITEM_CAP:
-        raise ResourceBound(
-            f"printing {p.length} parts is more than the cap of {DEFAULT_ITEM_CAP}"
-        )
+        raise ResourceBound(f"printing {p.length} parts is more than the cap of {DEFAULT_ITEM_CAP}")
     return "[" + ",".join([(f"{v}," * m)[:-1] for v, m in p.runs]) + "]"
 
 
@@ -144,6 +125,8 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_sequence(text: str) -> SequenceSpec:
+    from .sequences import SequenceSpec
+
     text = text.strip()
     if text in ("naturals", "nat"):
         return SequenceSpec.naturals()
@@ -268,9 +251,7 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
         return series.WeightSpec.random_table(seed, extent)
     if text.startswith("table:"):
         try:
-            return series.WeightSpec.from_values(
-                Fraction(v) for v in text[6:].split(",")
-            )
+            return series.WeightSpec.from_values(Fraction(v) for v in text[6:].split(","))
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad weight table {text!r}: {e}")
     if text.startswith("indicator:"):
@@ -281,16 +262,16 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
     raise ParseError(f"unknown weight spec {text!r}")
 
 
-def _int_at_least(low: int, why: str = ""):
-    """argparse type for an int: a value below `low` is a usage error (exit 2)."""
+def _int_at_least(low: float = float("-inf"), why: str = ""):
+    """An int option's converter: a value below `low` is a usage error."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+            raise ParseError(f"invalid int value: {text!r}")
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}{why}, got {value}")
+            raise ParseError(f"must be >= {low}{why}, got {value}")
         return value
 
     return parse
@@ -325,14 +306,18 @@ def _cmd_check(args) -> int:
     # parse everything first so bad input never yields partial output
     inputs = [parse_partition(text) for text in texts]
     worst = 0
+    encoded = {}  # report -> its JSON; a stream repeats its passing report
 
     def lines():
         nonlocal worst
         for lam in inputs:
             report = fn(lam)
-            if not report.ok:
-                worst = 1
-            yield _record_json(report)
+            text = encoded.get(report)
+            if text is None:
+                text = encoded[report] = _record_json(report)
+                if not report.ok:
+                    worst = 1
+            yield text
 
     _write_lines(lines())
     return worst
@@ -367,10 +352,7 @@ def _cmd_orbit(args) -> int:
     lam = parse_partition(args.partition)
     trace = maps.orbit(lam, side=args.side)
     states = ",".join([_partition_json(p) for p in trace.states])
-    print(
-        f'{{"states":[{states}],"cycle_length":{trace.cycle_length},'
-        f'"closed":{_dump(trace.closed)}}}'
-    )
+    print(f'{{"states":[{states}],"cycle_length":{trace.cycle_length},"closed":{_dump(trace.closed)}}}')
     return 0
 
 
@@ -384,10 +366,8 @@ def _cmd_enum(args) -> int:
         if args.limit is not None:
             total = min(total, args.limit)
         if args.max_items is not None and total > args.max_items:
-            raise ResourceBound(
-                f"{desc.describe()} would list {total} members, more than the "
-                f"cap of {args.max_items} items"
-            )
+            raise ResourceBound(f"{desc.describe()} would list {total} members, more than the "
+                                f"cap of {args.max_items} items")
         print(total)
         return 0
     stream = families.enumerate_family(desc, max_items=args.max_items)
@@ -406,21 +386,15 @@ def _cmd_ideal(args) -> int:
     if args.ideal_cmd == "closure":
         record = families.check_ideal_closure(_parse_check(args.family), args.max_size)
     elif args.ideal_cmd == "quasi":
-        record = families.check_quasi_ideal(
-            parse_sequence(args.A), parse_sequence(args.B), args.max_size
-        )
+        record = families.check_quasi_ideal(parse_sequence(args.A), parse_sequence(args.B), args.max_size)
     elif args.ideal_cmd == "equiv":
-        record = families.ideal_equivalent_upto(
-            _parse_check(args.family), _parse_check(args.other), args.max_size
-        )
+        record = families.ideal_equivalent_upto(_parse_check(args.family), _parse_check(args.other),
+                                                args.max_size)
     else:
         record = families.count_invariance_suite(
-            parse_sequence(args.A),
-            parse_sequence(args.B),
-            args.max_size,
+            parse_sequence(args.A), parse_sequence(args.B), args.max_size,
             a_prime=parse_sequence(args.A_prime) if args.A_prime else None,
-            b_prime=parse_sequence(args.B_prime) if args.B_prime else None,
-        )
+            b_prime=parse_sequence(args.B_prime) if args.B_prime else None)
     print(_record_json(record))
     return 0 if getattr(record, record._fields[0]) else 1  # the verdict: ok or equivalent
 
@@ -471,27 +445,16 @@ def _cmd_series_verify(args) -> int:
     if outcome.equal:
         print(f"PASS {args.identity} qtrunc={args.qtrunc}")
         return 0
-    print(
-        f"FAIL {args.identity} at x^{outcome.x_exponent} q^{outcome.q_exponent}: "
-        f"lhs={outcome.lhs_coefficient} rhs={outcome.rhs_coefficient}"
-    )
+    print(f"FAIL {args.identity} at x^{outcome.x_exponent} q^{outcome.q_exponent}: "
+          f"lhs={outcome.lhs_coefficient} rhs={outcome.rhs_coefficient}")
     return 1
 
 
 def _cmd_series_expand(args) -> int:
     s = _expand_side(args.side, args)
     if args.json:
-        print(
-            _dump(
-                {
-                    "xtrunc": s.xtrunc,
-                    "qtrunc": s.qtrunc,
-                    "coefficients": [
-                        [a, b, str(c)] for (a, b), c in s.items()
-                    ],
-                }
-            )
-        )
+        coefficients = [[a, b, str(c)] for (a, b), c in s.items()]
+        print(_dump({"xtrunc": s.xtrunc, "qtrunc": s.qtrunc, "coefficients": coefficients}))
         return 0
     if s.xtrunc == 0:
         line = "q^{1}: {2}"
@@ -517,10 +480,8 @@ def _cmd_zeta(args) -> int:
     whole = int(result.product_side)  # the sum never exceeds the product
     need = _ZETA_MIN_DPS + len(str(whole)) - 1
     if args.dps < need:
-        raise ParseError(
-            f"--dps {args.dps} is too small for {_ZETA_PLACES} correct places of a "
-            f"value above {whole}; use --dps {need} or more"
-        )
+        raise ParseError(f"--dps {args.dps} is too small for {_ZETA_PLACES} correct places of a "
+                         f"value above {whole}; use --dps {need} or more")
     print(f"sum_side {_format_fixed(result.sum_side)}")
     print(f"product_side {_format_fixed(result.product_side)}")
     print(f"depth {result.qdepth} terms {result.terms}")
@@ -528,132 +489,120 @@ def _cmd_zeta(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
+
+# command word -> (handler, positionals, options), or a group: the words
+# that may follow it.  A positional maps to str or to the tuple of its
+# choices; one whose name ends in ? may be left out.  An option maps to
+# (converter or choices, default, required); a flag has no converter.  A
+# handler reads each as args.<name>, with - read as _.
+_INT, _TEXT, _FLAG = (_int_at_least(), None, False), (str, None, False), (None, False, False)
+_NEED, _NEED_INT, _COUNT = (str, None, True), (_int_at_least(), None, True), (_int_at_least(0), None, False)
+_DPS = (_int_at_least(_ZETA_MIN_DPS, f" for {_ZETA_PLACES} correct places"), 30, False)
+_SIZE = {"max-size": (_int_at_least(0), None, True)}
+_AB = {"A": _NEED, "B": _NEED}
+_TERMS = {"qtrunc": _INT, "xtrunc": _INT, "f": (str, "one", False), "A": _TEXT, "B": _TEXT}
+_COMMANDS = {
+    "check": (_cmd_check, {"family": str, "partition?": str}, {}),
+    "map": (_cmd_map, {"op": (*_MAP_OPS, "scale", "scale-inv"), "partition": str}, {"A": _TEXT, "B": _TEXT}),
+    "orbit": (_cmd_orbit, {"partition": str}, {"side": (("P", "S"), "P", False)}),
+    "enum": (_cmd_enum, {"family": str},
+             {"limit": _COUNT, "count-only": _FLAG, "json": _FLAG, "max-items": _COUNT}),
+    "ideal": {
+        "closure": (_cmd_ideal, {"family": str}, _SIZE),
+        "quasi": (_cmd_ideal, {}, {**_AB, **_SIZE}),
+        "equiv": (_cmd_ideal, {"family": str, "other": str}, _SIZE),
+        "invariance": (_cmd_ideal, {}, {**_AB, "A-prime": _TEXT, "B-prime": _TEXT, **_SIZE}),
+    },
+    "series": {
+        "verify": (_cmd_series_verify, {"identity": tuple(_IDENTITIES)}, {**_TERMS, "qtrunc": _NEED_INT}),
+        "expand": (_cmd_series_expand, {"side": tuple(_SIDES)}, {**_TERMS, "json": _FLAG}),
+    },
+    "zeta": (_cmd_zeta, {}, {"T": _NEED, "s": _NEED, "depth": _NEED_INT, "dps": _DPS}),
+}
 
 
-def _forms(table: dict, example: str) -> str:
-    """Help text naming every family text of a table of families or listings."""
-    forms = [
-        name + (":" + ";".join(f"{key}=..." for key in entry[0]) if entry[0] else "")
-        for name, entry in table.items()
-    ]
-    return " | ".join(forms) + f"; the first key may be written bare, as in {example}"
+def _convert(name: str, convert, text: str):
+    if not isinstance(convert, tuple):
+        try:
+            return convert(text)
+        except ParseError as e:
+            raise ParseError(f"{name}: {e}")
+    if text not in convert:
+        raise ParseError(f"{name}: invalid choice: {text!r} (choose from {', '.join(convert)})")
+    return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="seqcong",
-        description="Sequentially congruent partitions: predicates, bijections, "
-        "enumerators, series identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    family_help = _forms(_FAMILIES, "parts:2,3")
+def _parse(argv: list[str]):
+    """The namespace of a command line, read from _COMMANDS as argparse
+    read it: options anywhere after the command words, as `--name value`,
+    `--name=value` or a unique prefix of the name, and positionals only
+    after `--`.  None once the help that -h or --help asks for is printed."""
+    args, entry, dest, path = SimpleNamespace(), _COMMANDS, "command", "seqcong"
+    words, given, tokens, ended = [], {}, iter(argv), False
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+        elif ended or token[:1] != "-" or token == "-":
+            if isinstance(entry, tuple):
+                words.append(token)
+            else:
+                entry = entry[_convert(dest, tuple(entry), token)]
+                setattr(args, dest, token)
+                dest, path = token + "_cmd", f"{path} {token}"
+        else:
+            options = entry[2] if isinstance(entry, tuple) else {}
+            name, eq, value = ("--help" if token == "-h" else token).partition("=")
+            found = [key for key in (*options, "help") if f"--{key}".startswith(name)]
+            found = [name[2:]] if name[2:] in found else found  # the name, or a unique prefix
+            if len(found) != 1:
+                raise ParseError(f"ambiguous option: {name} could match --{', --'.join(found)}"
+                                 if found else f"unrecognized arguments: {token}")
+            name = found[0]
+            if name == "help":
+                from ._clihelp import describe
 
-    p = sub.add_parser("check", help="membership test with first-violation witness")
-    p.add_argument("family", help=family_help)
-    p.add_argument("partition", nargs="?", help="JSON array or frequency form; "
-                   "omit to read JSON lines from stdin")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("map", help="apply a bijection to one partition")
-    p.add_argument("op", choices=["pi", "pi-inv", "sigma", "sigma-inv", "conjugate",
-                                  "scale", "scale-inv"])
-    p.add_argument("partition")
-    p.add_argument("--A", help="sequence for scale/scale-inv")
-    p.add_argument("--B", help="sequence for scale/scale-inv")
-    p.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("orbit", help="alternate the two maps until the input recurs")
-    p.add_argument("partition")
-    p.add_argument("--side", choices=["P", "S"], default="P")
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("enum", help="stream a family as JSON lines")
-    unlisted = [name for name, (_, listings, _) in _FAMILIES.items() if not listings]
-    p.add_argument("family", help=_forms(_LISTINGS, "all:5") + "; no listing for "
-                   + ", ".join(unlisted))
-    p.add_argument("--limit", type=_int_at_least(0))
-    p.add_argument("--count-only", action="store_true",
-                   help="print min(count, --limit), computed without enumerating")
-    p.add_argument("--json", action="store_true", help="one JSON array instead of lines")
-    p.add_argument("--max-items", type=_int_at_least(0), default=None)
-    p.set_defaults(func=_cmd_enum)
-
-    p = sub.add_parser("ideal", help="deletion-closure and count-invariance checks")
-    isub = p.add_subparsers(dest="ideal_cmd", required=True)
-    c = isub.add_parser("closure")
-    c.add_argument("family", help=family_help)
-    c.add_argument("--max-size", type=_int_at_least(0), required=True)
-    c.set_defaults(func=_cmd_ideal)
-    c = isub.add_parser("quasi")
-    c.add_argument("--A", required=True)
-    c.add_argument("--B", required=True)
-    c.add_argument("--max-size", type=_int_at_least(0), required=True)
-    c.set_defaults(func=_cmd_ideal)
-    c = isub.add_parser("equiv")
-    c.add_argument("family", help=family_help)
-    c.add_argument("other", help="a second family, as above")
-    c.add_argument("--max-size", type=_int_at_least(0), required=True)
-    c.set_defaults(func=_cmd_ideal)
-    c = isub.add_parser("invariance")
-    c.add_argument("--A", required=True)
-    c.add_argument("--B", required=True)
-    c.add_argument("--A-prime", dest="A_prime")
-    c.add_argument("--B-prime", dest="B_prime")
-    c.add_argument("--max-size", type=_int_at_least(0), required=True)
-    c.set_defaults(func=_cmd_ideal)
-
-    p = sub.add_parser("series", help="expand or verify generating-function identities")
-    ssub = p.add_subparsers(dest="series_cmd", required=True)
-    v = ssub.add_parser("verify")
-    v.add_argument("identity", choices=list(_IDENTITIES))
-    v.add_argument("--qtrunc", type=int, required=True)
-    v.add_argument("--xtrunc", type=int)
-    v.add_argument("--f", default="one")
-    v.add_argument("--A")
-    v.add_argument("--B")
-    v.set_defaults(func=_cmd_series_verify)
-    e = ssub.add_parser("expand")
-    e.add_argument("side", choices=list(_SIDES))
-    e.add_argument("--qtrunc", type=int)
-    e.add_argument("--xtrunc", type=int)
-    e.add_argument("--f", default="one")
-    e.add_argument("--A")
-    e.add_argument("--B")
-    e.add_argument("--json", action="store_true")
-    e.set_defaults(func=_cmd_series_expand)
-
-    p = sub.add_parser("zeta", help="restricted-partition zeta values, both sides")
-    p.add_argument("--T", required=True, help="comma-separated part set, all >= 2")
-    p.add_argument("--s", required=True, help="rational exponent > 1, e.g. 2 or 5/2")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dps", type=_int_at_least(_ZETA_MIN_DPS, f" for {_ZETA_PLACES} correct places"),
-                   default=30, help="decimal digits of working precision")
-    p.set_defaults(func=_cmd_zeta)
-
-    return parser
+                print(describe(path, entry, _FAMILIES, _LISTINGS))
+                return None
+            convert = options[name][0]
+            if convert is None and eq:
+                raise ParseError(f"--{name}: ignored explicit argument {value!r}")
+            if convert is not None and not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ParseError(f"--{name}: expected one argument")
+            given[name] = True if convert is None else _convert("--" + name, convert, value)
+    if not isinstance(entry, tuple):
+        raise ParseError(f"the following arguments are required: {dest}")
+    args.func, positionals, options = entry
+    missing = [name for name in list(positionals)[len(words):] if name[-1] != "?"]
+    missing += [f"--{name}" for name, spec in options.items() if spec[2] and name not in given]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if len(words) > len(positionals):
+        raise ParseError(f"unrecognized arguments: {' '.join(words[len(positionals):])}")
+    for name, text in zip_longest(positionals, words):
+        setattr(args, name.rstrip("?"), None if text is None else _convert(name, positionals[name], text))
+    for name, spec in options.items():
+        setattr(args, name.replace("-", "_"), given.get(name, spec[1]))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if not e.code else 2
-    try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.func(args)
     except (NotSequentiallyCongruent, NotMemberPBA) as e:
         print(_record_json(e.report))
         return 1
     except PartNotInA as e:
         print(_record_json(ViolationReport(False, None, str(e))))
         return 1
-    except ResourceBound as e:
+    except SeqcongError as e:
+        if isinstance(e, InternalContradiction):  # a defect, not a usage error
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, ResourceBound) else 2
 
 
 if __name__ == "__main__":

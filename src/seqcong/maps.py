@@ -5,6 +5,8 @@ divisibility families.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ._values import Value
 from .errors import (
     ExtentExceeded,
@@ -16,7 +18,9 @@ from .errors import (
 )
 from .partition import Partition, _run_ends
 from .predicates import is_member_pba, is_sequentially_congruent
-from .sequences import SequenceSpec
+
+if TYPE_CHECKING:
+    from .sequences import SequenceSpec
 
 
 def pi(lam: Partition) -> Partition:

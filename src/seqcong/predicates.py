@@ -10,12 +10,14 @@ the index reported is the one the definition numbers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._values import Value
 from .errors import ExtentExceeded
 from .partition import Partition, _run_ends
-from .sequences import SequenceSpec
+
+if TYPE_CHECKING:
+    from .sequences import SequenceSpec
 
 
 class ViolationReport(Value):

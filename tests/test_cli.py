@@ -71,6 +71,16 @@ class TestCheck:
         lines = out.splitlines()
         assert '"ok":true' in lines[0] and '"ok":false' in lines[1]
 
+    def test_repeated_reports_print_once_a_line(self, capsys, monkeypatch):
+        # [3,1] and [5,1] fail with equal reports, [4,2] and [6,4] pass with equal ones
+        code, out, _ = run(
+            capsys, "check", "seqcong",
+            stdin="[4,2]\n[3,1]\n[6,4]\n[5,1]\n[4,2]\n", monkeypatch=monkeypatch,
+        )
+        passed = '{"ok":true,"index":null,"detail":"all sequential congruences hold"}'
+        failed = '{"ok":false,"index":2,"detail":"smallest part 1 is not congruent to 0 modulo 2"}'
+        assert (code, out) == (1, "\n".join([passed, failed, passed, failed, passed, ""]))
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "check", "seqcong", "[3,1,2,-1]")
         assert code == 2 and "error" in err
@@ -529,6 +539,14 @@ class TestZeta:
 def test_usage_error_exit_code(capsys):
     assert main(["bogus"]) == 2
     assert main([]) == 2
+
+
+def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
+    # as the installed console script calls it
+    monkeypatch.setattr("sys.argv", ["seqcong", "map", "pi", "[3,1]"])
+    assert main() == 0 and capsys.readouterr().out == "[4,2]\n"
+    monkeypatch.setattr("sys.argv", ["seqcong", "bogus"])
+    assert main() == 2 and capsys.readouterr().out == ""
 
 
 def test_help_exits_zero(capsys):

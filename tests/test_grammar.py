@@ -6,11 +6,14 @@ each subcommand refuses with exit 2.  The cases after them pin what one
 namespace of family names changes: ``check`` takes every family
 ``ideal`` takes, a repeated B-value keeps its first position even when
 that position is out of bound, and a negative ``--max-size`` is a usage
-error."""
+error.  OPTION_GRAMMAR and the property after it pin how options may be
+spelled and placed, and the usage errors of the command line itself."""
 
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqcong.cli import _FAMILIES, main
 
@@ -271,3 +274,150 @@ def test_help_names_every_family(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     for name in _FAMILIES:
         assert re.search(rf"\b{name}\b", text), name
+
+
+# The option grammar, as the parser must keep accepting it: (argv, exit
+# code, stdout, a fragment of stderr).  Every case held for the argparse
+# parser the command table replaced.
+EQUIV = (
+    '{"equivalent":true,"first_difference":null,"counts_first":[1,1,1,2,2,3,4,5,6],'
+    '"counts_second":[1,1,1,2,2,3,4,5,6]}\n'
+)
+CLOSED = '{"ok":true,"index":null,"detail":"closed under single-part deletion"}\n'
+ORBIT = '{"states":[[3,1],[4,2],[2,1,1],[4,3,3],[3,1]],"cycle_length":2,"closed":true}\n'
+OPTION_GRAMMAR = [
+    # options before, between or after positionals
+    (("ideal", "equiv", "--max-size", "8", "distinct", "oddparts"), 0, EQUIV, ""),
+    (("ideal", "equiv", "distinct", "--max-size", "8", "oddparts"), 0, EQUIV, ""),
+    (("ideal", "equiv", "distinct", "oddparts", "--max-size", "8"), 0, EQUIV, ""),
+    (("map", "--A", "2,3", "scale", "--B", "5,7", "[3,2,2]"), 0, "[7,7,7,5,5,5,5]\n", ""),
+    (("series", "verify", "--qtrunc", "10", "distinct"), 0, "PASS distinct qtrunc=10\n", ""),
+    (("orbit", "--side", "P", "[3,1]"), 0, ORBIT, ""),
+    # --flag value and --flag=value
+    (("enum", "all:5", "--limit=2"), 0, "[5]\n[4,1]\n", ""),
+    (("series", "verify", "distinct", "--qtrunc=10"), 0, "PASS distinct qtrunc=10\n", ""),
+    (("map", "scale", "[3,2,2]", "--A=2,3", "--B=5,7"), 0, "[7,7,7,5,5,5,5]\n", ""),
+    (("ideal", "closure", "all", "--max-size=-1"), 2, "", "--max-size: must be >= 0, got -1"),
+    # unique-prefix abbreviations
+    (("enum", "all:5", "--count"), 0, "7\n", ""),
+    (("enum", "all:5", "--li", "2"), 0, "[5]\n[4,1]\n", ""),
+    (("enum", "all:5", "--li=2"), 0, "[5]\n[4,1]\n", ""),
+    (("orbit", "[3,1]", "--si", "P"), 0, ORBIT, ""),
+    (("ideal", "closure", "all", "--max", "3"), 0, CLOSED, ""),
+    (("zeta", "--T", "2", "--s", "2", "--d", "5"), 2, "",
+     "ambiguous option: --d could match --depth, --dps"),
+    # -- ends the options
+    (("map", "pi", "--", "[3,1]"), 0, "[4,2]\n", ""),
+    (("ideal", "closure", "--max-size", "3", "--", "all"), 0, CLOSED, ""),
+    # a value that starts with - is taken as the value
+    (("ideal", "closure", "all", "--max-size", "-1"), 2, "", "--max-size: must be >= 0, got -1"),
+    (("enum", "all:5", "--limit", "-1"), 2, "", "--limit: must be >= 0, got -1"),
+    (("zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", "-3"), 2, "",
+     "--dps: must be >= 20"),
+    # usage errors
+    ((), 2, "", "the following arguments are required: command"),
+    (("bogus",), 2, "", "invalid choice: 'bogus'"),
+    (("ideal",), 2, "", "the following arguments are required:"),
+    (("series", "bogus"), 2, "", "invalid choice: 'bogus'"),
+    (("map", "bogus", "[3,1]"), 2, "", "invalid choice: 'bogus'"),
+    (("orbit", "--side", "Q", "[3,1]"), 2, "", "invalid choice: 'Q'"),
+    (("series", "verify", "nope", "--qtrunc", "3"), 2, "", "invalid choice: 'nope'"),
+    (("series", "expand", "nope"), 2, "", "invalid choice: 'nope'"),
+    (("ideal", "closure", "all"), 2, "", "the following arguments are required: --max-size"),
+    (("zeta", "--T", "2", "--s", "2"), 2, "", "the following arguments are required: --depth"),
+    (("map", "pi"), 2, "", "the following arguments are required: partition"),
+    (("series", "verify", "distinct", "--qtrunc", "x"), 2, "",
+     "--qtrunc: invalid int value: 'x'"),
+    (("ideal", "closure", "all", "--max-size", "x"), 2, "", "--max-size: invalid int value: 'x'"),
+    (("enum", "all:5", "--limit"), 2, "", "--limit: expected one argument"),
+    (("enum", "all:5", "--json=1"), 2, "", "--json: ignored explicit argument '1'"),
+    (("map", "pi", "[3,1]", "extra"), 2, "", "unrecognized arguments: extra"),
+    (("enum", "all:5", "--bogus"), 2, "", "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", OPTION_GRAMMAR, ids=[" ".join(c[0]) or "(none)" for c in OPTION_GRAMMAR]
+)
+def test_option_grammar(capsys, argv, code, out, err):
+    got = main(list(argv))
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, out)
+    assert err in captured.err
+    assert (captured.err == "") == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (("-h",), "usage: seqcong "),
+        (("--help",), "usage: seqcong "),
+        (("enum", "-h"), "usage: seqcong enum "),
+        (("map", "pi", "[3,1]", "--help"), "usage: seqcong map "),
+        (("ideal", "--help"), "usage: seqcong ideal "),
+        (("ideal", "closure", "-h"), "usage: seqcong ideal closure "),
+        (("series", "verify", "--help"), "usage: seqcong series verify "),
+        (("zeta", "-h"), "usage: seqcong zeta "),
+    ],
+)
+def test_help_prints_the_usage_and_exits_zero(capsys, argv, usage):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
+
+
+# Spelling does not matter: the options of a call may come in any order,
+# before, between or after its positionals, each as `--f v` or `--f=v`.
+def _respelled(data, positionals, options, flags):
+    """The positionals in their order, with the options and flags (options
+    that take no value) permuted, respelled and spread between them."""
+    groups = [[f"{k}={v}"] if data.draw(st.booleans()) else [k, v] for k, v in options]
+    groups = data.draw(st.permutations(groups + [[flag] for flag in flags]))
+    slots = data.draw(st.lists(st.integers(0, len(groups)), min_size=len(positionals),
+                               max_size=len(positionals)))
+    for slot, word in reversed(list(zip(sorted(slots), positionals))):
+        groups.insert(slot, [word])
+    return [word for group in groups for word in group]
+
+
+def _enum_call(data):
+    family = data.draw(st.sampled_from(["all:6", "distinct:9", "seqcong-lg:7", "parts:2,3;n=9"]))
+    options = [("--limit", str(data.draw(st.integers(0, 12))))] if data.draw(st.booleans()) else []
+    if data.draw(st.booleans()):
+        options.append(("--max-items", str(data.draw(st.integers(0, 12)))))
+    flags = data.draw(st.sampled_from([[], ["--count-only"], ["--json"]]))
+    return ["enum"], [family], options, flags
+
+
+def _series_call(data):
+    identity = data.draw(st.sampled_from(["product-sum", "distinct", "two-variable"]))
+    options = [("--qtrunc", str(data.draw(st.integers(0, 12))))]
+    if identity == "two-variable":
+        options += [("--A", "2,3"), ("--B", "5,7"), ("--xtrunc", str(data.draw(st.integers(0, 4))))]
+    elif data.draw(st.booleans()):
+        options.append(("--f", data.draw(st.sampled_from(["one", "random-seeded:5", "table:2,1/2"]))))
+    return ["series", "verify"], [identity], options, []
+
+
+def _ideal_call(data):
+    size = ("--max-size", str(data.draw(st.integers(0, 6))))
+    kind = data.draw(st.sampled_from(["closure", "quasi", "equiv", "invariance"]))
+    if kind == "closure":
+        return ["ideal", kind], [data.draw(st.sampled_from(["selfconj", "seqcong"]))], [size], []
+    if kind == "equiv":
+        return ["ideal", kind], ["distinct", "oddparts"], [size], []
+    options = [("--A", "2,3"), ("--B", "5,7"), size]
+    if kind == "invariance" and data.draw(st.booleans()):
+        options.append(("--B-prime", "1,2"))
+    return ["ideal", kind], [], options, []
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_spelling_does_not_matter(capsys, data):
+    command, positionals, options, flags = data.draw(
+        st.sampled_from([_enum_call, _series_call, _ideal_call]))(data)
+    canonical = [*command, *positionals, *(word for pair in options for word in pair), *flags]
+    expected = main(canonical), capsys.readouterr().out
+    argv = [*command, *_respelled(data, positionals, options, flags)]
+    assert (main(argv), capsys.readouterr().out) == expected

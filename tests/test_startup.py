@@ -93,8 +93,13 @@ def test_submodules_are_attributes_right_after_import():
     assert done.stdout == "['seqcong', 'seqcong.errors'] 42 3 0.1.0\n"
 
 
-# dataclasses (with inspect) costs every process about 14 ms; no subcommand uses it
-WATCHED = ("dataclasses", "fractions", "inspect", "mpmath", "seqcong.families", "seqcong.series")
+# dataclasses (with inspect) costs every process about 14 ms, argparse (with
+# gettext) about 3 ms and building its parser 5 ms more; no subcommand uses
+# them.  sequences is loaded only by the calls that read a sequence.
+WATCHED = (
+    "argparse", "dataclasses", "fractions", "gettext", "inspect", "mpmath", "seqcong.families",
+    "seqcong.sequences", "seqcong.series",
+)
 PROBE = (
     "import contextlib, io, json, sys\n"
     "from seqcong import cli\n"
@@ -102,7 +107,7 @@ PROBE = (
     "    rc = cli.main(sys.argv[1:])\n"
     f"print(json.dumps([rc, [m for m in {WATCHED!r} if m in sys.modules]]))\n"
 )
-SERIES_MODULES = ["fractions", "seqcong.families", "seqcong.series"]
+SERIES_MODULES = ["fractions", "seqcong.families", "seqcong.sequences", "seqcong.series"]
 
 
 @pytest.mark.parametrize(
@@ -111,12 +116,15 @@ SERIES_MODULES = ["fractions", "seqcong.families", "seqcong.series"]
         (("map", "pi", "[3,1]"), 0, []),
         (("check", "seqcong", "[3,1]"), 1, []),
         (("orbit", "[3,1]"), 0, []),
-        (("enum", "all:5", "--count-only"), 0, ["seqcong.families"]),
+        (("enum", "all:5", "--count-only"), 0, ["seqcong.families", "seqcong.sequences"]),
         (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
         (
             ("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0,
-            ["fractions", "mpmath", "seqcong.families", "seqcong.series"],
+            ["fractions", "mpmath", "seqcong.families", "seqcong.sequences", "seqcong.series"],
         ),
+        (("--help",), 0, []),
+        (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, ["seqcong.sequences"]),
+        (("check", "sna:A=2,3,1", "[9,5,2]"), 0, ["seqcong.sequences"]),
     ],
 )
 def test_each_subcommand_loads_only_what_it_runs(argv, rc, loaded):

@@ -68,7 +68,7 @@ _LAZY = {
         "sigma_inverse",
         "sigma_pi",
     ),
-    "partition": ("EMPTY", "Partition", "conjugate_by_frequencies"),
+    "partition": ("EMPTY", "Partition"),
     "predicates": (
         "ViolationReport",
         "has_distinct_parts",

@@ -15,10 +15,11 @@ kind: one row recursion over (index i, current part), with modulus a_i
 and floor a_{i+1}, read off the congruences modulo A for ``sna-lg`` and,
 with A = naturals, ``seqcong-lg`` (:func:`sna_weight_sums`), its variant
 with steps 0 or i for ``step-lg``, Euler's pentagonal-number recurrence
-for ``all``, a 0/1 knapsack for ``distinct`` and coin change for
-``parts-in`` and ``pba-len``.  Each program refuses, before it allocates
-anything, a table of more than ``DEFAULT_ITEM_CAP`` cells.  The walkers
-stay as the oracles the tests hold the counters to.
+for ``all``, and the series product kernel :func:`_dense_product` for
+``distinct`` (a 0/1 knapsack) and ``parts-in`` and ``pba-len`` (coin
+change).  Each program refuses, before it allocates anything, a table of
+more than ``DEFAULT_ITEM_CAP`` cells.  The walkers stay as the oracles the
+tests hold the counters to.
 
 The sequentially congruent walker builds members directly from the
 congruence conditions (right-to-left residue choices, realized as a DFS
@@ -32,7 +33,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ._values import Value
-from .errors import InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
+from .errors import InvalidDeletion, InvalidExponent, InvalidPart, NonDistinctA, ResourceBound
 from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport, is_member_pba
 from .sequences import NATURALS, SequenceSpec
@@ -427,12 +428,14 @@ def iter_pba_by_size(
 # exact counters (dynamic programs; the generators above are their oracles)
 
 
-def _require_cells(label: str, rows: int, n: int) -> None:
-    """Refuse a table of `rows` rows (at least one) by n + 1 columns that
-    would exceed DEFAULT_ITEM_CAP cells.  Counters call this before they
-    allocate, and so do the series product sides, so time and memory follow
-    the input text, not its values."""
-    cells = max(rows, 1) * (n + 1)
+def _require_cells(label: str, rows: int, n: int, xtrunc: int = 0) -> None:
+    """Refuse a negative bound (:class:`InvalidExponent`), and `rows`
+    passes (at least one) over xtrunc + 1 rows of n + 1 cells that would
+    exceed DEFAULT_ITEM_CAP cells.  Every table and grid is checked so
+    before it is allocated, so time and memory follow the input text."""
+    if xtrunc < 0 or n < 0:
+        raise InvalidExponent(f"truncation bounds ({xtrunc}, {n}) must be >= 0")
+    cells = max(rows, 1) * (xtrunc + 1) * (n + 1)
     if cells > DEFAULT_ITEM_CAP:
         raise ResourceBound(
             f"{label} needs a table of {cells} cells, more than the cap of "
@@ -473,9 +476,9 @@ def sna_weight_sums(
     A table of more than DEFAULT_ITEM_CAP cells is refused under `label`.
     """
     _require_strictly_increasing(a_seq)
-    if n <= 0:  # no rows: the empty partition alone
-        return [1]
     _require_cells(label, 1, n)
+    if n == 0:  # no rows: the empty partition alone
+        return [1]
     depth = a_seq.first_at_least(n)
     _require_cells(label, depth, n)
     w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v < a_{i+1}
@@ -534,27 +537,65 @@ def _pentagonal_counts(label: str, n: int) -> list[int]:
     return p
 
 
+def _exact(c):
+    """An integral int or Fraction as an int, which keeps the arithmetic it
+    enters in ints; any other value unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _zeros(xtrunc: int, qtrunc: int) -> list[list]:
+    return [[0] * (qtrunc + 1) for _ in range(xtrunc + 1)]
+
+
+def _dense_product(
+    label: str, nfactors: int, factors: Iterable[tuple], xtrunc: int, qtrunc: int, *,
+    linear: bool = False,
+) -> list[list]:
+    """Rows x = 0..xtrunc of coefficients q^0..q^qtrunc of the product of
+    `nfactors` factors (c, a, b), (a, b) != (0, 0), each 1 / (1 - c x^a q^b),
+    or 1 + c x^a q^b when `linear`: the one kernel of every product side and
+    of the coin-change and knapsack counters.
+
+    The size is checked before the grid is allocated or a factor is read.
+    One pass per factor updates the grid g in place, g[x][q] += c g[x-a][q-b],
+    ascending for a geometric factor (the source holds the new value) and
+    descending for a linear one (it holds the old), with no multiplication
+    when c = 1.  Integral weights stay ints.
+    """
+    _require_cells(label, nfactors, qtrunc, xtrunc)
+    grid = _zeros(xtrunc, qtrunc)
+    grid[0][0] = 1
+    for c, a, b in factors:
+        c = _exact(c)
+        if not c or a > xtrunc or b > qtrunc:
+            continue  # only the constant term of this factor is in range
+        if linear:
+            xs, qs = range(xtrunc, a - 1, -1), range(qtrunc, b - 1, -1)
+        else:
+            xs, qs = range(a, xtrunc + 1), range(b, qtrunc + 1)
+        for x in xs:
+            row, src = grid[x], grid[x - a]
+            if c == 1:
+                for q in qs:
+                    row[q] += src[q - b]
+            else:
+                for q in qs:
+                    row[q] += c * src[q - b]
+    return grid
+
+
 def _coin_change(label: str, coins: Iterable[int], n: int) -> list[int]:
     """Entry v (0 <= v <= n) counts the ways to write v as a sum of one
     multiple of each coin; equal coins count as different coins."""
     coins = [c for c in coins if c <= n]
-    _require_cells(label, len(coins), n)
-    ways = [1] + [0] * n
-    for c in coins:
-        for v in range(c, n + 1):
-            ways[v] += ways[v - c]
-    return ways
+    return _dense_product(label, len(coins), ((1, 0, c) for c in coins), 0, n)[0]
 
 
 def _count_distinct(desc: FamilyDescriptor) -> int:
-    """0/1 knapsack over the parts 1..n."""
+    """0/1 knapsack over the parts 1..n: the kernel's product of 1 + q^k."""
     n = desc.n
-    _require_cells(desc.describe(), n, n)
-    ways = [1] + [0] * n
-    for k in range(1, n + 1):
-        for v in range(n, k - 1, -1):
-            ways[v] += ways[v - k]
-    return ways[n]
+    parts = ((1, 0, k) for k in range(1, n + 1))
+    return _dense_product(desc.describe(), n, parts, 0, n, linear=True)[0][n]
 
 
 def _count_pba_len(desc: FamilyDescriptor) -> int:

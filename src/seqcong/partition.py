@@ -209,12 +209,3 @@ class Partition:
 
 
 EMPTY = Partition()
-
-
-def conjugate_by_frequencies(lam: Partition) -> Partition:
-    """Conjugate computed from parts and frequencies alone, no diagram.
-
-    The same as :meth:`Partition.conjugate`, which applies this formula to
-    the runs; the test suite holds both to a diagram transpose.
-    """
-    return lam.conjugate()

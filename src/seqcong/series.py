@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import math
+import operator
 import random
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
@@ -24,14 +25,18 @@ from .errors import (
     ExtentExceeded,
     InvalidExponent,
     NonDistinctA,
+    ResourceBound,
 )
 from .families import (
     _coin_change,
+    _dense_product,
+    _exact,
     _pba_value_pairs,
     _pentagonal_counts,
     _positions,
     _require_cells,
     _require_members,
+    _zeros,
     iter_pba_by_size,
     sna_weight_sums,
     step_bounded_counts,
@@ -43,34 +48,38 @@ if TYPE_CHECKING:
 
 
 class BivariateSeries:
-    """Sparse truncated series in x and q over the rationals.
+    """Truncated series in x and q over the rationals, stored dense: row a
+    holds the coefficients of x^a q^0, ..., x^a q^qtrunc, each an int or a
+    Fraction.
 
     Coefficients beyond the truncation bounds are unknown and never stored;
-    arithmetic silently discards out-of-range terms.
+    arithmetic silently discards out-of-range terms.  A grid of more than
+    DEFAULT_ITEM_CAP cells raises :class:`ResourceBound` before it is
+    allocated, as in the product sides.
     """
 
-    __slots__ = ("xtrunc", "qtrunc", "_coeffs")
+    __slots__ = ("xtrunc", "qtrunc", "_rows")
 
     def __init__(
-        self,
-        xtrunc: int,
-        qtrunc: int,
-        coeffs: Mapping[tuple[int, int], Fraction] | None = None,
+        self, xtrunc: int, qtrunc: int, coeffs: Mapping[tuple[int, int], Fraction] | None = None
     ):
-        if xtrunc < 0 or qtrunc < 0:
-            raise InvalidExponent(f"truncation bounds ({xtrunc}, {qtrunc}) must be >= 0")
-        self.xtrunc = xtrunc
-        self.qtrunc = qtrunc
-        stored: dict[tuple[int, int], Fraction] = {}
+        _require_cells(f"series x^{xtrunc} q^{qtrunc}", 1, qtrunc, xtrunc)
+        rows = _zeros(xtrunc, qtrunc)
         for (a, b), c in (coeffs or {}).items():
             if a < 0 or b < 0:
                 raise InvalidExponent(f"exponent pair ({a}, {b}) is negative")
-            if a > xtrunc or b > qtrunc:
-                continue
-            c = Fraction(c)
-            if c:
-                stored[(a, b)] = c
-        self._coeffs = stored
+            if a <= xtrunc and b <= qtrunc:
+                rows[a][b] = _exact(Fraction(c))
+        self.xtrunc = xtrunc
+        self.qtrunc = qtrunc
+        self._rows = rows
+
+    @classmethod
+    def _of_rows(cls, rows: list[list]) -> "BivariateSeries":
+        """Adopt a grid of exact values, neither copied nor converted."""
+        s = cls.__new__(cls)
+        s.xtrunc, s.qtrunc, s._rows = len(rows) - 1, len(rows[0]) - 1, rows
+        return s
 
     @classmethod
     def constant(cls, value, xtrunc: int, qtrunc: int) -> "BivariateSeries":
@@ -82,37 +91,36 @@ class BivariateSeries:
                 f"coefficient ({xexp}, {qexp}) is outside the truncation "
                 f"bounds ({self.xtrunc}, {self.qtrunc})"
             )
-        return self._coeffs.get((xexp, qexp), Fraction(0))
+        return Fraction(self._rows[xexp][qexp])
 
     def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        """Nonzero coefficients sorted by (q-exponent, x-exponent)."""
-        return sorted(self._coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        """Nonzero coefficients by (q-exponent, x-exponent), column by column."""
+        columns = enumerate(zip(*self._rows))
+        return [((x, q), Fraction(c)) for q, col in columns for x, c in enumerate(col) if c]
+
+    def _combine(self, other: "BivariateSeries", op) -> "BivariateSeries":
+        self._require_same_bounds(other)
+        pairs = zip(self._rows, other._rows)
+        return BivariateSeries._of_rows([list(map(op, row, rhs)) for row, rhs in pairs])
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._require_same_bounds(other)
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivariateSeries(self.xtrunc, self.qtrunc, out)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._require_same_bounds(other)
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return BivariateSeries(self.xtrunc, self.qtrunc, out)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
+        """Term by term over the nonzero coefficients, independent of the
+        dense kernel: the tests fold factors with it."""
         self._require_same_bounds(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._coeffs.items():
-            for (a2, b2), c2 in other._coeffs.items():
+        rows = _zeros(self.xtrunc, self.qtrunc)
+        right = other.items()
+        for (a1, b1), c1 in self.items():
+            for (a2, b2), c2 in right:
                 a, b = a1 + a2, b1 + b2
-                if a > self.xtrunc or b > self.qtrunc:
-                    continue
-                key = (a, b)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivariateSeries(self.xtrunc, self.qtrunc, out)
+                if a <= self.xtrunc and b <= self.qtrunc:
+                    rows[a][b] += c1 * c2
+        return BivariateSeries._of_rows(rows)
 
     def _require_same_bounds(self, other: "BivariateSeries") -> None:
         if self.xtrunc != other.xtrunc or self.qtrunc != other.qtrunc:
@@ -123,21 +131,15 @@ class BivariateSeries:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BivariateSeries):
-            return (
-                self.xtrunc == other.xtrunc
-                and self.qtrunc == other.qtrunc
-                and self._coeffs == other._coeffs
-            )
+            return self._rows == other._rows  # equal grids have equal bounds
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.xtrunc, self.qtrunc, frozenset(self._coeffs.items())))
+        return hash(tuple(map(tuple, self._rows)))  # an int hashes as its equal Fraction
 
     def __repr__(self) -> str:
-        return (
-            f"BivariateSeries(xtrunc={self.xtrunc}, qtrunc={self.qtrunc}, "
-            f"{len(self._coeffs)} terms)"
-        )
+        terms = sum(len(row) - row.count(0) for row in self._rows)
+        return f"BivariateSeries(xtrunc={self.xtrunc}, qtrunc={self.qtrunc}, {terms} terms)"
 
 
 class WeightSpec(Value):
@@ -241,73 +243,13 @@ def geometric_factor(
         raise InvalidExponent(f"q-exponent b must be >= 1, got {b}")
     if a < 0:
         raise InvalidExponent(f"x-exponent a must be >= 0, got {a}")
-    c = Fraction(c)
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    c = _exact(Fraction(c))
+    s = BivariateSeries(xtrunc, qtrunc)  # an oversized grid is refused before the walk
     k = 0
     while k * b <= qtrunc and k * a <= xtrunc:
-        coeffs[(k * a, k * b)] = c**k
+        s._rows[k * a][k * b] = c**k
         k += 1
-    return BivariateSeries(xtrunc, qtrunc, coeffs)
-
-
-def _exact(c):
-    """An integral Fraction as an int, which keeps the arithmetic it enters
-    in ints; any other value unchanged."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _require_grid(label: str, passes: int, xtrunc: int, qtrunc: int) -> None:
-    """Refuse negative truncation bounds, and `passes` sweeps over a grid of
-    (xtrunc + 1) (qtrunc + 1) cells that would exceed DEFAULT_ITEM_CAP cell
-    updates: the counters' rows-by-cells rule, one row per pass and x-degree."""
-    if xtrunc < 0 or qtrunc < 0:
-        raise InvalidExponent(f"truncation bounds ({xtrunc}, {qtrunc}) must be >= 0")
-    _require_cells(label, passes * (xtrunc + 1), qtrunc)
-
-
-def _dense_product(
-    label: str,
-    nfactors: int,
-    factors: Iterable[tuple],
-    xtrunc: int,
-    qtrunc: int,
-    *,
-    linear: bool = False,
-) -> BivariateSeries:
-    """Product of `nfactors` factors (c, a, b) with (a, b) != (0, 0),
-    truncated at x^xtrunc q^qtrunc: each factor is 1 / (1 - c x^a q^b), or
-    1 + c x^a q^b when `linear`.
-
-    The bounds and the size are checked by :func:`_require_grid` before the
-    grid is allocated or a factor is read.  The grid g is dense and updated
-    in place, one pass per factor: g[x][q] += c g[x-a][q-b], ascending for a
-    geometric factor (the source cell already holds the new value) and
-    descending for a linear one (it still holds the old value).  Integral
-    weights stay plain ints, so only non-integral weights ever produce
-    Fractions.  The grid becomes a :class:`BivariateSeries` once, at the end.
-    """
-    _require_grid(label, nfactors, xtrunc, qtrunc)
-    grid = [[0] * (qtrunc + 1) for _ in range(xtrunc + 1)]
-    grid[0][0] = 1
-    for c, a, b in factors:
-        c = _exact(c)
-        if not c or a > xtrunc or b > qtrunc:
-            continue  # only the constant term of this factor is in range
-        if linear:
-            xs, qs = range(xtrunc, a - 1, -1), range(qtrunc, b - 1, -1)
-        else:
-            xs, qs = range(a, xtrunc + 1), range(b, qtrunc + 1)
-        for x in xs:
-            row, src = grid[x], grid[x - a]
-            for q in qs:
-                row[q] += c * src[q - b]
-    return BivariateSeries(
-        xtrunc,
-        qtrunc,
-        {(x, q): v for x, row in enumerate(grid) for q, v in enumerate(row) if v},
-    )
+    return s
 
 
 def _size_totals(values: list[int], factors: list[list], bound: int, one) -> tuple[list, int]:
@@ -348,7 +290,8 @@ def product_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     so the finite product is exact.
     """
     factors = ((f.value(n), 0, n) for n in range(1, qtrunc + 1))
-    return _dense_product(f"product side q^{qtrunc}", qtrunc, factors, 0, qtrunc)
+    grid = _dense_product(f"product side q^{qtrunc}", qtrunc, factors, 0, qtrunc)
+    return BivariateSeries._of_rows(grid)
 
 
 def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -368,7 +311,7 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     # weight, and each size's total is divided by L^n once.  Parts of
     # weight 0 are left out, as every partition holding one adds 0.
     label = f"partition sum side q^{qtrunc}"
-    _require_grid(label, 1, 0, qtrunc)  # a negative qtrunc raises InvalidExponent
+    _require_cells(label, 1, qtrunc)  # a negative qtrunc raises InvalidExponent
     _require_members(label, _pentagonal_counts(label, qtrunc))
     weights = [Fraction(f.value(v)) for v in range(1, qtrunc + 1)]
     scale = math.lcm(*(w.denominator for w in weights))
@@ -378,9 +321,7 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
         c = weights[v - 1].numerator * (scale**v // weights[v - 1].denominator)
         factors.append([c**m for m in range(qtrunc // v + 1)])
     totals, _ = _size_totals(values, factors, qtrunc, 1)
-    return BivariateSeries(
-        0, qtrunc, {(0, n): Fraction(c, scale**n) for n, c in enumerate(totals)}
-    )
+    return BivariateSeries._of_rows([[Fraction(c, scale**n) for n, c in enumerate(totals)]])
 
 
 def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -396,7 +337,7 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     sums = sna_weight_sums(
         NATURALS, qtrunc, lambda i: _exact(f.value(i)), f"seqcong-lg:{qtrunc}"
     )
-    return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(sums)})
+    return BivariateSeries._of_rows([sums])
 
 
 def two_var_product_side(
@@ -404,13 +345,13 @@ def two_var_product_side(
 ) -> BivariateSeries:
     """Product over positions n of 1 / (1 - x^{a_n} q^{a_n b_n}), truncated."""
     label = f"two-variable product side x^{xtrunc} q^{qtrunc}"
-    _require_grid(label, 1, xtrunc, qtrunc)  # before the walk over up to qtrunc positions
+    _require_cells(label, 1, qtrunc, xtrunc)  # before the walk over up to qtrunc positions
     factors = [
         (1, a, a * b)
         for a, b in _positions(a_seq, b_seq, qtrunc, lambda a, b: a * b)
         if a <= xtrunc and a * b <= qtrunc
     ]
-    return _dense_product(label, len(factors), factors, xtrunc, qtrunc)
+    return BivariateSeries._of_rows(_dense_product(label, len(factors), factors, xtrunc, qtrunc))
 
 
 def pba_sum_side(
@@ -424,16 +365,15 @@ def pba_sum_side(
     DEFAULT_ITEM_CAP members raise :class:`ResourceBound` before any is built.
     """
     label = f"pba sum side x^{xtrunc} q^{qtrunc}"
-    rows = min(xtrunc, qtrunc)
-    _require_grid(label, 1, rows, qtrunc)  # before the walk over up to qtrunc positions
+    _require_cells(label, 1, qtrunc, xtrunc)  # before the walk over up to qtrunc positions
     pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=qtrunc))
-    counts = _dense_product(label, len(pairs), ((1, a, a * b) for b, a in pairs), rows, qtrunc)
-    _require_members(label, (c for _, c in counts.items()))
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    sizing = ((1, a, a * b) for b, a in pairs)
+    counts = _dense_product(label, len(pairs), sizing, min(xtrunc, qtrunc), qtrunc)
+    _require_members(label, map(sum, counts))
+    rows = _zeros(xtrunc, qtrunc)
     for p in iter_pba_by_size(a_seq, b_seq, qtrunc, max_length=xtrunc):
-        key = (p.length, p.size)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + 1
-    return BivariateSeries(xtrunc, qtrunc, coeffs)
+        rows[p.length][p.size] += 1
+    return BivariateSeries._of_rows(rows)
 
 
 def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
@@ -445,18 +385,18 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
     if not a_seq.is_distinct_through(a_seq.extent or 2):  # a rule repeats by its 2nd term
         raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
     label = f"euler side x^{xtrunc}"
-    _require_grid(label, 1, xtrunc, 0)  # before a range too long for len() is sized
+    _require_cells(label, 1, 0, xtrunc)  # before a range too long for len() is sized
     values = a_seq.values_upto(xtrunc)
-    return _dense_product(label, len(values), ((1, a, 0) for a in values), xtrunc, 0)
+    grid = _dense_product(label, len(values), ((1, a, 0) for a in values), xtrunc, 0)
+    return BivariateSeries._of_rows(grid)
 
 
 def distinct_product_side(qtrunc: int) -> BivariateSeries:
     """Product over n of (1 + q^n), truncated; the q^n coefficient counts
     partitions of n into distinct parts."""
     factors = ((1, 0, n) for n in range(1, qtrunc + 1))
-    return _dense_product(
-        f"distinct product side q^{qtrunc}", qtrunc, factors, 0, qtrunc, linear=True
-    )
+    label = f"distinct product side q^{qtrunc}"
+    return BivariateSeries._of_rows(_dense_product(label, qtrunc, factors, 0, qtrunc, linear=True))
 
 
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
@@ -464,8 +404,7 @@ def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
     steps are all 0 or the index, read off one row table of
     :func:`families.step_bounded_counts`; the enumerator is its oracle in
     the tests."""
-    counts = step_bounded_counts(qtrunc)
-    return BivariateSeries(0, qtrunc, {(0, n): c for n, c in enumerate(counts)})
+    return BivariateSeries._of_rows([step_bounded_counts(qtrunc)])
 
 
 class SeriesComparison(Value):
@@ -493,17 +432,12 @@ class SeriesComparison(Value):
 
 def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
     """Exact coefficientwise equality over the shared truncation bounds."""
-    if lhs.xtrunc != rhs.xtrunc or lhs.qtrunc != rhs.qtrunc:
-        raise BoundsMismatch(
-            f"cannot compare bounds ({lhs.xtrunc}, {lhs.qtrunc}) with "
-            f"({rhs.xtrunc}, {rhs.qtrunc})"
-        )
-    keys = set(lhs._coeffs) | set(rhs._coeffs)
-    for a, b in sorted(keys, key=lambda k: (k[1], k[0])):
-        lc = lhs._coeffs.get((a, b), Fraction(0))
-        rc = rhs._coeffs.get((a, b), Fraction(0))
-        if lc != rc:
-            return SeriesComparison(False, a, b, lc, rc)
+    lhs._require_same_bounds(rhs)
+    if lhs._rows != rhs._rows:  # walk (q, x) only to find the first difference
+        for q, (left, right) in enumerate(zip(zip(*lhs._rows), zip(*rhs._rows))):
+            for x, (lc, rc) in enumerate(zip(left, right)):
+                if lc != rc:
+                    return SeriesComparison(False, x, q, Fraction(lc), Fraction(rc))
     return SeriesComparison(True)
 
 
@@ -520,6 +454,9 @@ class ZetaEvaluation(Value):
         object.__setattr__(self, "terms", terms)
 
 
+MAX_DPS = 10**4  # the most decimal digits of working precision partition_zeta accepts
+
+
 def partition_zeta(
     part_set: Iterable[int], s, qdepth: int, dps: int = 30
 ) -> ZetaEvaluation:
@@ -529,11 +466,12 @@ def partition_zeta(
 
     Requires every set element >= 2 and s > 1 for convergence, qdepth >= 0
     and dps >= 1 (decimal digits of working precision); anything else
-    raises :class:`DivergentParameters`.  More than DEFAULT_ITEM_CAP
-    partitions of size <= qdepth, totalled by coin change before any is
-    built, raise :class:`ResourceBound`; the sum is one walk with one step
-    per partition, so this bounds its work too.  No equality is asserted
-    here; callers decide what agreement to demand at which depth.
+    raises :class:`DivergentParameters`.  A dps above MAX_DPS, or more than
+    DEFAULT_ITEM_CAP partitions of size <= qdepth, totalled by coin change
+    before any is built, raise :class:`ResourceBound` before mpmath is
+    loaded; the sum is one walk with one step per partition, so this bounds
+    its work too.  No equality is asserted here; callers decide what
+    agreement to demand at which depth.
     """
     values = sorted(set(int(v) for v in part_set))
     if not values:
@@ -547,6 +485,8 @@ def partition_zeta(
         raise DivergentParameters(f"qdepth must be >= 0, got {qdepth}")
     if dps < 1:
         raise DivergentParameters(f"dps must be >= 1, got {dps}")
+    if dps > MAX_DPS:
+        raise ResourceBound(f"dps {dps} is more than the cap of {MAX_DPS} digits")
     label = f"zeta sum over parts in {values} to depth {qdepth}"
     _require_members(label, _coin_change(label, values, qdepth))
     import mpmath

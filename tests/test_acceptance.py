@@ -15,7 +15,6 @@ from seqcong import (
     check_ideal_closure,
     check_quasi_ideal,
     compare,
-    conjugate_by_frequencies,
     count,
     count_invariance_suite,
     distinct_of_size,
@@ -124,7 +123,6 @@ def test_criterion_05_composition_is_conjugation():
         for lam in partitions_of(n):
             transpose = lam.conjugate()
             assert sigma_pi(lam) == transpose
-            assert conjugate_by_frequencies(lam) == transpose
 
 
 @criterion(6, "round trips are involutions with the right fixed points, <= 20")

@@ -527,6 +527,15 @@ class TestZeta:
         assert code == 0
         assert out.splitlines()[1] == "product_side 1.500000000000"
 
+    def test_precision_above_the_cap_exits_3(self, run_limited):
+        argv = ("zeta", "--T", "2,3", "--s", "2", "--depth", "40", "--dps")
+        done, _ = run_limited(*argv, "10000")
+        assert done.returncode == 0 and done.stdout.endswith("depth 40 terms 154\n")
+        done, elapsed = run_limited(*argv, "10001")
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == "error: dps 10001 is more than the cap of 10000 digits\n"
+        assert elapsed < 1.0
+
     def test_digits_before_the_point_need_more_precision(self, capsys):
         # the product over 2..60 at s = 21/20 is about 38.5, two digits before the point
         argv = ("zeta", "--T", ",".join(map(str, range(2, 61))), "--s", "21/20", "--depth", "8")

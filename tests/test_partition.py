@@ -6,9 +6,14 @@ from seqcong import (
     InsufficientMultiplicity,
     InvalidPart,
     Partition,
-    conjugate_by_frequencies,
     partitions_of,
 )
+
+
+def transpose(lam):
+    """The conjugate read off the Ferrers diagram: column i has one cell
+    per part > i."""
+    return Partition(tuple(sum(1 for p in lam.parts if p > i) for i in range(lam.largest)))
 
 
 def partitions_upto(bound):
@@ -94,7 +99,6 @@ class TestConjugate:
     )
     def test_known_values(self, parts, expected):
         assert Partition(parts).conjugate().parts == expected
-        assert conjugate_by_frequencies(Partition(parts)).parts == expected
 
     def test_involution_and_swap_exhaustive(self):
         for lam in partitions_upto(20):
@@ -106,7 +110,7 @@ class TestConjugate:
 
     def test_formula_path_agrees_exhaustive(self):
         for lam in partitions_upto(20):
-            assert conjugate_by_frequencies(lam) == lam.conjugate()
+            assert lam.conjugate() == transpose(lam)
 
 
 class TestDeleteParts:
@@ -152,4 +156,4 @@ def test_conjugate_involution_property(lam):
     star = lam.conjugate()
     assert star.conjugate() == lam
     assert star.size == lam.size
-    assert conjugate_by_frequencies(lam) == star
+    assert star == transpose(lam)

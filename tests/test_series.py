@@ -1,4 +1,6 @@
+import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -301,6 +303,15 @@ class TestPartitionZeta:
         with pytest.raises(DivergentParameters, match="dps must be >= 1"):
             partition_zeta([2, 3], 2, 10, dps=dps)
 
+    def test_precision_above_the_cap_refused_before_mpmath_loads(self, monkeypatch):
+        assert partition_zeta([2, 3], 2, 40, dps=series.MAX_DPS).terms == 154
+        monkeypatch.setitem(sys.modules, "mpmath", None)  # now `import mpmath` fails
+        start = time.perf_counter()
+        for dps in (series.MAX_DPS + 1, 10**7, 10**100):
+            with pytest.raises(ResourceBound, match="cap of 10000 digits"):
+                partition_zeta([2, 3], 2, 40, dps=dps)
+        assert time.perf_counter() - start < 0.1
+
 
 # ---------------------------------------------------------------------------
 # every product side against the sparse fold of its factors by __mul__
@@ -464,3 +475,97 @@ def test_product_and_seqcong_sides_share_the_cell_cap():
         with pytest.raises(ResourceBound):
             side(ONE, 3162)
     assert product_side(ONE, 3161) == seqcong_sum_side(ONE, 3161)
+
+
+def test_coprime_denominators_stay_exact():
+    # weights 1/p over the first 150 primes: no denominator is shared, so the
+    # reduced coefficients grow to thousands of bits
+    primes = [p for p in range(2, 900) if all(p % d for d in range(2, int(p**0.5) + 1))][:150]
+    f = WeightSpec.from_values(Fraction(1, p) for p in primes)
+    start = time.perf_counter()
+    lhs, rhs = product_side(f, 150), seqcong_sum_side(f, 150)
+    assert time.perf_counter() - start < 5
+    assert compare(lhs, rhs).equal and lhs == rhs
+    assert max(c.denominator.bit_length() for _, c in lhs.items()) > 1000
+
+
+# ---------------------------------------------------------------------------
+# the dense grid against a dict of its nonzero coefficients
+
+
+def reference(coeffs, xtrunc, qtrunc):
+    """The nonzero in-range coefficients as Fractions, keyed by (x, q)."""
+    return {
+        (a, b): Fraction(c) for (a, b), c in coeffs.items() if a <= xtrunc and b <= qtrunc and c
+    }
+
+
+def by_q_then_x(terms):
+    return sorted(terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+
+
+exponents = st.tuples(st.integers(0, 5), st.integers(0, 7))
+mappings = st.dictionaries(exponents, entries, max_size=12)
+
+
+@settings(deadline=None)
+@given(
+    bounds=st.tuples(st.integers(0, 4), st.integers(0, 6)),
+    first=mappings,
+    changes=st.dictionaries(exponents, entries, max_size=2),
+    other=st.one_of(st.none(), mappings),
+)
+def test_dense_series_matches_a_dict_reference(bounds, first, changes, other):
+    xtrunc, qtrunc = bounds
+    second = {**first, **changes} if other is None else other
+    s, t = BivariateSeries(xtrunc, qtrunc, first), BivariateSeries(xtrunc, qtrunc, second)
+    ref_s, ref_t = reference(first, *bounds), reference(second, *bounds)
+
+    assert s.items() == by_q_then_x(ref_s)
+    assert all(type(c) is Fraction for _, c in s.items())
+    for x in range(xtrunc + 1):
+        for q in range(qtrunc + 1):
+            c = s.coefficient(x, q)
+            assert type(c) is Fraction and c == ref_s.get((x, q), 0)
+    for op in (operator.add, operator.sub):
+        keys = ref_s.keys() | ref_t.keys()
+        combined = {k: op(ref_s.get(k, 0), ref_t.get(k, 0)) for k in keys}
+        assert op(s, t).items() == by_q_then_x({k: c for k, c in combined.items() if c})
+
+    assert (s == t) == (ref_s == ref_t)
+    if s == t:
+        assert hash(s) == hash(t)
+    # a grid of Fractions equals the same grid of ints, and hashes alike
+    fractions = BivariateSeries._of_rows([[Fraction(c) for c in row] for row in s._rows])
+    assert fractions == s and hash(fractions) == hash(s)
+    assert repr(s) == f"BivariateSeries(xtrunc={xtrunc}, qtrunc={qtrunc}, {len(ref_s)} terms)"
+
+    differ = [k for k, _ in by_q_then_x({k: 0 for k in ref_s.keys() | ref_t.keys()})
+              if ref_s.get(k, 0) != ref_t.get(k, 0)]
+    found = compare(s, t)
+    if differ:
+        x, q = differ[0]
+        assert (found.equal, found.x_exponent, found.q_exponent) == (False, x, q)
+        assert (found.lhs_coefficient, found.rhs_coefficient) == (
+            ref_s.get((x, q), 0), ref_t.get((x, q), 0)
+        )
+    else:
+        assert found.equal
+
+
+@pytest.mark.parametrize(
+    "xtrunc, qtrunc, error",
+    [
+        (0, 10**7, ResourceBound),  # one cell over the cap
+        (3162, 3161, ResourceBound),
+        (10**9, 10**9, ResourceBound),
+        (-1, 5, InvalidExponent),
+        (5, -1, InvalidExponent),
+        (-1, 10**9, InvalidExponent),
+    ],
+)
+def test_series_constructor_refuses_before_allocating(xtrunc, qtrunc, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        BivariateSeries(xtrunc, qtrunc, {(0, 0): 1})
+    assert time.perf_counter() - start < 0.1

@@ -18,9 +18,10 @@ from itertools import islice, zip_longest
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
-# sequences, families, series, fractions and mpmath are imported where they
-# are used, so map, check and orbit start without loading them
-from . import maps, predicates
+# maps, sequences, families, series, fractions and mpmath are imported where
+# they are used, so check starts without any of them, and map and orbit load
+# only maps
+from . import predicates
 from .errors import (
     InternalContradiction,
     InvalidPart,
@@ -323,11 +324,24 @@ def _cmd_check(args) -> int:
     return worst
 
 
+def _on_maps(name: str):
+    """The function `name` of seqcong.maps, looked up when called: only map
+    and orbit load the module, and the attribute that runs is the one the
+    module holds at that moment."""
+
+    def call(lam: Partition) -> Partition:
+        from . import maps
+
+        return getattr(maps, name)(lam)
+
+    return call
+
+
 _MAP_OPS = {
-    "pi": maps.pi,
-    "pi-inv": maps.pi_inverse,
-    "sigma": maps.sigma,
-    "sigma-inv": maps.sigma_inverse,
+    "pi": _on_maps("pi"),
+    "pi-inv": _on_maps("pi_inverse"),
+    "sigma": _on_maps("sigma"),
+    "sigma-inv": _on_maps("sigma_inverse"),
     "conjugate": lambda p: p.conjugate(),
 }
 
@@ -339,6 +353,8 @@ def _cmd_map(args) -> int:
     else:
         if args.A is None or args.B is None:
             raise ParseError(f"map {args.op} needs --A and --B")
+        from . import maps
+
         a, b = parse_sequence(args.A), parse_sequence(args.B)
         if args.op == "scale":
             result = maps.scale_map(lam, a, b)
@@ -349,6 +365,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from . import maps
+
     lam = parse_partition(args.partition)
     trace = maps.orbit(lam, side=args.side)
     states = ",".join([_partition_json(p) for p in trace.states])

@@ -29,11 +29,14 @@ so that counting agreement with the plain enumerator is a genuine check.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ._values import Value
-from .errors import InvalidDeletion, InvalidExponent, InvalidPart, NonDistinctA, ResourceBound
+from .errors import (
+    InternalContradiction, InvalidDeletion, InvalidExponent, InvalidPart, NonDistinctA, ResourceBound,
+)
 from .partition import DEFAULT_ITEM_CAP, Partition
 from .predicates import ViolationReport, is_member_pba
 from .sequences import NATURALS, SequenceSpec
@@ -547,6 +550,45 @@ def _zeros(xtrunc: int, qtrunc: int) -> list[list]:
     return [[0] * (qtrunc + 1) for _ in range(xtrunc + 1)]
 
 
+def _scales(label: str, live: list[tuple], qtrunc: int) -> tuple[Optional[list], Optional[list]]:
+    """S_0, ..., S_qtrunc for the factors (c, a, b) of :func:`_dense_product`,
+    and the ratios S_q / S_{q-1}; (None, None) when every weight is integral.
+
+    S_0 = 1, and S_q is the lcm of S_{q-1} and of S_{q-b} w for each
+    reduced denominator w > 1, b the smallest q-exponent among the factors
+    with that denominator.  Since S_{q-b} divides S_{q-1}, the lcm is S_{q-1}
+    times the ratio t that makes w divide t S_{q-1} / S_{q-b}; so each
+    denominator costs one remainder of that span, kept for the next q by
+    the ratios that enter and leave it, and no lcm of two scales is taken.
+    """
+    first: dict[int, int] = {}  # denominator w > 1 -> the smallest b that has it
+    for c, _, b in live:
+        w = c.denominator
+        if w > 1:
+            if not b:
+                raise InternalContradiction(f"{label}: weight {c} has no q-exponent to scale on")
+            first[w] = min(b, first.get(w, b))
+    if not first:
+        return None, None
+    steps = sorted((b, w) for w, b in first.items())
+    scales, ratios = [1], [1]
+    spans: list[int] = []  # S_{q-1} / S_{q-b} for the first len(spans) steps, those with b <= q
+    for q in range(1, qtrunc + 1):
+        while len(spans) < len(steps) and steps[len(spans)][0] <= q:
+            spans.append(scales[-1] // scales[q - steps[len(spans)][0]])
+        t = 1
+        for span, (_, w) in zip(spans, steps):
+            g = math.gcd(span % w * t, w)
+            if g != w:
+                t *= w // g
+        ratios.append(t)
+        scales.append(scales[-1] * t)
+        for k, (b, _) in enumerate(steps[: len(spans)]):
+            if t != ratios[q + 1 - b]:
+                spans[k] = spans[k] * t // ratios[q + 1 - b]
+    return scales, ratios
+
+
 def _dense_product(
     label: str, nfactors: int, factors: Iterable[tuple], xtrunc: int, qtrunc: int, *,
     linear: bool = False,
@@ -561,26 +603,58 @@ def _dense_product(
     ascending for a geometric factor (the source holds the new value) and
     descending for a linear one (it holds the old), with no multiplication
     when c = 1.  Integral weights stay ints.
+
+    Rational weights run on ints too.  Column q is scaled by S_q
+    (:func:`_scales`): S_0 = 1, and S_q = lcm(S_{q-1}, S_{q-b} w) over each
+    reduced denominator w > 1, b the smallest q-exponent of a factor with
+    denominator w.  So S_{q-1} | S_q, and for every factor u/w at exponent b
+    (w = 1 included), S_{q-b} w divides S_{q-b'} w | S_q, b' <= b the
+    exponent that entered w.  With G = S_q g, the pass becomes
+    G[x][q] += (S_q // (S_{q-b} w)) u G[x-a][q-b], exact in ints, and one
+    last pass turns each cell into G / S_q, an int where it is integral.
+    Every product reaching q^q has a denominator dividing S_q, and S_q stays
+    near the largest reduced denominator, where one global D^q would not.
+    A rational weight needs b >= 1; b = 0 raises InternalContradiction.
     """
     _require_cells(label, nfactors, qtrunc, xtrunc)
-    grid = _zeros(xtrunc, qtrunc)
-    grid[0][0] = 1
+    live = []
     for c, a, b in factors:
         c = _exact(c)
-        if not c or a > xtrunc or b > qtrunc:
-            continue  # only the constant term of this factor is in range
+        if c and a <= xtrunc and b <= qtrunc:  # else only the constant term is in range
+            live.append((c, a, b))
+    scales, ratios = _scales(label, live, qtrunc)
+    grid = _zeros(xtrunc, qtrunc)
+    grid[0][0] = 1
+    for c, a, b in live:
         if linear:
             xs, qs = range(xtrunc, a - 1, -1), range(qtrunc, b - 1, -1)
         else:
             xs, qs = range(a, xtrunc + 1), range(b, qtrunc + 1)
+        if scales is not None:  # cq[q] = u S_q / (S_{q-b} w), stepped by the ratios S_q / S_{q-1}
+            u, m = c.numerator, scales[b] // c.denominator
+            cq = [0] * b + [u * m]
+            for q in range(b + 1, qtrunc + 1):
+                if ratios[q] != ratios[q - b]:
+                    m = m * ratios[q] // ratios[q - b]
+                cq.append(u * m)
         for x in xs:
             row, src = grid[x], grid[x - a]
-            if c == 1:
+            if scales is not None:
+                for q in qs:
+                    row[q] += cq[q] * src[q - b]
+            elif c == 1:
                 for q in qs:
                     row[q] += src[q - b]
             else:
                 for q in qs:
                     row[q] += c * src[q - b]
+    if scales is not None:
+        from fractions import Fraction
+
+        for row in grid:
+            for q, s in enumerate(scales):
+                if s != 1:
+                    row[q] = _exact(Fraction(row[q], s))
     return grid
 
 

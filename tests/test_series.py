@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import series
+from seqcong import families, series
 from seqcong import (
     BivariateSeries,
     BoundsMismatch,
     DivergentParameters,
     ExtentExceeded,
+    InternalContradiction,
     InvalidExponent,
     NonDistinctA,
     ResourceBound,
@@ -335,9 +336,18 @@ def sparse_fold(factors, xtrunc, qtrunc):
 entries = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5)
 )
+# shared (2, 4, 6, 12), coprime (5, 7, 11), prime powers (8, 9, 25, 27) and
+# 40-digit (10**39 + 7, 3**84) denominators; integral weights among them
+DENOMINATORS = [1, 2, 4, 6, 12, 5, 7, 11, 8, 9, 25, 27, 10**39 + 7, 3**84]
+rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)),
+    st.sampled_from(DENOMINATORS),
+)
 weights = st.one_of(
     st.just(WeightSpec.one()),
     st.lists(entries, max_size=16).map(WeightSpec.from_values),
+    st.lists(rationals, max_size=16).map(WeightSpec.from_values),
     st.lists(st.integers(1, 16), max_size=5).map(WeightSpec.indicator),
 )
 RULES = [NAT, SequenceSpec.odds(), SequenceSpec.ones(), SequenceSpec.constant(2)]
@@ -487,6 +497,99 @@ def test_coprime_denominators_stay_exact():
     assert time.perf_counter() - start < 5
     assert compare(lhs, rhs).equal and lhs == rhs
     assert max(c.denominator.bit_length() for _, c in lhs.items()) > 1000
+
+
+# ---------------------------------------------------------------------------
+# the int-scaled kernel against the sparse fold of Fraction factors
+
+PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+factor_lists = st.lists(
+    st.one_of(
+        st.tuples(rationals, st.integers(0, 3), st.integers(1, 9)),
+        st.tuples(st.integers(-3, 3), st.integers(1, 3), st.just(0)),  # no q, integral
+    ),
+    max_size=8,
+)
+
+
+def geometric(c, a, b, xtrunc, qtrunc):
+    if b:
+        return geometric_factor(c, a, b, xtrunc, qtrunc)
+    return BivariateSeries(xtrunc, qtrunc, {(k * a, 0): c**k for k in range(xtrunc // a + 1)})
+
+
+def cells(grid):
+    return [c for row in grid for c in row]
+
+
+def assert_reduced(grid):
+    # an integral coefficient is an int, any other a Fraction
+    assert all(type(c) is int or c.denominator > 1 for c in cells(grid))
+
+
+@settings(deadline=None)
+@given(factors=factor_lists, xtrunc=st.integers(0, 4), qtrunc=st.integers(0, 14))
+def test_scaled_kernel_matches_sparse_fold(factors, xtrunc, qtrunc):
+    grid = families._dense_product("kernel", len(factors), factors, xtrunc, qtrunc)
+    fold = sparse_fold(
+        (geometric(c, a, b, xtrunc, qtrunc) for c, a, b in factors), xtrunc, qtrunc
+    )
+    assert BivariateSeries._of_rows(grid) == fold
+    assert_reduced(grid)
+
+
+@settings(deadline=None)
+@given(factors=factor_lists, xtrunc=st.integers(0, 4), qtrunc=st.integers(0, 14))
+def test_scaled_linear_kernel_matches_sparse_fold(factors, xtrunc, qtrunc):
+    grid = families._dense_product("kernel", len(factors), factors, xtrunc, qtrunc, linear=True)
+    fold = sparse_fold(
+        (BivariateSeries(xtrunc, qtrunc, {(0, 0): 1, (a, b): c}) for c, a, b in factors),
+        xtrunc, qtrunc,
+    )
+    assert BivariateSeries._of_rows(grid) == fold
+    assert_reduced(grid)
+
+
+@settings(deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(
+            st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(lambda k: Fraction(4 * k, 2))),
+            st.integers(0, 3), st.integers(0, 9),
+        ).filter(lambda f: f[1] or f[2]),
+        max_size=8,
+    ),
+    xtrunc=st.integers(0, 4),
+    qtrunc=st.integers(0, 14),
+    linear=st.booleans(),
+)
+def test_integral_weights_give_int_cells(factors, xtrunc, qtrunc, linear):
+    grid = families._dense_product("kernel", len(factors), factors, xtrunc, qtrunc, linear=linear)
+    assert all(type(c) is int for c in cells(grid))
+
+
+def test_rational_weight_needs_a_q_exponent():
+    with pytest.raises(InternalContradiction):
+        families._dense_product("kernel", 1, [(Fraction(1, 2), 1, 0)], 3, 3)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [Fraction(1, 2**b) for b in range(1, 301)],
+        [Fraction(1, b + 1) for b in range(1, 301)],
+        [Fraction(1, p) for p in PRIMES[:300]],
+    ],
+    ids=["1/2^b", "1/(b+1)", "1/p"],
+)
+def test_rational_product_side_scales_per_coefficient(values):
+    # one global denominator D would carry D^q at q^q: about 180k bits at
+    # q^150 over 150 primes, where the reduced coefficients stay under 3,500
+    f = WeightSpec.from_values(values)
+    start = time.perf_counter()
+    lhs = product_side(f, 300)
+    assert time.perf_counter() - start < 5
+    assert lhs == seqcong_sum_side(f, 300)
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,11 @@ def test_submodules_are_attributes_right_after_import():
 
 # dataclasses (with inspect) costs every process about 14 ms, argparse (with
 # gettext) about 3 ms and building its parser 5 ms more; no subcommand uses
-# them.  sequences is loaded only by the calls that read a sequence.
+# them.  sequences is loaded only by the calls that read a sequence, and
+# maps only by map and orbit.
 WATCHED = (
     "argparse", "dataclasses", "fractions", "gettext", "inspect", "mpmath", "seqcong.families",
-    "seqcong.sequences", "seqcong.series",
+    "seqcong.maps", "seqcong.sequences", "seqcong.series",
 )
 PROBE = (
     "import contextlib, io, json, sys\n"
@@ -113,9 +114,9 @@ SERIES_MODULES = ["fractions", "seqcong.families", "seqcong.sequences", "seqcong
 @pytest.mark.parametrize(
     "argv, rc, loaded",
     [
-        (("map", "pi", "[3,1]"), 0, []),
+        (("map", "pi", "[3,1]"), 0, ["seqcong.maps"]),
         (("check", "seqcong", "[3,1]"), 1, []),
-        (("orbit", "[3,1]"), 0, []),
+        (("orbit", "[3,1]"), 0, ["seqcong.maps"]),
         (("enum", "all:5", "--count-only"), 0, ["seqcong.families", "seqcong.sequences"]),
         (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
         (
@@ -123,7 +124,7 @@ SERIES_MODULES = ["fractions", "seqcong.families", "seqcong.sequences", "seqcong
             ["fractions", "mpmath", "seqcong.families", "seqcong.sequences", "seqcong.series"],
         ),
         (("--help",), 0, []),
-        (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, ["seqcong.sequences"]),
+        (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, ["seqcong.maps", "seqcong.sequences"]),
         (("check", "sna:A=2,3,1", "[9,5,2]"), 0, ["seqcong.sequences"]),
     ],
 )

@@ -128,18 +128,19 @@ Run = tuple[int, int]  # (value, multiplicity)
 Level = Iterator[tuple[Run, Optional[Iterator], bool]]
 
 
-def _walk_runs(n: int, top: Level) -> Iterator[tuple[Run, ...]]:
+def _walk_runs(n: int, top: Level, empty: bool = False) -> Iterator[tuple[Run, ...]]:
     """Members as tuples of runs; for n = 0 the empty partition is the only
-    one.  A member is yielded after its extensions, which are
-    lexicographically larger, so levels that offer larger values first,
-    and more copies of a value before fewer, give the members in strictly
-    decreasing lexicographic order on the parts.  The stack is explicit:
-    a member may have thousands of runs, past Python's recursion limit."""
+    one, and otherwise it comes last when `empty` says it is a member.  A
+    member is yielded after its extensions, which are lexicographically
+    larger, so levels that offer larger values first, and more copies of a
+    value before fewer, give the members in strictly decreasing
+    lexicographic order on the parts.  The stack is explicit: a member may
+    have thousands of runs, past Python's recursion limit."""
     if n == 0:
         yield ()
         return
     runs: list[Run] = []  # the run each open level below the top was opened by
-    stops: list[bool] = []
+    stops = [empty]  # whether the prefix each open level extends is a member
     stack = [top]
     while stack:
         for run, below, stop in stack[-1]:
@@ -150,11 +151,11 @@ def _walk_runs(n: int, top: Level) -> Iterator[tuple[Run, ...]]:
             stops.append(stop)
             stack.append(below)
             break
-        else:  # choices exhausted: close the level and the run that opened it
+        else:  # choices exhausted: close the level and the prefix it extends
             stack.pop()
+            if stops.pop():
+                yield tuple(runs)
             if runs:
-                if stops.pop():
-                    yield tuple(runs)
                 runs.pop()
 
 
@@ -344,10 +345,8 @@ def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
     # place r copies, so only choices that lead to a member are taken and
     # the work before each member is at most one step per pair.
     n = desc.n
-    pairs = sorted(
-        _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None), reverse=True
-    )
-    _require_cells(desc.describe(), len(pairs), n)  # the counter's table, as bits
+    walk = _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None)
+    pairs = sorted(_sized_list(desc.describe(), walk, n), reverse=True)  # the counter's table
     mask = (1 << (n + 1)) - 1
     reach = [0] * len(pairs) + [1]
     for i in range(len(pairs) - 1, -1, -1):
@@ -379,52 +378,33 @@ def iter_pba_by_size(
     max_length: int | None = None,
 ) -> Iterator[Partition]:
     """All members of the (A, B) divisibility family with size <= max_size
-    (and, optionally, length <= max_length), including the empty partition.
+    (and, optionally, length <= max_length), including the empty partition,
+    in strictly decreasing lexicographic order: the empty one comes last.
+    A negative max_size or max_length raises :class:`InvalidPart`.
 
     A part b with A-term a occurs in multiples of a copies, so it only
     contributes when a*b <= max_size; that keeps the candidate value set
     finite for every sequence kind.
     """
-    # Deterministic stream, largest values first: a level is one pair, by
-    # B-value descending, and picks its copies from 0 up; a member is yielded
-    # once every pair has picked, built from the (B-value, copies) runs the
-    # levels chose.  B-values are >= 1, so max_size also bounds the length.
+    # A level takes the next pair, by B-value descending, that gets copies,
+    # and a positive multiple of its A-term copies within both budgets, from
+    # the most down.  Every prefix is a member, and the last pair opens no
+    # level below it.  B-values are >= 1, so max_size also bounds the length.
+    _check_n(max_size, "max_size")
+    if max_length is not None:
+        _check_n(max_length, "max_length")
     pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
-    if not pairs:
-        yield Partition._from_runs(())
-        return
-    runs: list[tuple[int, int]] = []  # the nonempty choices below the top
-    taken: list[int] = []  # copies taken at each level below the top
-    size_left = max_size
-    len_left = max_size if max_length is None else max(max_length, 0)
 
-    def choices(level: int) -> Iterator[int]:
-        b, a = pairs[level]
-        return iter(range(0, min(size_left // b, len_left) + 1, a))
+    def level(k: int, size_left: int, len_left: int) -> Level:
+        for idx in range(k, len(pairs)):
+            (b, a), leaf = pairs[idx], idx + 1 == len(pairs)
+            most = min(size_left // b, len_left)
+            for m in range(most - most % a, 0, -a):
+                below = None if leaf else level(idx + 1, size_left - m * b, len_left - m)
+                yield (b, m), below, True
 
-    stack = [choices(0)]
-    while stack:
-        level = len(stack) - 1
-        b = pairs[level][0]
-        for m in stack[-1]:
-            if level + 1 == len(pairs):
-                yield Partition._from_runs((*runs, (b, m)) if m else tuple(runs))
-                continue
-            if m:
-                runs.append((b, m))
-            size_left -= m * b
-            len_left -= m
-            taken.append(m)
-            stack.append(choices(level + 1))
-            break
-        else:
-            stack.pop()
-            if taken:
-                m = taken.pop()
-                if m:
-                    runs.pop()
-                size_left += m * pairs[len(stack) - 1][0]
-                len_left += m
+    top = level(0, max_size, max_size if max_length is None else max_length)
+    yield from map(Partition._from_runs, _walk_runs(max_size, top, empty=True))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +424,20 @@ def _require_cells(label: str, rows: int, n: int, xtrunc: int = 0) -> None:
             f"{label} needs a table of {cells} cells, more than the cap of "
             f"{DEFAULT_ITEM_CAP}"
         )
+
+
+def _sized_list(label: str, items: Iterable, n: int, xtrunc: int = 0) -> list:
+    """The items as a list, each the cost of one pass over xtrunc + 1 rows
+    of n + 1 cells, refused by :func:`_require_cells` as soon as the next
+    item would pass DEFAULT_ITEM_CAP cells: a table is refused as its items
+    arrive, before the rest are listed or sorted."""
+    _require_cells(label, 1, n, xtrunc)
+    items = iter(items)
+    most = DEFAULT_ITEM_CAP // ((xtrunc + 1) * (n + 1))
+    listed = list(islice(items, most))
+    for _ in items:
+        _require_cells(label, most + 1, n, xtrunc)
+    return listed
 
 
 def _require_members(label: str, counts: Iterable[int]) -> None:
@@ -676,12 +670,8 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
     """Coin change over the A-terms of the same (B-value, A-term) pairs the
     enumerator uses: each B-value takes a multiple of its A-term copies."""
     label, n = desc.describe(), desc.n
-    _require_cells(label, 1, n)
-    coins = []
-    for _, a in _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None):
-        coins.append(a)
-        _require_cells(label, len(coins), n)
-    return _coin_change(label, coins, n)[n]
+    walk = _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None)
+    return _coin_change(label, [a for _, a in _sized_list(label, walk, n)], n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +862,9 @@ def check_quasi_ideal(
     before any is built.  A bound below 0 raises :class:`InvalidPart`."""
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {bound}"
-    pairs = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=bound)
-    _require_members(label, _coin_change(label, [a * b for b, a in pairs], bound))
+    walk = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=bound)
+    products = [a * b for b, a in _sized_list(label, walk, bound)]
+    _require_members(label, _coin_change(label, products, bound))
     for p in iter_pba_by_size(a_seq, b_seq, bound):
         freq = p.frequencies()
         for value in sorted(freq):
@@ -926,12 +917,18 @@ def count_invariance_suite(
     permuting A and by replacing B, and equals the count of partitions of n
     with parts in A.
 
-    `a_prime` defaults to the reversed table of A; `b_prime` defaults to the
-    table 1..extent(B) (or 1..bound for rule B).  A, B and `b_prime` must
-    have distinct terms, otherwise :class:`NonDistinctA` is raised.  The report also records
-    the first n at which the A-permuted family differs as a set, which it
-    must somewhere when the permutation is nontrivial.  A bound below 0
-    raises :class:`InvalidPart`.
+    `a_prime` defaults to the reversed table of A; `b_prime` defaults to
+    the rule naturals, one term per term of B.  A, B and `b_prime` must
+    have distinct terms, otherwise :class:`NonDistinctA` is raised.  The
+    report also records the first n at which the A-permuted family differs
+    as a set, which it must somewhere when the permutation is nontrivial.
+
+    The families with A and with `a_prime` are walked member by member, the
+    independent side of every comparison.  Their members, totalled first by
+    coin change over their pairs' A-terms, raise :class:`ResourceBound`
+    past DEFAULT_ITEM_CAP before any is built.  The counts with `b_prime`,
+    and of the partitions with parts in A, are one coin change each.  A
+    bound below 0 raises :class:`InvalidPart`.
     """
     _check_n(bound, "bound")
     probe = max(bound, a_seq.extent or 0)
@@ -948,44 +945,40 @@ def count_invariance_suite(
                 f"({a_seq.describe()})"
             )
     if b_prime is None:
-        ext = b_seq.extent
-        b_prime = SequenceSpec.table(range(1, max(ext or bound, 1) + 1))
+        b_prime = NATURALS
     for name, seq in (("B", b_seq), ("b_prime", b_prime)):
         if not seq.is_distinct_through(max(bound, seq.extent or 0)):
             raise NonDistinctA(f"{name} ({seq.describe()}) must have distinct terms")
+    label = f"count invariance to size {bound}"
+
+    def coin_counts(terms: Iterable[int]) -> list[int]:
+        return _coin_change(label, _sized_list(label, terms, bound), bound)
+
+    def a_terms(a: SequenceSpec, b: SequenceSpec) -> Iterator[int]:  # of every length <= bound
+        return (t for _, t in _pba_value_pairs(a, b, a_bound=bound, ab_bound=None))
+
+    walked = coin_counts(a_terms(a_seq, b_seq)) + coin_counts(a_terms(a_prime, b_seq))
+    _require_members(label, walked)
+    replaced, expected = coin_counts(a_terms(a_seq, b_prime)), coin_counts(a_seq.values_upto(bound))
 
     counts: list[int] = []
     differs_at: Optional[int] = None
     for n in range(bound + 1):
         base = sorted(p.runs for p in enumerate_family(pba_length(a_seq, b_seq, n)))
-        permuted = sorted(
-            p.runs for p in enumerate_family(pba_length(a_prime, b_seq, n))
-        )
-        replaced = count(pba_length(a_seq, b_prime, n))
-        expected = restricted_count(a_seq, n)
+        permuted = sorted(p.runs for p in enumerate_family(pba_length(a_prime, b_seq, n)))
         counts.append(len(base))
         if len(base) != len(permuted):
-            return InvarianceReport(
-                False,
-                f"n={n}: permuting A changed the count {len(base)} -> {len(permuted)}",
-                differs_at,
-                tuple(counts),
+            failure = f"permuting A changed the count {len(base)} -> {len(permuted)}"
+        elif len(base) != replaced[n]:
+            failure = f"replacing B changed the count {len(base)} -> {replaced[n]}"
+        elif len(base) != expected[n]:
+            failure = (
+                f"family count {len(base)} differs from the {expected[n]} partitions with parts in A"
             )
-        if len(base) != replaced:
-            return InvarianceReport(
-                False,
-                f"n={n}: replacing B changed the count {len(base)} -> {replaced}",
-                differs_at,
-                tuple(counts),
-            )
-        if len(base) != expected:
-            return InvarianceReport(
-                False,
-                f"n={n}: family count {len(base)} differs from the {expected} "
-                "partitions with parts in A",
-                differs_at,
-                tuple(counts),
-            )
+        else:
+            failure = None
+        if failure:
+            return InvarianceReport(False, f"n={n}: {failure}", differs_at, tuple(counts))
         if differs_at is None and base != permuted:
             differs_at = n
     return InvarianceReport(

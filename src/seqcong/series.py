@@ -36,6 +36,7 @@ from .families import (
     _positions,
     _require_cells,
     _require_members,
+    _sized_list,
     _zeros,
     iter_pba_by_size,
     sna_weight_sums,
@@ -345,12 +346,9 @@ def two_var_product_side(
 ) -> BivariateSeries:
     """Product over positions n of 1 / (1 - x^{a_n} q^{a_n b_n}), truncated."""
     label = f"two-variable product side x^{xtrunc} q^{qtrunc}"
-    _require_cells(label, 1, qtrunc, xtrunc)  # before the walk over up to qtrunc positions
-    factors = [
-        (1, a, a * b)
-        for a, b in _positions(a_seq, b_seq, qtrunc, lambda a, b: a * b)
-        if a <= xtrunc and a * b <= qtrunc
-    ]
+    positions = _positions(a_seq, b_seq, qtrunc, lambda a, b: a * b)
+    live = ((1, a, a * b) for a, b in positions if a <= xtrunc and a * b <= qtrunc)
+    factors = _sized_list(label, live, qtrunc, xtrunc)
     return BivariateSeries._of_rows(_dense_product(label, len(factors), factors, xtrunc, qtrunc))
 
 
@@ -365,8 +363,9 @@ def pba_sum_side(
     DEFAULT_ITEM_CAP members raise :class:`ResourceBound` before any is built.
     """
     label = f"pba sum side x^{xtrunc} q^{qtrunc}"
-    _require_cells(label, 1, qtrunc, xtrunc)  # before the walk over up to qtrunc positions
-    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=qtrunc))
+    _require_cells(label, 1, qtrunc, xtrunc)  # the grid of counts
+    walk = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=qtrunc)
+    pairs = _sized_list(label, walk, qtrunc, min(xtrunc, qtrunc))
     sizing = ((1, a, a * b) for b, a in pairs)
     counts = _dense_product(label, len(pairs), sizing, min(xtrunc, qtrunc), qtrunc)
     _require_members(label, map(sum, counts))

@@ -292,6 +292,14 @@ class TestIdeal:
         )
         assert code == 0 and '"sets_differ_at":2' in out
 
+    def test_invariance_replaces_b_past_the_bound(self, capsys):
+        # the default B' is the rule naturals, so A's last terms 2 and 1 keep
+        # a position though the bound is 3
+        code, out, _ = run(
+            capsys, "ideal", "invariance", "--A", "5,4,3,2,1", "--B", "naturals", "--max-size", "3"
+        )
+        assert code == 0 and '"counts":[1,1,2,3]' in out
+
 
 class TestSeries:
     def test_verify_product_sum(self, capsys):
@@ -463,6 +471,21 @@ def test_partitions_of_a_billion_parts_within_a_second(run_limited, argv, rc, ou
          "error: printing 100000000 parts is more than the cap of 10000000\n"),
         (("enum", "sna-lg:A=odds;n=100000001", "--limit", "1"),
          "error: printing 50000001 parts is more than the cap of 10000000\n"),
+        # a P_B(A) or two-variable table is refused as its pairs arrive
+        (("enum", "pba:A=naturals;B=naturals;n=3000000", "--limit", "1"),
+         "error: pba-len:3000000:A=naturals:B=naturals needs a table of 12000004 cells, "
+         "more than the cap of 10000000\n"),
+        (("ideal", "quasi", "--A", "ones", "--B", "naturals", "--max-size", "4000000"),
+         "error: quasi-ideal check to size 4000000 needs a table of 12000003 cells, "
+         "more than the cap of 10000000\n"),
+        (("series", "expand", "pba-sum", "--A", "ones", "--B", "naturals",
+          "--xtrunc", "0", "--qtrunc", "3000000"),
+         "error: pba sum side x^0 q^3000000 needs a table of 12000004 cells, "
+         "more than the cap of 10000000\n"),
+        (("series", "expand", "two-variable", "--A", "ones", "--B", "naturals",
+          "--xtrunc", "1", "--qtrunc", "3000000"),
+         "error: two-variable product side x^1 q^3000000 needs a table of 12000004 cells, "
+         "more than the cap of 10000000\n"),
     ],
 )
 def test_huge_walks_exit_3_within_a_second(run_limited, argv, err):
@@ -470,6 +493,17 @@ def test_huge_walks_exit_3_within_a_second(run_limited, argv, err):
     assert done.returncode == 3, done.stderr
     assert done.stdout == "" and done.stderr == err
     assert elapsed < 1.0
+
+
+def test_invariance_totals_its_walks_first(run_limited):
+    done, elapsed = run_limited("ideal", "invariance", "--A", "1,2", "--B", "naturals",
+                                "--max-size", "1000000")
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == (
+        "error: count invariance to size 1000000 would enumerate 500002000002 members, "
+        "more than the cap of 10000000\n"
+    )
+    assert elapsed < 2.0
 
 
 def test_partition_sum_refusal_names_the_side(capsys):

@@ -273,7 +273,7 @@ def _pba_by_size_reference(a_seq, b_seq, max_size, max_length=None):
             m += a
 
     rec(0, max_size, max_length, [])
-    return out
+    return sorted(out, reverse=True)
 
 
 PBA_SPECS = [
@@ -298,6 +298,34 @@ def test_pba_walks_match_the_recursive_references(a_seq, b_seq):
         for max_length in (None, 0, 3, 6):
             got = [p.parts for p in iter_pba_by_size(a_seq, b_seq, max_size, max_length)]
             assert got == _pba_by_size_reference(a_seq, b_seq, max_size, max_length)
+
+
+def _in_pba(p, a_seq, b_seq):
+    try:
+        return is_member_pba(p, a_seq, b_seq).ok
+    except ExtentExceeded:  # a part whose B-position is past A's table
+        return False
+
+
+@pytest.mark.parametrize("a_seq, b_seq", PBA_SPECS)
+def test_iter_pba_by_size_matches_the_filtered_partitions(a_seq, b_seq):
+    # the oracle shares no walk with the enumerator: every partition of size
+    # <= 16 that is a member, kept under each bound, in descending order
+    members = [p for n in range(17) for p in partitions_of(n) if _in_pba(p, a_seq, b_seq)]
+    for max_size in range(17):
+        for max_length in (None, 0, 3, 6):
+            kept = [
+                p.parts for p in members
+                if p.size <= max_size and (max_length is None or p.length <= max_length)
+            ]
+            got = [p.parts for p in iter_pba_by_size(a_seq, b_seq, max_size, max_length)]
+            assert got == sorted(kept, reverse=True)
+
+
+@pytest.mark.parametrize("max_size, max_length, name", [(-1, None, "max_size"), (3, -2, "max_length")])
+def test_iter_pba_by_size_refuses_a_negative_bound(max_size, max_length, name):
+    with pytest.raises(InvalidPart, match=f"^{name} must be >= 0"):
+        next(iter_pba_by_size(NAT, NAT, max_size, max_length))
 
 
 def test_pba_listing_is_lazy():
@@ -360,6 +388,8 @@ class _WalkStarted(Exception):
         (lambda m: check_ideal_closure(has_distinct_parts, m), "partitions_of", 62),
         # partitions into squares of size <= 290, as for pba_sum_side
         (lambda m: check_quasi_ideal(NAT, NAT, m), "iter_pba_by_size", 290),
+        # both walked families of A = (1, 2) have n // 2 + 1 members of length n
+        (lambda m: count_invariance_suite(SequenceSpec.table([1, 2]), NAT, m), "enumerate_family", 4470),
     ],
 )
 def test_ideal_checks_total_their_members_first(monkeypatch, check, walker, fits):
@@ -495,6 +525,11 @@ class TestCountInvariance:
             self.A, self.B, 8, b_prime=SequenceSpec.table([1, 2])
         )
         assert report.ok
+
+    def test_default_replacement_keeps_every_position_of_a(self):
+        # B' = naturals: a table 1..bound would cut the A-terms 2 and 1 off
+        report = count_invariance_suite(SequenceSpec.table([5, 4, 3, 2, 1]), NAT, 3)
+        assert report.ok and list(report.counts) == [1, 1, 2, 3]
 
     def test_identity_permutation_never_differs(self):
         report = count_invariance_suite(self.A, self.B, 8, a_prime=self.A)

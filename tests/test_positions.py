@@ -2,6 +2,9 @@
 positions of A and B, the (B-value, A-term) pairs taken on top of it, and
 the sequence and bound checks beside them."""
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from seqcong.families import (
 )
 from seqcong.predicates import is_member_pba
 from seqcong.sequences import SequenceSpec
-from seqcong.series import euler_limit_side, two_var_product_side
+from seqcong.series import euler_limit_side, pba_sum_side, two_var_product_side
 
 NAT, ONES, ODDS = SequenceSpec.naturals(), SequenceSpec.ones(), SequenceSpec.odds()
 RULES = [NAT, ONES, ODDS, SequenceSpec.constant(2), SequenceSpec.constant(3)]
@@ -111,7 +114,31 @@ def test_a_repeated_b_value_keeps_its_out_of_bound_first_position():
     assert list(_pba_value_pairs(a, b, a_bound=5, ab_bound=None)) == [(3, 5)]
     assert list(_pba_value_pairs(a, b, a_bound=None, ab_bound=12)) == []
     assert [p.parts for p in iter_pba_by_size(a, b, 12)] == [()]
-    assert [p.parts for p in iter_pba_by_size(a, b, 15)] == [(), (3,) * 5]
+    assert [p.parts for p in iter_pba_by_size(a, b, 15)] == [(3,) * 5, ()]
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: next(enumerate_family(pba_length(NAT, NAT, 10**6))),
+        lambda: check_quasi_ideal(ONES, NAT, 10**6),
+        lambda: pba_sum_side(ONES, NAT, 0, 10**6),
+        lambda: two_var_product_side(ONES, NAT, 1, 10**6),
+    ],
+)
+def test_a_pair_table_is_refused_as_its_pairs_arrive(refused):
+    # about ten pairs of 10**6 cells each pass the cap; no caller lists,
+    # sorts or walks the million positions within the bound first
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ResourceBound, match="cells, more than the cap of 10000000$"):
+            refused()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 5 * 2**20
 
 
 def test_a_rule_b_with_one_value_stops_after_one_position():

@@ -1,10 +1,12 @@
 """The base of the package's immutable records (reports, specs, traces).
 
-A record names its fields in ``_fields`` and sets them once, in its own
-``__init__``, through ``object.__setattr__``.  Equality holds only between
+A record names its fields once, in ``_fields``, with the number of leading
+ones that have no default in ``_required``; the rest default to None.  One
+``__init__`` binds them by position, then by keyword, and raises
+:class:`TypeError` where a dataclass would.  Equality holds only between
 records of the same class with equal fields; the hash is the hash of the
-field tuple; the repr is ``Cls(name=value, ...)``.  Assigning or deleting an
-attribute raises :class:`AttributeError`.  Copies and pickles rebuild a
+field tuple; the repr is ``Cls(name=value, ...)``.  Assigning or deleting
+an attribute raises :class:`AttributeError`.  Copies and pickles rebuild a
 record from its fields through ``__init__``.
 """
 
@@ -14,6 +16,28 @@ from __future__ import annotations
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _required = 0  # the leading fields without a default
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for i in range(len(args), len(fields)):
+            name = fields[i]
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs.pop(name))
+            elif i < self._required:
+                raise TypeError(f"{type(self).__qualname__}() missing required argument {name!r}")
+            else:
+                object.__setattr__(self, name, None)
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{type(self).__qualname__}() got {problem} argument {name!r}")
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -45,7 +45,8 @@ Membership = Callable[[Partition], bool]  # or a check: a ViolationReport is tru
 
 
 class FamilyDescriptor(Value):
-    """A named finite family of partitions.
+    """A named finite family of partitions: `kind` and `n`, required, and
+    `part_set`, `a_seq` and `b_seq`, None unless the kind reads them.
 
     kinds: ``all`` (size n), ``parts-in`` (size n, parts from a set),
     ``distinct`` (size n), ``seqcong-lg`` (largest part n), ``pba-len``
@@ -54,20 +55,7 @@ class FamilyDescriptor(Value):
     """
 
     __slots__ = _fields = __match_args__ = ("kind", "n", "part_set", "a_seq", "b_seq")
-
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        part_set: tuple[int, ...] | None = None,
-        a_seq: SequenceSpec | None = None,
-        b_seq: SequenceSpec | None = None,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "part_set", part_set)
-        object.__setattr__(self, "a_seq", a_seq)
-        object.__setattr__(self, "b_seq", b_seq)
+    _required = 2
 
     def describe(self) -> str:
         bits = [self.kind, str(self.n)]
@@ -384,7 +372,8 @@ def iter_pba_by_size(
 
     A part b with A-term a occurs in multiples of a copies, so it only
     contributes when a*b <= max_size; that keeps the candidate value set
-    finite for every sequence kind.
+    finite for every sequence kind.  The pairs are sized as they arrive
+    (:func:`_sized_list`), each one pass over max_size + 1 cells.
     """
     # A level takes the next pair, by B-value descending, that gets copies,
     # and a positive multiple of its A-term copies within both budgets, from
@@ -393,7 +382,8 @@ def iter_pba_by_size(
     _check_n(max_size, "max_size")
     if max_length is not None:
         _check_n(max_length, "max_length")
-    pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
+    walk = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size)
+    pairs = sorted(_sized_list(f"P_B(A) members to size {max_size}", walk, max_size), reverse=True)
 
     def level(k: int, size_left: int, len_left: int) -> Level:
         for idx in range(k, len(pairs)):
@@ -583,6 +573,18 @@ def _scales(label: str, live: list[tuple], qtrunc: int) -> tuple[Optional[list],
     return scales, ratios
 
 
+def _multipliers(c, b: int, scales: list, ratios: list, qtrunc: int) -> list[int]:
+    """cq[q] = u S_q / (S_{q-b} w) for q >= b (0 below), the weight c = u / w
+    at q-exponent b, stepped by the ratios S_q / S_{q-1} of :func:`_scales`."""
+    u, m = c.numerator, scales[b] // c.denominator
+    cq = [0] * b + [u * m]
+    for q in range(b + 1, qtrunc + 1):
+        if ratios[q] != ratios[q - b]:
+            m = m * ratios[q] // ratios[q - b]
+        cq.append(u * m)
+    return cq
+
+
 def _dense_product(
     label: str, nfactors: int, factors: Iterable[tuple], xtrunc: int, qtrunc: int, *,
     linear: bool = False,
@@ -624,13 +626,8 @@ def _dense_product(
             xs, qs = range(xtrunc, a - 1, -1), range(qtrunc, b - 1, -1)
         else:
             xs, qs = range(a, xtrunc + 1), range(b, qtrunc + 1)
-        if scales is not None:  # cq[q] = u S_q / (S_{q-b} w), stepped by the ratios S_q / S_{q-1}
-            u, m = c.numerator, scales[b] // c.denominator
-            cq = [0] * b + [u * m]
-            for q in range(b + 1, qtrunc + 1):
-                if ratios[q] != ratios[q - b]:
-                    m = m * ratios[q] // ratios[q - b]
-                cq.append(u * m)
+        if scales is not None:
+            cq = _multipliers(c, b, scales, ratios, qtrunc)
         for x in xs:
             row, src = grid[x], grid[x - a]
             if scales is not None:
@@ -773,21 +770,13 @@ def counts_by_size(membership: Membership, bound: int) -> list[int]:
 
 
 class EquivalenceReport(Value):
+    """`equivalent`, the `first_difference` size (None if none) and the counts
+    by size, `counts_first` and `counts_second`; no field has a default."""
+
     __slots__ = _fields = __match_args__ = (
         "equivalent", "first_difference", "counts_first", "counts_second",
     )
-
-    def __init__(
-        self,
-        equivalent: bool,
-        first_difference: Optional[int],
-        counts_first: tuple[int, ...],
-        counts_second: tuple[int, ...],
-    ):
-        object.__setattr__(self, "equivalent", equivalent)
-        object.__setattr__(self, "first_difference", first_difference)
-        object.__setattr__(self, "counts_first", counts_first)
-        object.__setattr__(self, "counts_second", counts_second)
+    _required = 4
 
 
 def ideal_equivalent_upto(
@@ -895,15 +884,12 @@ def restricted_count(a_seq: SequenceSpec, n: int) -> int:
 
 
 class InvarianceReport(Value):
-    __slots__ = _fields = __match_args__ = ("ok", "detail", "sets_differ_at", "counts")
+    """`ok`, a `detail`, the first size `sets_differ_at` at which permuting A
+    changes the family as a set (None if none) and the `counts` by size; no
+    field has a default."""
 
-    def __init__(
-        self, ok: bool, detail: str, sets_differ_at: Optional[int], counts: tuple[int, ...]
-    ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "sets_differ_at", sets_differ_at)
-        object.__setattr__(self, "counts", counts)
+    __slots__ = _fields = __match_args__ = ("ok", "detail", "sets_differ_at", "counts")
+    _required = 4
 
 
 def count_invariance_suite(

@@ -9,7 +9,6 @@ from typing import TYPE_CHECKING
 
 from ._values import Value
 from .errors import (
-    ExtentExceeded,
     InternalContradiction,
     NonDistinctA,
     NotMemberPBA,
@@ -122,15 +121,12 @@ class OrbitTrace(Value):
 
     `states` alternates between the plain-partition side and the
     sequentially congruent side; `cycle_length` counts full round trips
-    (always 1 or 2).
+    (always 1 or 2); `closed` says the trace returned to its start.  All
+    three fields are required.
     """
 
     __slots__ = _fields = __match_args__ = ("states", "cycle_length", "closed")
-
-    def __init__(self, states: tuple[Partition, ...], cycle_length: int, closed: bool):
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "cycle_length", cycle_length)
-        object.__setattr__(self, "closed", closed)
+    _required = 3
 
 
 def orbit(start: Partition, side: str = "P") -> OrbitTrace:

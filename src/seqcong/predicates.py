@@ -10,7 +10,7 @@ the index reported is the one the definition numbers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ._values import Value
 from .errors import ExtentExceeded
@@ -21,25 +21,27 @@ if TYPE_CHECKING:
 
 
 class ViolationReport(Value):
-    """Outcome of a membership test; `index` pins the first failure."""
+    """Outcome of a membership test: `ok`, the `index` that pins the first
+    failure (None when none does) and a `detail` text; all three required."""
 
     __slots__ = _fields = __match_args__ = ("ok", "index", "detail")
-
-    def __init__(self, ok: bool, index: Optional[int], detail: str):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "detail", detail)
+    _required = 3
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _passed(detail: str) -> ViolationReport:
-    return ViolationReport(True, None, detail)
-
-
 def _failed(index: int, detail: str) -> ViolationReport:
     return ViolationReport(False, index, detail)
+
+
+# each predicate's passing report, built once and shared, as records are
+# immutable; a failing one carries the input's detail
+_SEQCONG_OK = ViolationReport(True, None, "all sequential congruences hold")
+_FREQCONG_OK = ViolationReport(True, None, "every part divides its multiplicity")
+_PBA_OK = ViolationReport(True, None, "all multiplicities divisible as required")
+_SNA_OK = ViolationReport(True, None, "all congruences modulo A hold")
+_STEP_OK = ViolationReport(True, None, "all steps are 0 or the index")
 
 
 def is_sequentially_congruent(lam: Partition) -> ViolationReport:
@@ -54,7 +56,7 @@ def is_sequentially_congruent(lam: Partition) -> ViolationReport:
             if not b:
                 return _failed(i, f"smallest part {a} is not congruent to 0 modulo {i}")
             return _failed(i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {i}")
-    return _passed("all sequential congruences hold")
+    return _SEQCONG_OK
 
 
 def is_frequency_congruent(lam: Partition) -> ViolationReport:
@@ -65,21 +67,25 @@ def is_frequency_congruent(lam: Partition) -> ViolationReport:
                 part,
                 f"part {part} has multiplicity {mult}, not divisible by {part}",
             )
-    return _passed("every part divides its multiplicity")
+    return _FREQCONG_OK
 
 
 def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> ViolationReport:
     """Parts drawn from the terms of B, with the multiplicity of the i-th
     B-term divisible by the i-th A-term.
 
-    A part that B provably lacks is a membership failure; an A lookup past
-    an explicit table raises :class:`ExtentExceeded`.  With A = B = naturals
-    this reduces exactly to :func:`is_frequency_congruent`.
+    As in every P_B(A) walker, the parts are the B-terms whose first position
+    has an A-term: a part that B lacks, or whose first B-position lies past a
+    table A, fails at that part.  With A = B = naturals this reduces exactly
+    to :func:`is_frequency_congruent`.
     """
+    ext = a_seq.extent
     for part, mult in reversed(lam.runs):  # smallest part first
         pos = b_seq.index_of(part)
         if pos is None:
             return _failed(part, f"part {part} is not a term of B ({b_seq.describe()})")
+        if ext is not None and pos > ext:
+            return _failed(part, f"part {part} is at B position {pos}, past the {ext} terms of A")
         a = a_seq.at(pos)
         if mult % a:
             return _failed(
@@ -87,7 +93,7 @@ def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> V
                 f"multiplicity {mult} of part {part} is not divisible by "
                 f"{a} (A term at position {pos})",
             )
-    return _passed("all multiplicities divisible as required")
+    return _PBA_OK
 
 
 def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
@@ -106,7 +112,7 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
             return _failed(
                 i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {m}"
             )
-    return _passed("all congruences modulo A hold")
+    return _SNA_OK
 
 
 def has_distinct_parts(lam: Partition) -> bool:
@@ -123,7 +129,7 @@ def is_step_bounded_seqcong(lam: Partition) -> ViolationReport:
         step = a - b
         if step != i:
             return _failed(i, f"step {step} at index {i} is neither 0 nor {i}")
-    return _passed("all steps are 0 or the index")
+    return _STEP_OK
 
 
 def is_self_conjugate(lam: Partition) -> bool:

@@ -22,16 +22,18 @@ _PROGRESSIONS = {"naturals": (1, 1), "odds": (1, 2), "ones": (1, 0)}
 
 
 class SequenceSpec(Value):
-    # _first and _step hold a rule's (a_1, step), looked up once in
-    # __init__, so that a lookup reads them without a call
+    """A sequence: `kind`, required, and the table's `terms` and the
+    constant's `k`, None unless the kind reads them.  The slots `_first` and
+    `_step` hold a rule's (a_1, step), looked up once in __init__, so that a
+    lookup reads them without a call."""
+
     __slots__ = ("kind", "terms", "k", "_first", "_step")
     _fields = __match_args__ = ("kind", "terms", "k")
+    _required = 1
 
-    def __init__(self, kind: str, terms: tuple[int, ...] | None = None, k: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "k", k)
-        first, step = _PROGRESSIONS.get(kind, (k, 0))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        first, step = _PROGRESSIONS.get(self.kind, (self.k, 0))
         object.__setattr__(self, "_first", first)
         object.__setattr__(self, "_step", step)
 

@@ -13,10 +13,10 @@ truncation depth instead of asserting agreement.
 from __future__ import annotations
 
 from fractions import Fraction
-import math
+from itertools import accumulate
 import operator
 import random
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from ._values import Value
 from .errors import (
@@ -31,11 +31,13 @@ from .families import (
     _coin_change,
     _dense_product,
     _exact,
+    _multipliers,
     _pba_value_pairs,
     _pentagonal_counts,
     _positions,
     _require_cells,
     _require_members,
+    _scales,
     _sized_list,
     _zeros,
     iter_pba_by_size,
@@ -43,9 +45,6 @@ from .families import (
     step_bounded_counts,
 )
 from .sequences import NATURALS, SequenceSpec
-
-if TYPE_CHECKING:
-    import mpmath  # imported by partition_zeta, the one function that evaluates
 
 
 class BivariateSeries:
@@ -144,7 +143,9 @@ class BivariateSeries:
 
 
 class WeightSpec(Value):
-    """Exact rational weight function on positive integers.
+    """Exact rational weight function on positive integers: `kind`, required,
+    and `table`, `members`, `seed`, `extent` and `span`, None unless the kind
+    reads them.
 
     kinds: ``one`` (constant 1), ``table`` (explicit values for 1..extent,
     hard error beyond), ``random`` (a seeded table, drawn on first lookup),
@@ -153,22 +154,10 @@ class WeightSpec(Value):
 
     _fields = __match_args__ = ("kind", "table", "members", "seed", "extent", "span")
     __slots__ = _fields + ("_drawn",)  # _drawn caches the random table, not a field
+    _required = 1
 
-    def __init__(
-        self,
-        kind: str,
-        table: tuple[Fraction, ...] | None = None,
-        members: frozenset[int] | None = None,
-        seed: int | None = None,
-        extent: int | None = None,
-        span: int | None = None,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "span", span)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "_drawn", None)
 
     @classmethod
@@ -256,11 +245,12 @@ def geometric_factor(
 def _size_totals(values: list[int], factors: list[list], bound: int, one) -> tuple[list, int]:
     """Totals by size, 0 to bound, of the weights of the partitions of size
     <= bound into parts among `values` (ascending), and how many there
-    are.  ``factors[k][m]`` weighs a run of m copies of ``values[k]``; a
-    partition weighs the product of its runs, the empty one `one`.  Each
-    node of the walk is a member, and a child adds one run of a value below
-    the node's smallest part: its weight is the node's times one factor,
-    added to the total for its size.  One step per member."""
+    are.  ``factors[size][k][m]`` weighs a run of m copies of ``values[k]``
+    grown from a node of that size; a partition weighs the product of its
+    runs, the empty one `one`.  Each node of the walk is a member, and a
+    child adds one run of a value below the node's smallest part: its
+    weight is the node's times one factor, added to the total for its size.
+    One step per member."""
     totals = [0] * (bound + 1)
     totals[0] = one
     members = 1
@@ -268,12 +258,12 @@ def _size_totals(values: list[int], factors: list[list], bound: int, one) -> tup
     stack = [(one, 0, len(values))]  # (weight, size, values allowed below it)
     while stack:
         w, size, k = stack.pop()
-        rem = bound - size
+        rem, row = bound - size, factors[size]
         for j in range(k):
             v = values[j]
             if v > rem:
                 break
-            runs, s = factors[j], size
+            runs, s = row[j], size
             for m in range(1, rem // v + 1):
                 s += v
                 c = w * runs[m]
@@ -307,22 +297,31 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     raises :class:`ExtentExceeded` at its extent + 1), and one walk over all
     sizes carries each weight down from the parent, one factor per run.
     """
-    # In integers: with L the lcm of the denominators, a run of m copies of
-    # v weighs (f(v) L^v)^m, so a partition of size n weighs L^n times its
-    # weight, and each size's total is divided by L^n once.  Parts of
-    # weight 0 are left out, as every partition holding one adds 0.
+    # In integers, on the product kernel's scales S_n: a node of size n
+    # holds S_n times its weight, and a run of m copies of v grown from it
+    # multiplies by cq[n + v] ... cq[n + m v], cq[q] = S_q f(v) / S_{q-v},
+    # kept as prefix products per size; each total is divided by S_n once.
+    # Parts of weight 0 are left out, as every partition holding one adds 0.
     label = f"partition sum side q^{qtrunc}"
     _require_cells(label, 1, qtrunc)  # a negative qtrunc raises InvalidExponent
     _require_members(label, _pentagonal_counts(label, qtrunc))
-    weights = [Fraction(f.value(v)) for v in range(1, qtrunc + 1)]
-    scale = math.lcm(*(w.denominator for w in weights))
-    values = [v for v, w in enumerate(weights, start=1) if w]
-    factors = []
-    for v in values:
-        c = weights[v - 1].numerator * (scale**v // weights[v - 1].denominator)
-        factors.append([c**m for m in range(qtrunc // v + 1)])
+    weights = [_exact(Fraction(f.value(v))) for v in range(1, qtrunc + 1)]
+    live = [(w, 0, v) for v, w in enumerate(weights, start=1) if w]
+    scales, ratios = _scales(label, live, qtrunc)
+    values, mul = [v for _, _, v in live], operator.mul
+    if scales is None:  # integral weights: m copies weigh c^m from any size
+        factors = [[list(accumulate([c] * (qtrunc // v), mul, initial=1)) for c, _, v in live]]
+        factors *= qtrunc + 1
+    else:
+        cqs = [_multipliers(c, v, scales, ratios, qtrunc) for c, _, v in live]
+        factors = [
+            [list(accumulate(cq[n + v :: v], mul, initial=1)) for cq, v in zip(cqs, values)]
+            for n in range(qtrunc + 1)
+        ]
     totals, _ = _size_totals(values, factors, qtrunc, 1)
-    return BivariateSeries._of_rows([[Fraction(c, scale**n) for n, c in enumerate(totals)]])
+    if scales is not None:
+        totals = [_exact(Fraction(t, s)) for t, s in zip(totals, scales)]
+    return BivariateSeries._of_rows([totals])
 
 
 def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -407,26 +406,14 @@ def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
 
 
 class SeriesComparison(Value):
-    """Outcome of a coefficientwise comparison; on inequality the fields
-    name the first differing exponent pair and both values."""
+    """Outcome of a coefficientwise comparison: `equal`, required; on
+    inequality the first differing `x_exponent` and `q_exponent` and both
+    values, `lhs_coefficient` and `rhs_coefficient`, else those four None."""
 
     __slots__ = _fields = __match_args__ = (
         "equal", "x_exponent", "q_exponent", "lhs_coefficient", "rhs_coefficient",
     )
-
-    def __init__(
-        self,
-        equal: bool,
-        x_exponent: Optional[int] = None,
-        q_exponent: Optional[int] = None,
-        lhs_coefficient: Optional[Fraction] = None,
-        rhs_coefficient: Optional[Fraction] = None,
-    ):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "x_exponent", x_exponent)
-        object.__setattr__(self, "q_exponent", q_exponent)
-        object.__setattr__(self, "lhs_coefficient", lhs_coefficient)
-        object.__setattr__(self, "rhs_coefficient", rhs_coefficient)
+    _required = 1
 
 
 def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
@@ -441,16 +428,12 @@ def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
 
 
 class ZetaEvaluation(Value):
-    """Both sides of the restricted-partition zeta identity, as high
-    precision reals, with the truncation depth that produced the sum."""
+    """Both sides of the restricted-partition zeta identity, `sum_side` and
+    `product_side`, as high precision reals, with the `qdepth` that produced
+    the sum and its `terms`; no field has a default."""
 
     __slots__ = _fields = __match_args__ = ("sum_side", "product_side", "qdepth", "terms")
-
-    def __init__(self, sum_side: mpmath.mpf, product_side: mpmath.mpf, qdepth: int, terms: int):
-        object.__setattr__(self, "sum_side", sum_side)
-        object.__setattr__(self, "product_side", product_side)
-        object.__setattr__(self, "qdepth", qdepth)
-        object.__setattr__(self, "terms", terms)
+    _required = 4
 
 
 MAX_DPS = 10**4  # the most decimal digits of working precision partition_zeta accepts
@@ -497,10 +480,11 @@ def partition_zeta(
             prod /= 1 - mpmath.power(t, -s_mp)
         # a term is its parent's times t^(-s m) for its last run, m copies
         # of t: rounded once per distinct part, however deep the walk goes
-        factors = [
+        runs = [
             [None] + [mpmath.power(t, -s_mp * m) for m in range(1, qdepth // t + 1)]
             for t in values
         ]
+        factors = [runs] * (qdepth + 1)
         totals, terms = _size_totals(values, factors, qdepth, mpmath.mpf(1))
         total = sum(filter(None, totals), mpmath.mpf(0))  # skip the sizes no partition has
     return ZetaEvaluation(total, prod, qdepth, terms)

@@ -58,6 +58,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "pba:A=2,3;B=5,7", "[7,7,7,5]")
         assert code == 1 and '"index":5' in out
 
+    def test_pba_part_past_the_a_table_fails(self, capsys):
+        code, out, err = run(capsys, "check", "pba:A=1,2,3,5,7,11;B=naturals", "[7]")
+        assert (code, err) == (1, "")
+        assert out == (
+            '{"ok":false,"index":7,"detail":"part 7 is at B position 7, past the 6 terms of A"}\n'
+        )
+
     def test_sna_family(self, capsys):
         code, _, _ = run(capsys, "check", "sna:A=2,3,1", "[9,5,2]")
         assert code == 0

@@ -286,6 +286,8 @@ PBA_SPECS = [
     (SequenceSpec.table([3, 1, 2]), SequenceSpec.table([4, 2, 9])),
     (NAT, SequenceSpec.table([2, 2, 3])),  # a repeated B-value keeps its first position
     (SequenceSpec.ones(), SequenceSpec.table([5, 3, 2])),  # single copies above the last pair
+    (SequenceSpec.table([2]), NAT),  # tables A shorter than B: parts past them are no members
+    (SequenceSpec.table([3, 1]), NAT),
 ]
 
 
@@ -300,18 +302,11 @@ def test_pba_walks_match_the_recursive_references(a_seq, b_seq):
             assert got == _pba_by_size_reference(a_seq, b_seq, max_size, max_length)
 
 
-def _in_pba(p, a_seq, b_seq):
-    try:
-        return is_member_pba(p, a_seq, b_seq).ok
-    except ExtentExceeded:  # a part whose B-position is past A's table
-        return False
-
-
 @pytest.mark.parametrize("a_seq, b_seq", PBA_SPECS)
 def test_iter_pba_by_size_matches_the_filtered_partitions(a_seq, b_seq):
     # the oracle shares no walk with the enumerator: every partition of size
     # <= 16 that is a member, kept under each bound, in descending order
-    members = [p for n in range(17) for p in partitions_of(n) if _in_pba(p, a_seq, b_seq)]
+    members = [p for n in range(17) for p in partitions_of(n) if is_member_pba(p, a_seq, b_seq).ok]
     for max_size in range(17):
         for max_length in (None, 0, 3, 6):
             kept = [

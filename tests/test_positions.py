@@ -124,6 +124,7 @@ def test_a_repeated_b_value_keeps_its_out_of_bound_first_position():
         lambda: check_quasi_ideal(ONES, NAT, 10**6),
         lambda: pba_sum_side(ONES, NAT, 0, 10**6),
         lambda: two_var_product_side(ONES, NAT, 1, 10**6),
+        lambda: next(iter_pba_by_size(ONES, NAT, 10**6)),
     ],
 )
 def test_a_pair_table_is_refused_as_its_pairs_arrive(refused):

@@ -80,9 +80,10 @@ class TestMemberPBA:
         report = is_member_pba(Partition((9,)), self.A, self.B)
         assert not report.ok and report.index == 9
 
-    def test_a_lookup_beyond_table_raises(self):
-        with pytest.raises(ExtentExceeded):
-            is_member_pba(Partition((4,)), self.A, SequenceSpec.naturals())
+    def test_a_part_past_the_a_table_fails(self):
+        report = is_member_pba(Partition((4,)), self.A, SequenceSpec.naturals())
+        assert not report.ok and report.index == 4
+        assert report.detail == "part 4 is at B position 4, past the 2 terms of A"
 
     def test_naturals_reduce_to_frequency_congruence(self):
         for lam in partitions_upto(18):

@@ -124,6 +124,9 @@ def ref_pba(t, a_seq, b_seq):
         pos = b_seq.index_of(part)
         if pos is None:
             return ViolationReport(False, part, f"part {part} is not a term of B ({b_seq.describe()})")
+        ext = a_seq.extent
+        if ext is not None and pos > ext:
+            return ViolationReport(False, part, f"part {part} is at B position {pos}, past the {ext} terms of A")
         a = a_seq.at(pos)
         if freq[part] % a:
             return ViolationReport(

@@ -369,6 +369,15 @@ def test_product_side_matches_sparse_fold(f, qtrunc):
 
 
 @settings(deadline=None)
+@given(f=weights, qtrunc=st.integers(-1, 14))
+def test_partition_sum_side_matches_product_side(f, qtrunc):
+    # the walk on the kernel's scales S_q against the kernel itself, which
+    # the test above holds to the sparse fold
+    expected = outcome(lambda: product_side(f, qtrunc))
+    assert outcome(lambda: partition_sum_side(f, qtrunc)) == expected
+
+
+@settings(deadline=None)
 @given(qtrunc=st.integers(0, 40))
 def test_distinct_product_side_is_a_knapsack(qtrunc):
     ways = [1] + [0] * qtrunc  # 0/1 knapsack over the parts 1..qtrunc
@@ -590,6 +599,16 @@ def test_rational_product_side_scales_per_coefficient(values):
     lhs = product_side(f, 300)
     assert time.perf_counter() - start < 5
     assert lhs == seqcong_sum_side(f, 300)
+
+
+def test_partition_sum_side_scales_per_size():
+    # one common denominator L for all 45 weights, carried as L^n by a node
+    # of size n, takes about 10 s here
+    f = WeightSpec.from_values(Fraction(1, p) for p in PRIMES[:45])
+    start = time.perf_counter()
+    lhs = partition_sum_side(f, 45)
+    assert time.perf_counter() - start < 2
+    assert lhs == product_side(f, 45)
 
 
 # ---------------------------------------------------------------------------

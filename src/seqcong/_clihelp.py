@@ -46,7 +46,6 @@ _ARGS = {
     "--T": "comma-separated part set, all >= 2",
     "--s": "rational exponent > 1, e.g. 2 or 5/2",
     "--depth": "the highest power of q summed",
-    "--dps": "decimal digits of working precision",
 }
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
@@ -66,8 +66,8 @@ def _record_json(record: Value) -> str:
 _CHUNK_CHARS = 1 << 16
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line and a newline to stdout, as print would, in writes of
+def _write_lines(lines: Iterable[str], end: str = "\n") -> None:
+    """Write each line and `end` to stdout, as print would, in writes of
     about _CHUNK_CHARS characters.  A chunk is written as soon as it reaches
     that size, so at most one chunk and one line are held however long the
     lines are.  The lines taken before `lines` raises are written before the
@@ -77,18 +77,18 @@ def _write_lines(lines: Iterable[str]) -> None:
     try:
         for line in lines:
             pending.append(line)
-            size += len(line) + 1
+            size += len(line) + len(end)
             if size >= _CHUNK_CHARS:
-                _write_chunk(pending)
+                _write_chunk(pending, end)
                 size = 0
     finally:
-        _write_chunk(pending)
+        _write_chunk(pending, end)
 
 
-def _write_chunk(pending: list[str]) -> None:
+def _write_chunk(pending: list[str], end: str) -> None:
     if pending:
         pending.append("")
-        text = "\n".join(pending)
+        text = end.join(pending)
         pending.clear()
         sys.stdout.write(text)
 
@@ -263,7 +263,7 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
     raise ParseError(f"unknown weight spec {text!r}")
 
 
-def _int_at_least(low: float = float("-inf"), why: str = ""):
+def _int_at_least(low: float = float("-inf")):
     """An int option's converter: a value below `low` is a usage error."""
 
     def parse(text: str) -> int:
@@ -272,25 +272,30 @@ def _int_at_least(low: float = float("-inf"), why: str = ""):
         except ValueError:
             raise ParseError(f"invalid int value: {text!r}")
         if value < low:
-            raise ParseError(f"must be >= {low}{why}, got {value}")
+            raise ParseError(f"must be >= {low}, got {value}")
         return value
 
     return parse
 
 
-# zeta prints _ZETA_PLACES decimal places.  A sum of up to 10**7 terms (the
-# item cap), each rounded once, can lose about seven of the working digits,
-# so --dps must cover the places, the digits before the point and eight more.
+# zeta prints _ZETA_PLACES decimal places from partition_zeta's 30 working
+# digits.  A sum of up to 10**7 terms (the item cap), each rounded once, can
+# lose about seven of them, which leaves eleven for the digits before the
+# point.  The sum never exceeds the product over T of 1 / (1 - t^-s), and
+# for distinct t >= 2 and s > 1 that is below the product over t = 2..|T|+1
+# of t / (t - 1) = |T| + 1: eleven digits cover every T of fewer than 10**11
+# terms, far more than a command line holds.
 _ZETA_PLACES = 12
-_ZETA_MIN_DPS = _ZETA_PLACES + 8  # for a value below 10
 
 
 def _format_fixed(value, places: int = _ZETA_PLACES) -> str:
-    import mpmath
+    from fractions import Fraction
 
-    scaled = int(mpmath.nint(value * mpmath.mpf(10) ** places))
-    sign = "-" if scaled < 0 else ""
-    ip, fp = divmod(abs(scaled), 10**places)
+    # rounded exactly: at mpmath's default 53 bits a value above 9000 lost places
+    man, exp = value.man_exp  # |value| = man * 2**exp
+    scaled = round(Fraction(man * 10**places) * Fraction(2) ** exp)
+    sign = "-" if scaled and value < 0 else ""
+    ip, fp = divmod(scaled, 10**places)
     return f"{sign}{ip}.{fp:0{places}d}"
 
 
@@ -391,10 +396,11 @@ def _cmd_enum(args) -> int:
     stream = families.enumerate_family(desc, max_items=args.max_items)
     if args.limit is not None:
         stream = islice(stream, args.limit)
-    if args.json:
-        print("[" + ",".join([_partition_json(p) for p in stream]) + "]")
-        return 0
-    _write_lines(map(_partition_json, stream))
+    texts = map(_partition_json, stream)
+    if args.json:  # one array, in chunks too: an error part way leaves it as far as it got
+        items = ("," + text if i else text for i, text in enumerate(texts))
+        texts = chain(("[",), items, ("]\n",))
+    _write_lines(texts, end="" if args.json else "\n")
     return 0
 
 
@@ -494,12 +500,7 @@ def _cmd_zeta(args) -> int:
         s = Fraction(args.s)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad zeta parameters: {e}")
-    result = series.partition_zeta(part_set, s, args.depth, dps=args.dps)
-    whole = int(result.product_side)  # the sum never exceeds the product
-    need = _ZETA_MIN_DPS + len(str(whole)) - 1
-    if args.dps < need:
-        raise ParseError(f"--dps {args.dps} is too small for {_ZETA_PLACES} correct places of a "
-                         f"value above {whole}; use --dps {need} or more")
+    result = series.partition_zeta(part_set, s, args.depth)
     print(f"sum_side {_format_fixed(result.sum_side)}")
     print(f"product_side {_format_fixed(result.product_side)}")
     print(f"depth {result.qdepth} terms {result.terms}")
@@ -516,7 +517,6 @@ def _cmd_zeta(args) -> int:
 # handler reads each as args.<name>, with - read as _.
 _INT, _TEXT, _FLAG = (_int_at_least(), None, False), (str, None, False), (None, False, False)
 _NEED, _NEED_INT, _COUNT = (str, None, True), (_int_at_least(), None, True), (_int_at_least(0), None, False)
-_DPS = (_int_at_least(_ZETA_MIN_DPS, f" for {_ZETA_PLACES} correct places"), 30, False)
 _SIZE = {"max-size": (_int_at_least(0), None, True)}
 _AB = {"A": _NEED, "B": _NEED}
 _TERMS = {"qtrunc": _INT, "xtrunc": _INT, "f": (str, "one", False), "A": _TEXT, "B": _TEXT}
@@ -536,7 +536,7 @@ _COMMANDS = {
         "verify": (_cmd_series_verify, {"identity": tuple(_IDENTITIES)}, {**_TERMS, "qtrunc": _NEED_INT}),
         "expand": (_cmd_series_expand, {"side": tuple(_SIDES)}, {**_TERMS, "json": _FLAG}),
     },
-    "zeta": (_cmd_zeta, {}, {"T": _NEED, "s": _NEED, "depth": _NEED_INT, "dps": _DPS}),
+    "zeta": (_cmd_zeta, {}, {"T": _NEED, "s": _NEED, "depth": _NEED_INT}),
 }
 
 

@@ -299,30 +299,32 @@ def _positions(
 
 
 def _pba_value_pairs(
-    a_seq: SequenceSpec, b_seq: SequenceSpec, *, a_bound: int | None, ab_bound: int | None
-) -> Iterator[tuple[int, int]]:
+    a_seq: SequenceSpec, b_seq: SequenceSpec, bound: int, weight: Callable[[int, int], int], label: str
+) -> list[tuple[int, int]]:
     """Distinct B-values paired with the A-term at their first position,
-    for the first positions within the bound: an A-term <= a_bound, or a
-    product a*b <= ab_bound (give one of the two).
+    by B-value descending, for the first positions of :func:`_positions`
+    with weight(a, b) <= bound.  The table is sized as its pairs arrive
+    (:func:`_sized_list`), each one pass over bound + 1 cells, and refused
+    under `label`.
 
     A repeated B-value keeps its first position, matching the membership
     predicate, even when that position is out of bound: then the value
     has no pair.  A rule B that repeats a term repeats its first one
     forever, so its walk stops after one position.
     """
-    if ab_bound is None:
-        bound, weight = a_bound, lambda a, b: a
-    else:
-        bound, weight = ab_bound, lambda a, b: a * b
     walk = _positions(a_seq, b_seq, bound, weight)
     if b_seq.extent is None and not b_seq.is_distinct_through(2):
         walk = islice(walk, 1)
     seen: set[int] = set()
-    for a, b in walk:
-        if b not in seen:
-            seen.add(b)
-            if weight(a, b) <= bound:
-                yield b, a
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        for a, b in walk:
+            if b not in seen:
+                seen.add(b)
+                if weight(a, b) <= bound:
+                    yield b, a
+
+    return sorted(_sized_list(label, pairs(), bound), reverse=True)
 
 
 def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
@@ -333,8 +335,7 @@ def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
     # place r copies, so only choices that lead to a member are taken and
     # the work before each member is at most one step per pair.
     n = desc.n
-    walk = _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None)
-    pairs = sorted(_sized_list(desc.describe(), walk, n), reverse=True)  # the counter's table
+    pairs = _pba_value_pairs(desc.a_seq, desc.b_seq, n, lambda a, b: a, desc.describe())
     mask = (1 << (n + 1)) - 1
     reach = [0] * len(pairs) + [1]
     for i in range(len(pairs) - 1, -1, -1):
@@ -382,8 +383,8 @@ def iter_pba_by_size(
     _check_n(max_size, "max_size")
     if max_length is not None:
         _check_n(max_length, "max_length")
-    walk = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size)
-    pairs = sorted(_sized_list(f"P_B(A) members to size {max_size}", walk, max_size), reverse=True)
+    label = f"P_B(A) members to size {max_size}"
+    pairs = _pba_value_pairs(a_seq, b_seq, max_size, lambda a, b: a * b, label)
 
     def level(k: int, size_left: int, len_left: int) -> Level:
         for idx in range(k, len(pairs)):
@@ -667,8 +668,8 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
     """Coin change over the A-terms of the same (B-value, A-term) pairs the
     enumerator uses: each B-value takes a multiple of its A-term copies."""
     label, n = desc.describe(), desc.n
-    walk = _pba_value_pairs(desc.a_seq, desc.b_seq, a_bound=n, ab_bound=None)
-    return _coin_change(label, [a for _, a in _sized_list(label, walk, n)], n)[n]
+    pairs = _pba_value_pairs(desc.a_seq, desc.b_seq, n, lambda a, b: a, label)
+    return _coin_change(label, [a for _, a in pairs], n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -723,23 +724,16 @@ def enumerate_family(
         yield Partition._from_runs(runs)
 
 
-def count(desc: FamilyDescriptor, max_items: int | None = None) -> int:
+def count(desc: FamilyDescriptor) -> int:
     """Number of members; by contract the length of :func:`enumerate_family`.
 
     Computed by the kind's dynamic program, never by enumerating; the
     enumerators are the oracles the tests hold these counts to.  Nothing is
-    built per member, so there is no default cap: only when `max_items` is
-    given does a larger count raise :class:`ResourceBound`.  A count whose
-    table would exceed DEFAULT_ITEM_CAP cells raises it too, before the
+    built per member, so no count is capped; a count whose table would
+    exceed DEFAULT_ITEM_CAP cells raises :class:`ResourceBound` before the
     table is allocated.
     """
-    total = _kind(desc)[1](desc)
-    if max_items is not None and total > max_items:
-        raise ResourceBound(
-            f"{desc.describe()} has {total} members, more than the cap of "
-            f"{max_items} items"
-        )
-    return total
+    return _kind(desc)[1](desc)
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -846,30 +840,27 @@ def check_quasi_ideal(
 ) -> ViolationReport:
     """Verify that deleting any allowed multiple of copies of any part keeps
     membership in the (A, B) divisibility family, over members of size
-    <= bound.  More than DEFAULT_ITEM_CAP members, totalled first by coin
-    change over the products a b of the pairs, raise :class:`ResourceBound`
-    before any is built.  A bound below 0 raises :class:`InvalidPart`."""
+    <= bound.  Every member of size <= bound is walked, so deleting one
+    block of a copies (a the part's A-term) from each gives every multiple
+    by induction, and the check is complete.  More than DEFAULT_ITEM_CAP
+    members, totalled first by coin change over the products a b of the
+    pairs, raise :class:`ResourceBound` before any is built.  A bound below
+    0 raises :class:`InvalidPart`."""
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {bound}"
-    walk = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=bound)
-    products = [a * b for b, a in _sized_list(label, walk, bound)]
+    products = [a * b for b, a in _pba_value_pairs(a_seq, b_seq, bound, lambda a, b: a * b, label)]
     _require_members(label, _coin_change(label, products, bound))
     for p in iter_pba_by_size(a_seq, b_seq, bound):
-        freq = p.frequencies()
-        for value in sorted(freq):
-            pos = b_seq.index_of(value)
-            a = a_seq.at(pos)
-            k = a
-            while k <= freq[value]:
-                reduced = scaled_deletion(p, a_seq, b_seq, value, k)
-                if not is_member_pba(reduced, a_seq, b_seq).ok:
-                    return ViolationReport(
-                        False,
-                        value,
-                        f"deleting {k} copies of {value} from {list(p.parts)} "
-                        f"leaves {list(reduced.parts)}, which is outside the family",
-                    )
-                k += a
+        for value, _ in reversed(p.runs):  # a member holds a positive multiple of a copies
+            a = a_seq.at(b_seq.index_of(value))
+            reduced = scaled_deletion(p, a_seq, b_seq, value, a)
+            if not is_member_pba(reduced, a_seq, b_seq).ok:
+                return ViolationReport(
+                    False,
+                    value,
+                    f"deleting {a} copies of {value} from {list(p.parts)} "
+                    f"leaves {list(reduced.parts)}, which is outside the family",
+                )
     return ViolationReport(True, None, "closed under scaled deletions")
 
 
@@ -937,15 +928,14 @@ def count_invariance_suite(
             raise NonDistinctA(f"{name} ({seq.describe()}) must have distinct terms")
     label = f"count invariance to size {bound}"
 
-    def coin_counts(terms: Iterable[int]) -> list[int]:
-        return _coin_change(label, _sized_list(label, terms, bound), bound)
+    def coin_counts(a: SequenceSpec, b: SequenceSpec) -> list[int]:  # by length, to bound
+        pairs = _pba_value_pairs(a, b, bound, lambda a, b: a, label)
+        return _coin_change(label, [t for _, t in pairs], bound)
 
-    def a_terms(a: SequenceSpec, b: SequenceSpec) -> Iterator[int]:  # of every length <= bound
-        return (t for _, t in _pba_value_pairs(a, b, a_bound=bound, ab_bound=None))
-
-    walked = coin_counts(a_terms(a_seq, b_seq)) + coin_counts(a_terms(a_prime, b_seq))
+    walked = coin_counts(a_seq, b_seq) + coin_counts(a_prime, b_seq)
     _require_members(label, walked)
-    replaced, expected = coin_counts(a_terms(a_seq, b_prime)), coin_counts(a_seq.values_upto(bound))
+    replaced = coin_counts(a_seq, b_prime)
+    expected = _coin_change(label, _sized_list(label, a_seq.values_upto(bound), bound), bound)
 
     counts: list[int] = []
     differs_at: Optional[int] = None

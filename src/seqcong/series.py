@@ -144,15 +144,15 @@ class BivariateSeries:
 
 class WeightSpec(Value):
     """Exact rational weight function on positive integers: `kind`, required,
-    and `table`, `members`, `seed`, `extent` and `span`, None unless the kind
-    reads them.
+    and `table`, `members`, `seed` and `extent`, None unless the kind reads
+    them.
 
     kinds: ``one`` (constant 1), ``table`` (explicit values for 1..extent,
     hard error beyond), ``random`` (a seeded table, drawn on first lookup),
     ``indicator`` (1 on a finite set, else 0).
     """
 
-    _fields = __match_args__ = ("kind", "table", "members", "seed", "extent", "span")
+    _fields = __match_args__ = ("kind", "table", "members", "seed", "extent")
     __slots__ = _fields + ("_drawn",)  # _drawn caches the random table, not a field
     _required = 1
 
@@ -173,13 +173,14 @@ class WeightSpec(Value):
         return cls("indicator", members=frozenset(int(v) for v in members))
 
     @classmethod
-    def random_table(cls, seed: int, extent: int, span: int = 4) -> "WeightSpec":
-        """Seeded table of small rationals, for identity spot checks.
+    def random_table(cls, seed: int, extent: int) -> "WeightSpec":
+        """Seeded table of `extent` rationals u / w, -4 <= u <= 4 and
+        1 <= w <= 4, for identity spot checks.
 
         Nothing is drawn until the first lookup, so a side that refuses its
         size before reading any weight never pays for `extent` values.
         """
-        return cls("random", seed=seed, extent=extent, span=span)
+        return cls("random", seed=seed, extent=extent)
 
     def _values(self) -> tuple[Fraction, ...]:
         """The table; a random spec draws it in full on the first call and
@@ -190,11 +191,7 @@ class WeightSpec(Value):
         drawn = self._drawn
         if drawn is None:
             rng = random.Random(self.seed)
-            span = self.span
-            drawn = tuple(
-                Fraction(rng.randint(-span, span), rng.randint(1, span))
-                for _ in range(self.extent)
-            )
+            drawn = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(self.extent))
             object.__setattr__(self, "_drawn", drawn)
         return drawn
 
@@ -213,13 +210,6 @@ class WeightSpec(Value):
         if self.kind == "indicator":
             return Fraction(1 if n in self.members else 0)
         raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "one":
-            return "1"
-        if self.kind == "indicator":
-            return "indicator{" + ",".join(map(str, sorted(self.members))) + "}"
-        return ",".join(str(v) for v in self._values())
 
 
 def geometric_factor(
@@ -308,20 +298,16 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     weights = [_exact(Fraction(f.value(v))) for v in range(1, qtrunc + 1)]
     live = [(w, 0, v) for v, w in enumerate(weights, start=1) if w]
     scales, ratios = _scales(label, live, qtrunc)
+    if scales is None:  # integral weights: every S_n is 1
+        scales = ratios = [1] * (qtrunc + 1)
     values, mul = [v for _, _, v in live], operator.mul
-    if scales is None:  # integral weights: m copies weigh c^m from any size
-        factors = [[list(accumulate([c] * (qtrunc // v), mul, initial=1)) for c, _, v in live]]
-        factors *= qtrunc + 1
-    else:
-        cqs = [_multipliers(c, v, scales, ratios, qtrunc) for c, _, v in live]
-        factors = [
-            [list(accumulate(cq[n + v :: v], mul, initial=1)) for cq, v in zip(cqs, values)]
-            for n in range(qtrunc + 1)
-        ]
+    cqs = [_multipliers(c, v, scales, ratios, qtrunc) for c, _, v in live]
+    factors = [
+        [list(accumulate(cq[n + v :: v], mul, initial=1)) for cq, v in zip(cqs, values)]
+        for n in range(qtrunc + 1)
+    ]
     totals, _ = _size_totals(values, factors, qtrunc, 1)
-    if scales is not None:
-        totals = [_exact(Fraction(t, s)) for t, s in zip(totals, scales)]
-    return BivariateSeries._of_rows([totals])
+    return BivariateSeries._of_rows([[_exact(Fraction(t, s)) for t, s in zip(totals, scales)]])
 
 
 def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -363,8 +349,7 @@ def pba_sum_side(
     """
     label = f"pba sum side x^{xtrunc} q^{qtrunc}"
     _require_cells(label, 1, qtrunc, xtrunc)  # the grid of counts
-    walk = _pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=qtrunc)
-    pairs = _sized_list(label, walk, qtrunc, min(xtrunc, qtrunc))
+    pairs = _pba_value_pairs(a_seq, b_seq, qtrunc, lambda a, b: a * b, label)
     sizing = ((1, a, a * b) for b, a in pairs)
     counts = _dense_product(label, len(pairs), sizing, min(xtrunc, qtrunc), qtrunc)
     _require_members(label, map(sum, counts))

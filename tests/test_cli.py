@@ -1,10 +1,12 @@
 import json
 import subprocess
+from fractions import Fraction
 
 import pytest
 
-from seqcong.cli import main, parse_partition
+from seqcong.cli import _format_fixed, main, parse_partition
 from seqcong.errors import ParseError
+from seqcong.series import partition_zeta
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -216,6 +218,32 @@ class TestEnum:
         assert as_json == (0, "[" + ",".join(lines) + "]\n", "")
         assert len(lines) == 1024 and len(sizes) > 1
         assert max(sizes) <= cli._CHUNK_CHARS + max(map(len, lines)) + 1
+
+    def test_json_is_written_a_chunk_at_a_time(self, capsys, monkeypatch):
+        # the array's bytes are those of one print, in writes of about a
+        # chunk; a cap part way leaves the array as far as it got, unclosed
+        import io
+        import sys
+
+        from seqcong import cli
+
+        lines = run(capsys, "enum", "all:30", "--limit", "5000")[1].splitlines()
+        sizes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["enum", "all:30", "--limit", "5000", "--json"]) == 0
+        assert sink.getvalue() == "[" + ",".join(lines) + "]\n"
+        assert len(sizes) > 1 and max(sizes) <= cli._CHUNK_CHARS + max(map(len, lines)) + 1
+        monkeypatch.undo()
+        code, out, err = run(capsys, "enum", "all:30", "--max-items", "5000", "--json")
+        assert code == 3 and out == "[" + ",".join(lines)
+        assert err == "error: enumeration of all:30 exceeded the cap of 5000 items\n"
 
     def test_extent_error_after_output(self, capsys, monkeypatch):
         # sna-lg reads the deepest A term it needs before its first member,
@@ -559,31 +587,44 @@ class TestZeta:
 
     @pytest.mark.parametrize("dps", ["-3", "0", "10", "19"])
     def test_too_few_digits_for_the_printed_places(self, capsys, dps):
-        # --dps 10 used to print product_side 1.499999999985 for 1.5
+        # --dps 10 used to print product_side 1.499999999985 for 1.5; the
+        # precision is no longer settable, so any --dps is a usage error
         code, out, err = run(capsys, "zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", dps)
-        assert code == 2 and out == "" and "must be >= 20" in err
+        assert code == 2 and out == "" and err == "error: unrecognized arguments: --dps\n"
 
     def test_fewest_digits_accepted(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", "20")
+        code, out, _ = run(capsys, "zeta", "--T", "2,3", "--s", "2", "--depth", "10")
         assert code == 0
         assert out.splitlines()[1] == "product_side 1.500000000000"
-
-    def test_precision_above_the_cap_exits_3(self, run_limited):
-        argv = ("zeta", "--T", "2,3", "--s", "2", "--depth", "40", "--dps")
-        done, _ = run_limited(*argv, "10000")
-        assert done.returncode == 0 and done.stdout.endswith("depth 40 terms 154\n")
-        done, elapsed = run_limited(*argv, "10001")
-        assert done.returncode == 3 and done.stdout == ""
-        assert done.stderr == "error: dps 10001 is more than the cap of 10000 digits\n"
-        assert elapsed < 1.0
 
     def test_digits_before_the_point_need_more_precision(self, capsys):
         # the product over 2..60 at s = 21/20 is about 38.5, two digits before the point
         argv = ("zeta", "--T", ",".join(map(str, range(2, 61))), "--s", "21/20", "--depth", "8")
-        code, out, err = run(capsys, *argv, "--dps", "20")
-        assert code == 2 and out == "" and "--dps 21 or more" in err
-        code, out, _ = run(capsys, *argv, "--dps", "21")
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and out.splitlines()[1] == "product_side 38.508872561389"
+
+    @pytest.mark.parametrize(
+        "terms, s, depth",
+        [(range(2, 4), "2", 40), (range(2, 61), "21/20", 8), (range(2, 5002), "10001/10000", 6)],
+    )
+    def test_thirty_digits_print_what_two_hundred_do(self, capsys, terms, s, depth):
+        # the sum never exceeds the product, which stays below |T| + 1
+        exact = partition_zeta(terms, Fraction(s), depth, dps=200)
+        assert exact.sum_side <= exact.product_side < len(terms) + 1
+        code, out, _ = run(capsys, "zeta", "--T", ",".join(map(str, terms)), "--s", s,
+                           "--depth", str(depth))
+        assert code == 0
+        assert out.splitlines()[:2] == [f"sum_side {_format_fixed(exact.sum_side)}",
+                                        f"product_side {_format_fixed(exact.product_side)}"]
+
+    def test_places_are_exact_above_the_default_precision(self):
+        import mpmath
+
+        with mpmath.workdps(30):
+            value = mpmath.mpf("12345678901.1234567890125")
+            negative = -value
+        assert _format_fixed(value) == "12345678901.123456789013"
+        assert _format_fixed(negative) == "-12345678901.123456789013"
 
 
 def test_usage_error_exit_code(capsys):

@@ -231,12 +231,6 @@ def test_count_has_no_default_cap():
     assert count(all_of_size(200)) == 3972999029388
 
 
-def test_count_cap_only_when_given():
-    assert count(all_of_size(8), max_items=22) == 22
-    with pytest.raises(ResourceBound):
-        count(all_of_size(8), max_items=21)
-
-
 @pytest.mark.parametrize(
     "desc",
     [

@@ -241,7 +241,7 @@ class TestPbaLength:
 def _pba_len_reference(a_seq, b_seq, n):
     """The recursive enumerator the explicit-stack walk replaced: every
     member of length n built, then sorted."""
-    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=n, ab_bound=None))
+    pairs = _pba_value_pairs(a_seq, b_seq, n, lambda a, b: a, "pairs")
     members = []
 
     def rec(idx, rem, parts):
@@ -259,7 +259,7 @@ def _pba_len_reference(a_seq, b_seq, n):
 def _pba_by_size_reference(a_seq, b_seq, max_size, max_length=None):
     """The recursive form of iter_pba_by_size: pairs by B-value descending,
     each taking 0, a, 2a, ... copies."""
-    pairs = sorted(_pba_value_pairs(a_seq, b_seq, a_bound=None, ab_bound=max_size), reverse=True)
+    pairs = _pba_value_pairs(a_seq, b_seq, max_size, lambda a, b: a * b, "pairs")
     out = []
 
     def rec(idx, size_left, len_left, parts):
@@ -501,6 +501,24 @@ class TestQuasiIdeal:
             scaled_deletion(lam, self.A, self.B, 5, 3)
         with pytest.raises(InvalidDeletion):
             scaled_deletion(lam, self.A, self.B, 9, 2)
+
+    def test_one_block_per_part_reaches_every_multiple(self, monkeypatch):
+        # 5 takes copies in blocks of 2; reject 5^2, which 5^6 reaches by
+        # deleting two blocks: the check deletes one block from each
+        # member, so it fails at 5^4, one block above the rejected one
+        original = families.is_member_pba
+
+        def rejects_5_5(p, a_seq, b_seq):
+            if p.parts == (5, 5):
+                return families.ViolationReport(False, 5, "rejected")
+            return original(p, a_seq, b_seq)
+
+        monkeypatch.setattr(families, "is_member_pba", rejects_5_5)
+        report = check_quasi_ideal(self.A, self.B, 30)
+        assert not report.ok and report.index == 5
+        assert report.detail == (
+            "deleting 2 copies of 5 from [5, 5, 5, 5] leaves [5, 5], which is outside the family"
+        )
 
 
 class TestCountInvariance:

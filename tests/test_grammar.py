@@ -7,7 +7,9 @@ namespace of family names changes: ``check`` takes every family
 ``ideal`` takes, a repeated B-value keeps its first position even when
 that position is out of bound, and a negative ``--max-size`` is a usage
 error.  OPTION_GRAMMAR and the property after it pin how options may be
-spelled and placed, and the usage errors of the command line itself."""
+spelled and placed, and the usage errors of the command line itself.  The
+last property sweeps every command path with degenerate texts and holds
+each call to the exit-code contract."""
 
 import re
 
@@ -304,8 +306,10 @@ OPTION_GRAMMAR = [
     (("enum", "all:5", "--li=2"), 0, "[5]\n[4,1]\n", ""),
     (("orbit", "[3,1]", "--si", "P"), 0, ORBIT, ""),
     (("ideal", "closure", "all", "--max", "3"), 0, CLOSED, ""),
-    (("zeta", "--T", "2", "--s", "2", "--d", "5"), 2, "",
-     "ambiguous option: --d could match --depth, --dps"),
+    (("zeta", "--T", "2", "--s", "2", "--d", "5"), 0,
+     "sum_side 1.312500000000\nproduct_side 1.333333333333\ndepth 5 terms 3\n", ""),
+    (("enum", "all:5", "--=2"), 2, "",
+     "ambiguous option: -- could match --limit, --count-only, --json, --max-items, --help"),
     # -- ends the options
     (("map", "pi", "--", "[3,1]"), 0, "[4,2]\n", ""),
     (("ideal", "closure", "--max-size", "3", "--", "all"), 0, CLOSED, ""),
@@ -313,7 +317,7 @@ OPTION_GRAMMAR = [
     (("ideal", "closure", "all", "--max-size", "-1"), 2, "", "--max-size: must be >= 0, got -1"),
     (("enum", "all:5", "--limit", "-1"), 2, "", "--limit: must be >= 0, got -1"),
     (("zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", "-3"), 2, "",
-     "--dps: must be >= 20"),
+     "unrecognized arguments: --dps"),
     # usage errors
     ((), 2, "", "the following arguments are required: command"),
     (("bogus",), 2, "", "invalid choice: 'bogus'"),
@@ -421,3 +425,111 @@ def test_spelling_does_not_matter(capsys, data):
     expected = main(canonical), capsys.readouterr().out
     argv = [*command, *_respelled(data, positionals, options, flags)]
     assert (main(argv), capsys.readouterr().out) == expected
+
+
+# The contract sweep: every command path of the command table, with
+# degenerate texts, returns 0-3, raises nothing and, on exit 2 or 3, writes
+# exactly one error line.  Numbers are small, 30 digits or invalid; sizes
+# that would list members stay small, as a listing's length is its output.
+HUGE = str(10**30 - 7)
+NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "12", HUGE, "-" + HUGE, "x", ""])
+TERMS = st.sampled_from(["-2", "0", "1", "2", "3", "5", "7", HUGE])
+SEQUENCES = st.one_of(
+    st.sampled_from(["naturals", "nat", "ones", "odds", "constant:0", "constant:-1",
+                     "constant:3", "constant:" + HUGE, "const:2", "bogus"]),
+    st.lists(TERMS, max_size=5).map(",".join),  # repeated terms, short tables, 30 digits
+)
+WEIGHTS = st.one_of(
+    st.sampled_from(["one", "1", "random:" + HUGE, "random-seeded:-3", "random:x", "indicator:",
+                     "indicator:0,2," + HUGE, "table:1/0", "table:", "table:nan", "bogus"]),
+    st.lists(st.sampled_from(["0", "-1", "1/2", "3", f"1/{HUGE}", f"{HUGE}/7", "1/0"]),
+             max_size=14).map(lambda ws: "table:" + ",".join(ws)),
+)
+PARTITIONS = st.one_of(
+    st.lists(TERMS, max_size=6).map(lambda ps: "[" + ",".join(ps) + "]"),
+    st.sampled_from(["[]", "[1,", "{}", "[true]", "[2.5]", "", " ", "1^3 2 5^2", "0",
+                     f"1^{HUGE}", f"{HUGE}^2 3", "2^0", "a^b", "[3]\n[2]"]),
+)
+
+
+@st.composite
+def _family_text(draw, table, small_n: bool):
+    """A family text of `table` (the check or the listing families), its
+    keys drawn from the degenerate texts; n is small unless `small_n` is
+    False."""
+    name = draw(st.sampled_from(sorted(table)))
+    keys = table[name][0]
+    values = {"T": st.lists(TERMS, max_size=4).map(",".join), "A": SEQUENCES, "B": SEQUENCES,
+              "n": st.sampled_from(["-1", "0", "3", "7", "12", "x"]) if small_n else NUMBERS}
+    pieces = [f"{key}={draw(values[key])}" for key in keys if draw(st.integers(0, 9))]
+    return name + (":" + ";".join(pieces) if pieces else "")
+
+
+_OPTION_TEXTS = {"A": SEQUENCES, "B": SEQUENCES, "A-prime": SEQUENCES, "B-prime": SEQUENCES,
+                 "f": WEIGHTS, "T": st.lists(TERMS, max_size=4).map(",".join),
+                 "s": st.sampled_from(["2", "1", "0", "-2", "21/20", "1/0", "nan", "inf", "1e400",
+                                       f"{HUGE}/{HUGE[:-1]}", HUGE, "x"])}
+
+
+def _command_paths(entry, path=()):
+    if isinstance(entry, tuple):
+        return [path]
+    return [p for word, below in entry.items() for p in _command_paths(below, (*path, word))]
+
+
+@st.composite
+def _contract_call(draw, path):
+    from seqcong import cli
+
+    entry = cli._COMMANDS
+    for word in path:
+        entry = entry[word]
+    _, positionals, options = entry
+    count_only = path == ("enum",) and draw(st.booleans())
+    argv = list(path)
+    for name, convert in positionals.items():
+        if name.endswith("?") and draw(st.booleans()):
+            continue
+        if isinstance(convert, tuple):
+            argv.append(draw(st.sampled_from(convert)))
+        elif name == "family" and path == ("enum",):
+            # a listing is as long as its members: n is small unless only counted
+            argv.append(draw(_family_text(cli._LISTINGS, small_n=not count_only)))
+        elif name in ("family", "other"):
+            argv.append(draw(_family_text(cli._FAMILIES, small_n=True)))
+        else:
+            argv.append(draw(PARTITIONS))
+    for name, (convert, _, required) in options.items():
+        if not (draw(st.integers(0, 19)) if required else draw(st.booleans())):  # a required one, rarely
+            continue
+        if convert is None:
+            argv.append(f"--{name}")
+        elif isinstance(convert, tuple):
+            argv += [f"--{name}", draw(st.sampled_from(convert))]
+        else:
+            argv += [f"--{name}", draw(_OPTION_TEXTS.get(name, NUMBERS))]
+    if count_only:
+        argv.append("--count-only")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_command_path_keeps_the_exit_contract(data):
+    import contextlib
+    import io
+    from unittest import mock
+
+    from seqcong import cli
+
+    path = data.draw(st.sampled_from(_command_paths(cli._COMMANDS)))
+    argv = data.draw(_contract_call(path))
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(data.draw(PARTITIONS) + "\n")
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv

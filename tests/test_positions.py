@@ -26,6 +26,7 @@ from seqcong.series import euler_limit_side, pba_sum_side, two_var_product_side
 
 NAT, ONES, ODDS = SequenceSpec.naturals(), SequenceSpec.ones(), SequenceSpec.odds()
 RULES = [NAT, ONES, ODDS, SequenceSpec.constant(2), SequenceSpec.constant(3)]
+A_TERM, PRODUCT = (lambda a, b: a), (lambda a, b: a * b)  # the weights of _pba_value_pairs
 # short tables with repeats, in no order
 sequences = st.one_of(
     st.sampled_from(RULES),
@@ -110,9 +111,9 @@ def test_every_listed_member_is_a_member(a_seq, b_seq, n):
 
 def test_a_repeated_b_value_keeps_its_out_of_bound_first_position():
     a, b = SequenceSpec.table([5, 1]), SequenceSpec.table([3, 3])
-    assert list(_pba_value_pairs(a, b, a_bound=2, ab_bound=None)) == []
-    assert list(_pba_value_pairs(a, b, a_bound=5, ab_bound=None)) == [(3, 5)]
-    assert list(_pba_value_pairs(a, b, a_bound=None, ab_bound=12)) == []
+    assert _pba_value_pairs(a, b, 2, A_TERM, "pairs") == []
+    assert _pba_value_pairs(a, b, 5, A_TERM, "pairs") == [(3, 5)]
+    assert _pba_value_pairs(a, b, 12, PRODUCT, "pairs") == []
     assert [p.parts for p in iter_pba_by_size(a, b, 12)] == [()]
     assert [p.parts for p in iter_pba_by_size(a, b, 15)] == [(3,) * 5, ()]
 
@@ -143,14 +144,12 @@ def test_a_pair_table_is_refused_as_its_pairs_arrive(refused):
 
 
 def test_a_rule_b_with_one_value_stops_after_one_position():
-    assert list(_pba_value_pairs(ONES, ONES, a_bound=5, ab_bound=None)) == [(1, 1)]
-    assert list(_pba_value_pairs(ONES, SequenceSpec.constant(2), a_bound=None, ab_bound=9)) == [
-        (2, 1)
-    ]
+    assert _pba_value_pairs(ONES, ONES, 5, A_TERM, "pairs") == [(1, 1)]
+    assert _pba_value_pairs(ONES, SequenceSpec.constant(2), 9, PRODUCT, "pairs") == [(2, 1)]
     with pytest.raises(ResourceBound):  # every position is a factor of the product
         two_var_product_side(ONES, ONES, 2, 4)
     with pytest.raises(ResourceBound):  # B = naturals: a new value at every position
-        list(_pba_value_pairs(ONES, NAT, a_bound=3, ab_bound=None))
+        _pba_value_pairs(ONES, NAT, 3, A_TERM, "pairs")
 
 
 @pytest.mark.parametrize(

@@ -109,7 +109,7 @@ class _Unbounded(Exception):
 
 def ref_pba_len(a_seq, b_seq, n):
     """Every member of length n, built part by part, then sorted."""
-    pairs = list(_pba_value_pairs(a_seq, b_seq, a_bound=n, ab_bound=None))
+    pairs = _pba_value_pairs(a_seq, b_seq, n, lambda a, b: a, "pairs")
     members = []
 
     def rec(idx, rem, parts):

@@ -66,7 +66,6 @@ _LAZY = {
         "scale_map_inverse",
         "sigma",
         "sigma_inverse",
-        "sigma_pi",
     ),
     "partition": ("EMPTY", "Partition"),
     "predicates": (
@@ -88,7 +87,6 @@ _LAZY = {
         "compare",
         "distinct_product_side",
         "euler_limit_side",
-        "geometric_factor",
         "partition_sum_side",
         "partition_zeta",
         "pba_sum_side",

@@ -395,7 +395,7 @@ def _cmd_enum(args) -> int:
         return 0
     stream = families.enumerate_family(desc, max_items=args.max_items)
     if args.limit is not None:
-        stream = islice(stream, args.limit)
+        stream = islice(stream, min(args.limit, sys.maxsize))  # the most islice takes
     texts = map(_partition_json, stream)
     if args.json:  # one array, in chunks too: an error part way leaves it as far as it got
         items = ("," + text if i else text for i, text in enumerate(texts))

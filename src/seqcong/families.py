@@ -30,7 +30,7 @@ so that counting agreement with the plain enumerator is a genuine check.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ._values import Value
@@ -169,8 +169,11 @@ def _gen_by_size(n: int, distinct: bool) -> Iterator[tuple[Run, ...]]:
 
 def _gen_parts_in(part_set: tuple[int, ...], n: int) -> Iterator[tuple[Run, ...]]:
     allowed = sorted(part_set, reverse=True)
+    gcds = [*accumulate(reversed(allowed), math.gcd, initial=0)][::-1]  # of allowed[k:]; 0 past
 
     def level(k: int, rem: int) -> Level:  # runs of allowed[k:] summing to rem
+        if math.gcd(rem, gcds[k]) != gcds[k]:  # no sum of allowed[k:] is rem
+            return
         for idx in range(k, len(allowed)):
             v = allowed[idx]
             if v > rem:

@@ -111,11 +111,6 @@ def sigma_inverse(gam: Partition) -> Partition:
     return pi(gam.conjugate())
 
 
-def sigma_pi(lam: Partition) -> Partition:
-    """Literal composition sigma(pi(lam)); equals the diagram transpose."""
-    return sigma(pi(lam))
-
-
 class OrbitTrace(Value):
     """Alternating trace of the two maps, starting and ending at the input.
 

@@ -12,6 +12,7 @@ are plain Python integers and therefore unbounded.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, repeat, starmap
 from typing import Iterable, Iterator, Mapping
 
@@ -193,8 +194,13 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(starmap(repeat, self._runs))
 
+    def __bool__(self) -> bool:
+        return bool(self._runs)
+
     def __len__(self) -> int:
-        return self.length
+        if (length := self.length) > sys.maxsize:  # len() would raise OverflowError
+            raise ResourceBound(f"{length} parts are more than len() can report; read .length")
+        return length
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):

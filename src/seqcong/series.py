@@ -81,10 +81,6 @@ class BivariateSeries:
         s.xtrunc, s.qtrunc, s._rows = len(rows) - 1, len(rows[0]) - 1, rows
         return s
 
-    @classmethod
-    def constant(cls, value, xtrunc: int, qtrunc: int) -> "BivariateSeries":
-        return cls(xtrunc, qtrunc, {(0, 0): Fraction(value)})
-
     def coefficient(self, xexp: int, qexp: int) -> Fraction:
         if xexp < 0 or qexp < 0 or xexp > self.xtrunc or qexp > self.qtrunc:
             raise BoundsMismatch(
@@ -97,17 +93,6 @@ class BivariateSeries:
         """Nonzero coefficients by (q-exponent, x-exponent), column by column."""
         columns = enumerate(zip(*self._rows))
         return [((x, q), Fraction(c)) for q, col in columns for x, c in enumerate(col) if c]
-
-    def _combine(self, other: "BivariateSeries", op) -> "BivariateSeries":
-        self._require_same_bounds(other)
-        pairs = zip(self._rows, other._rows)
-        return BivariateSeries._of_rows([list(map(op, row, rhs)) for row, rhs in pairs])
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Term by term over the nonzero coefficients, independent of the
@@ -212,26 +197,6 @@ class WeightSpec(Value):
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
 
-def geometric_factor(
-    c, a: int, b: int, xtrunc: int, qtrunc: int
-) -> BivariateSeries:
-    """Truncation of 1 / (1 - c x^a q^b): the sum of c^k x^{ka} q^{kb}.
-
-    b must be positive so only finitely many terms land in range.
-    """
-    if b < 1:
-        raise InvalidExponent(f"q-exponent b must be >= 1, got {b}")
-    if a < 0:
-        raise InvalidExponent(f"x-exponent a must be >= 0, got {a}")
-    c = _exact(Fraction(c))
-    s = BivariateSeries(xtrunc, qtrunc)  # an oversized grid is refused before the walk
-    k = 0
-    while k * b <= qtrunc and k * a <= xtrunc:
-        s._rows[k * a][k * b] = c**k
-        k += 1
-    return s
-
-
 def _size_totals(values: list[int], factors: list[list], bound: int, one) -> tuple[list, int]:
     """Totals by size, 0 to bound, of the weights of the partitions of size
     <= bound into parts among `values` (ascending), and how many there
@@ -293,7 +258,6 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     # kept as prefix products per size; each total is divided by S_n once.
     # Parts of weight 0 are left out, as every partition holding one adds 0.
     label = f"partition sum side q^{qtrunc}"
-    _require_cells(label, 1, qtrunc)  # a negative qtrunc raises InvalidExponent
     _require_members(label, _pentagonal_counts(label, qtrunc))
     weights = [_exact(Fraction(f.value(v))) for v in range(1, qtrunc + 1)]
     live = [(w, 0, v) for v, w in enumerate(weights, start=1) if w]

@@ -428,6 +428,13 @@ def test_members_longer_than_the_recursion_limit_are_listed(run_limited, family,
     assert elapsed < 1.0
 
 
+def test_a_parts_family_off_the_gcd_ends_at_once(run_limited):
+    # every sum of 4s and 6s is even, so 31 digits of odd n list nothing
+    done, elapsed = run_limited("enum", "parts:T=4,6;n=1" + "0" * 29 + "1", "--limit", "1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert elapsed < 1.0
+
+
 def test_long_members_are_listed_within_the_memory_limit(run_limited):
     # 1024 members of about 3*10**5 parts, 300 MB of text in all: a writer
     # holding them at once, with their join, would pass the 512 MiB limit

@@ -316,6 +316,7 @@ OPTION_GRAMMAR = [
     # a value that starts with - is taken as the value
     (("ideal", "closure", "all", "--max-size", "-1"), 2, "", "--max-size: must be >= 0, got -1"),
     (("enum", "all:5", "--limit", "-1"), 2, "", "--limit: must be >= 0, got -1"),
+    (("enum", "all:2", "--limit", "1" + "0" * 30), 0, "[2]\n[1,1]\n", ""),  # past sys.maxsize
     (("zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", "-3"), 2, "",
      "unrecognized arguments: --dps"),
     # usage errors

@@ -25,7 +25,6 @@ from seqcong import (
     seqcong_largest,
     sigma,
     sigma_inverse,
-    sigma_pi,
     step_bounded_largest,
 )
 
@@ -150,16 +149,16 @@ class TestSigmaPi:
         ],
     )
     def test_known_values(self, parts, expected):
-        assert sigma_pi(Partition(parts)).parts == expected
+        assert sigma(pi(Partition(parts))).parts == expected
 
     def test_equals_conjugation(self):
         for lam in partitions_upto(14):
-            assert sigma_pi(lam) == lam.conjugate()
+            assert sigma(pi(lam)) == lam.conjugate()
 
     def test_involution_and_fixed_points(self):
         for lam in partitions_upto(14):
-            once = sigma_pi(lam)
-            assert sigma_pi(once) == lam
+            once = sigma(pi(lam))
+            assert sigma(pi(once)) == lam
             assert (once == lam) == is_self_conjugate(lam)
 
 

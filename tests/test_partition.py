@@ -6,6 +6,7 @@ from seqcong import (
     InsufficientMultiplicity,
     InvalidPart,
     Partition,
+    ResourceBound,
     partitions_of,
 )
 
@@ -83,6 +84,14 @@ class TestBasicViews:
     def test_roundtrip_exhaustive(self):
         for lam in partitions_upto(20):
             assert Partition.from_frequencies(lam.frequencies()) == lam
+
+    def test_truth_and_len_past_maxsize(self):
+        huge = Partition.from_frequencies({1: 10**30})
+        assert huge and huge.length == 10**30
+        with pytest.raises(ResourceBound, match=r"read \.length"):
+            len(huge)
+        assert not EMPTY and len(EMPTY) == 0
+        assert Partition((1,)) and len(Partition((3, 3, 1))) == 3
 
 
 class TestConjugate:

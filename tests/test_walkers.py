@@ -193,6 +193,14 @@ def test_parts_in_streams_match(part_set, n):
     assert package_outcome(parts_in(part_set, n)) == outcome(lambda: ref_parts_in(part_set, n))
 
 
+def test_parts_in_stops_at_a_remainder_off_the_gcd():
+    # every sum of 4s and 6s is even: the top level returns at once, where
+    # offering each multiplicity of 6 would walk on in n
+    start = time.perf_counter()
+    assert list(enumerate_family(parts_in([4, 6], 10**30 + 1))) == []
+    assert time.perf_counter() - start < 0.5
+
+
 @settings(deadline=None)
 @given(spec=st.sampled_from(PBA_SPECS), n=st.integers(0, 22))
 def test_pba_streams_match(spec, n):

@@ -44,7 +44,7 @@ _ARGS = {
     "--xtrunc": "the highest power of x kept",
     "--f": "weights: one, random-seeded:SEED, table:w1,w2,... or indicator:k1,k2,...",
     "--T": "comma-separated part set, all >= 2",
-    "--s": "rational exponent > 1, e.g. 2 or 5/2",
+    "--s": "rational exponent > 1, e.g. 2, 5/2 or 1.5; no exponent notation",
     "--depth": "the highest power of q summed",
 }
 

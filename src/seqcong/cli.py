@@ -11,18 +11,18 @@ of more than 10**7 parts to print).
 
 from __future__ import annotations
 
-import json
 import re
 import sys
+from functools import cache
 from itertools import chain, islice, zip_longest
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
-# maps, sequences, families, series, fractions and mpmath are imported where
-# they are used, so check starts without any of them, and map and orbit load
-# only maps
-from . import predicates
+# every other module is imported by the calls that use it: json by those that
+# read a JSON partition or print a record, partition, predicates, maps,
+# families, series, sequences, fractions and mpmath by the commands they run
 from .errors import (
+    DEFAULT_ITEM_CAP,
     InternalContradiction,
     InvalidPart,
     NotMemberPBA,
@@ -32,18 +32,25 @@ from .errors import (
     ResourceBound,
     SeqcongError,
 )
-from .partition import DEFAULT_ITEM_CAP, Partition
-from .predicates import ViolationReport
 
 if TYPE_CHECKING:
     from ._values import Value
     from .families import FamilyDescriptor
+    from .partition import Partition
     from .sequences import SequenceSpec
     from .series import BivariateSeries, WeightSpec
 
 
-# json.dumps(obj, separators=(",", ":")), without a new encoder per call
-_dump = json.JSONEncoder(separators=(",", ":")).encode
+def _dump(obj) -> str:
+    """json.dumps(obj, separators=(",", ":")), without a new encoder per call."""
+    return _encoder().encode(obj)
+
+
+@cache
+def _encoder():
+    import json
+
+    return json.JSONEncoder(separators=(",", ":"))
 
 
 def _partition_json(p: Partition) -> str:
@@ -95,10 +102,14 @@ def _write_chunk(pending: list[str], end: str) -> None:
 
 def parse_partition(text: str) -> Partition:
     """JSON array (e.g. ``[5,3,3]``) or frequency form (e.g. ``1^3 2 5^2``)."""
+    from .partition import Partition
+
     text = text.strip()
     if not text:
         raise ParseError("empty partition text")
     if text.startswith("["):
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
@@ -161,32 +172,33 @@ def _bool_check(predicate, yes: str, no: str):
     """A boolean predicate as a ViolationReport callable, evaluated once per
     input; the two reports are built once and shared, as records are
     immutable."""
+    from .predicates import ViolationReport
+
     passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)
     return lambda p: passed if predicate(p) else failed
 
 
 # The families, each named once: name -> (the keys its text takes, its
 # enum listings as suffix -> families constructor by name, which takes n
-# after the keys, and the ViolationReport check built from the keys'
-# values).  A text is `name` or `name:key=value;...`; the first key may be
-# written bare, as in `parts:2,3` or `all:5`.
+# after the keys, and the ViolationReport check built from the predicates
+# module and the keys' values).  A text is `name` or `name:key=value;...`;
+# the first key may be written bare, as in `parts:2,3` or `all:5`.
 _FAMILIES = {
-    "all": ((), {"": "all_of_size"}, lambda: _bool_check(lambda p: True, "every partition", "")),
-    "empty": ((), {}, lambda: _bool_check(lambda p: p.length == 0, "empty", "not empty")),
-    "oddparts": ((), {}, lambda: _bool_check(
+    "all": ((), {"": "all_of_size"}, lambda _: _bool_check(lambda p: True, "every partition", "")),
+    "empty": ((), {}, lambda _: _bool_check(lambda p: p.length == 0, "empty", "not empty")),
+    "oddparts": ((), {}, lambda _: _bool_check(
         lambda p: all(v % 2 for v, _ in p.runs), "all parts odd", "a part is even")),
-    "distinct": ((), {"": "distinct_of_size"}, lambda: _bool_check(
-        predicates.has_distinct_parts, "all parts distinct", "a part repeats")),
-    "selfconj": ((), {}, lambda: _bool_check(
-        predicates.is_self_conjugate, "self-conjugate", "not self-conjugate")),
-    "parts": (("T",), {"": "parts_in"}, lambda t: _bool_check(
+    "distinct": ((), {"": "distinct_of_size"}, lambda pr: _bool_check(
+        pr.has_distinct_parts, "all parts distinct", "a part repeats")),
+    "selfconj": ((), {}, lambda pr: _bool_check(
+        pr.is_self_conjugate, "self-conjugate", "not self-conjugate")),
+    "parts": (("T",), {"": "parts_in"}, lambda _, t: _bool_check(
         lambda p: all(v in t for v, _ in p.runs), "all parts allowed", "a part is not allowed")),
-    "seqcong": ((), {"-lg": "seqcong_largest"}, lambda: predicates.is_sequentially_congruent),
-    "freqcong": ((), {}, lambda: predicates.is_frequency_congruent),
-    "step": ((), {"-lg": "step_bounded_largest"}, lambda: predicates.is_step_bounded_seqcong),
-    "pba": (("A", "B"), {"": "pba_length"},
-            lambda a, b: lambda p: predicates.is_member_pba(p, a, b)),
-    "sna": (("A",), {"-lg": "sna_largest"}, lambda a: lambda p: predicates.is_member_sna(p, a)),
+    "seqcong": ((), {"-lg": "seqcong_largest"}, lambda pr: pr.is_sequentially_congruent),
+    "freqcong": ((), {}, lambda pr: pr.is_frequency_congruent),
+    "step": ((), {"-lg": "step_bounded_largest"}, lambda pr: pr.is_step_bounded_seqcong),
+    "pba": (("A", "B"), {"": "pba_length"}, lambda pr, a, b: lambda p: pr.is_member_pba(p, a, b)),
+    "sna": (("A",), {"-lg": "sna_largest"}, lambda pr, a: lambda p: pr.is_member_sna(p, a)),
 }
 # enum name -> (the keys its text takes, families constructor by name)
 _LISTINGS = {
@@ -225,8 +237,10 @@ def _parse_family_text(text: str, table: dict) -> tuple[str, list]:
 
 def _parse_check(text: str):
     """A family text as a Partition -> ViolationReport callable."""
+    from . import predicates
+
     name, values = _parse_family_text(text, _FAMILIES)
-    return _FAMILIES[name][2](*values)
+    return _FAMILIES[name][2](predicates, *values)
 
 
 def parse_family(text: str) -> FamilyDescriptor:
@@ -237,9 +251,20 @@ def parse_family(text: str) -> FamilyDescriptor:
     return getattr(families, _LISTINGS[name][1])(*values)
 
 
-def parse_weights(text: str, extent: int) -> WeightSpec:
+def _rational(text: str):
+    """An integer, fraction or decimal as a Fraction.  Exponent notation is
+    refused, since ``1e1000000000`` is 13 bytes of text for a billion digits."""
     from fractions import Fraction
 
+    try:
+        if "e" not in text.lower():
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad rational {text!r}: {e}")
+    raise ParseError(f"bad rational {text!r}: exponent notation is not accepted")
+
+
+def parse_weights(text: str, extent: int) -> WeightSpec:
     from . import series
 
     if text in ("one", "1"):
@@ -251,10 +276,7 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
             raise ParseError(f"bad seed in {text!r}: {e}")
         return series.WeightSpec.random_table(seed, extent)
     if text.startswith("table:"):
-        try:
-            return series.WeightSpec.from_values(Fraction(v) for v in text[6:].split(","))
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"bad weight table {text!r}: {e}")
+        return series.WeightSpec.from_values(map(_rational, text[6:].split(",")))
     if text.startswith("indicator:"):
         try:
             return series.WeightSpec.indicator(int(v) for v in text[10:].split(","))
@@ -491,16 +513,13 @@ def _cmd_series_expand(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    from fractions import Fraction
-
     from . import series
 
     try:
         part_set = [int(v) for v in args.T.split(",")]
-        s = Fraction(args.s)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise ParseError(f"bad zeta parameters: {e}")
-    result = series.partition_zeta(part_set, s, args.depth)
+    result = series.partition_zeta(part_set, args.s, args.depth)
     print(f"sum_side {_format_fixed(result.sum_side)}")
     print(f"product_side {_format_fixed(result.product_side)}")
     print(f"depth {result.qdepth} terms {result.terms}")
@@ -536,7 +555,7 @@ _COMMANDS = {
         "verify": (_cmd_series_verify, {"identity": tuple(_IDENTITIES)}, {**_TERMS, "qtrunc": _NEED_INT}),
         "expand": (_cmd_series_expand, {"side": tuple(_SIDES)}, {**_TERMS, "json": _FLAG}),
     },
-    "zeta": (_cmd_zeta, {}, {"T": _NEED, "s": _NEED, "depth": _NEED_INT}),
+    "zeta": (_cmd_zeta, {}, {"T": _NEED, "s": (_rational, None, True), "depth": _NEED_INT}),
 }
 
 
@@ -614,6 +633,8 @@ def main(argv=None) -> int:
         print(_record_json(e.report))
         return 1
     except PartNotInA as e:
+        from .predicates import ViolationReport
+
         print(_record_json(ViolationReport(False, None, str(e))))
         return 1
     except SeqcongError as e:

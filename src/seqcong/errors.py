@@ -1,4 +1,8 @@
-"""Exception types shared by every module of the package."""
+"""Exception types shared by every module of the package, and the item cap."""
+
+# the most items (members, table cells, parts of a written partition) any
+# one call builds; above it the call raises ResourceBound before building
+DEFAULT_ITEM_CAP = 10**7
 
 
 class SeqcongError(Exception):

@@ -16,11 +16,7 @@ import sys
 from itertools import chain, repeat, starmap
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InsufficientMultiplicity, InvalidPart, ResourceBound
-
-# the most items (members, table cells, parts of a written partition) any
-# one call builds; above it the call raises ResourceBound before building
-DEFAULT_ITEM_CAP = 10**7
+from .errors import DEFAULT_ITEM_CAP, InsufficientMultiplicity, InvalidPart, ResourceBound
 
 
 def _runs_of(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

@@ -27,21 +27,9 @@ from .errors import (
     NonDistinctA,
     ResourceBound,
 )
-from .families import (
-    _coin_change,
-    _dense_product,
-    _exact,
-    _multipliers,
-    _pba_value_pairs,
-    _pentagonal_counts,
-    _positions,
-    _require_cells,
-    _require_members,
-    _scales,
-    _sized_list,
-    _zeros,
-    iter_pba_by_size,
-    sna_weight_sums,
+from ._counters import (
+    _coin_change, _dense_product, _exact, _multipliers, _pba_value_pairs, _pentagonal_counts,
+    _positions, _require_cells, _require_members, _scales, _sized_list, _zeros, sna_weight_sums,
     step_bounded_counts,
 )
 from .sequences import NATURALS, SequenceSpec
@@ -278,7 +266,7 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     """Sum over sequentially congruent partitions of q^(largest part),
     weighted by f(i) raised to the i-th successive difference over i.
 
-    Read off one row table of :func:`families.sna_weight_sums` with
+    Read off one row table of :func:`_counters.sna_weight_sums` with
     A = naturals, which holds every largest part up to qtrunc at once; the
     enumerator is its oracle in the tests.  Lengths never exceed the
     largest part, so f's extent need only reach qtrunc, and a shorter table
@@ -311,6 +299,8 @@ def pba_sum_side(
     enumeration uses (a length never exceeds its size): more than
     DEFAULT_ITEM_CAP members raise :class:`ResourceBound` before any is built.
     """
+    from .families import iter_pba_by_size  # the one side that builds members
+
     label = f"pba sum side x^{xtrunc} q^{qtrunc}"
     _require_cells(label, 1, qtrunc, xtrunc)  # the grid of counts
     pairs = _pba_value_pairs(a_seq, b_seq, qtrunc, lambda a, b: a * b, label)
@@ -349,7 +339,7 @@ def distinct_product_side(qtrunc: int) -> BivariateSeries:
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
     """Sum of q^(largest part) over sequentially congruent partitions whose
     steps are all 0 or the index, read off one row table of
-    :func:`families.step_bounded_counts`; the enumerator is its oracle in
+    :func:`_counters.step_bounded_counts`; the enumerator is its oracle in
     the tests."""
     return BivariateSeries._of_rows([step_bounded_counts(qtrunc)])
 
@@ -423,6 +413,10 @@ def partition_zeta(
     import mpmath
 
     with mpmath.workdps(dps):
+        # the terms past the empty partition's 1 are fewer than 2^24 (the item
+        # cap) and each at most 2^-s, so past prec + 32 bits they round away
+        # and both sides are 1: a larger s runs as that one, whatever its digits
+        s = min(s, mpmath.mp.prec + 32)
         s_mp = mpmath.mpf(s.numerator) / s.denominator
         prod = mpmath.mpf(1)
         for t in values:

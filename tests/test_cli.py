@@ -414,6 +414,25 @@ def test_oversized_series_sides_exit_3_within_a_second(run_limited, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, rc, out",
+    [
+        # exponent notation is refused: 13 bytes of it name a billion digits
+        (("zeta", "--T", "2,3", "--s", "1e1000000000", "--depth", "3"), 2, ""),
+        (("series", "expand", "product", "--qtrunc", "3", "--f", "table:1e1000000000"), 2, ""),
+        (("zeta", "--T", "2,3", "--s", "1e10000", "--depth", "3"), 2, ""),
+        # an s of 4,001 digits costs what one of 136 bits does
+        (("zeta", "--T", "2,3", "--s", "1" + "0" * 4000, "--depth", "3"), 0,
+         "sum_side 1.000000000000\nproduct_side 1.000000000000\ndepth 3 terms 3\n"),
+    ],
+)
+def test_rational_values_end_within_a_second(run_limited, argv, rc, out):
+    done, elapsed = run_limited(*argv)
+    assert (done.returncode, done.stdout) == (rc, out), done.stderr
+    assert rc == 0 or "exponent notation" in done.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
     "family, first",
     [
         ("seqcong-lg:1200", [1200] * 1200),

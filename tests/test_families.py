@@ -38,7 +38,7 @@ from seqcong import (
     step_bounded_largest,
 )
 from seqcong import families
-from seqcong.families import _pba_value_pairs
+from seqcong._counters import _pba_value_pairs
 
 NAT = SequenceSpec.naturals()
 ODD = SequenceSpec.odds()

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcong._counters import _pba_value_pairs
 from seqcong.errors import ExtentExceeded, InvalidPart, NonDistinctA, ResourceBound
 from seqcong.families import (
-    _pba_value_pairs,
     check_ideal_closure,
     check_quasi_ideal,
     count_invariance_suite,

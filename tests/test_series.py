@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import families, series
+from seqcong import _counters, families, series
 from seqcong import (
     BivariateSeries,
     BoundsMismatch,
@@ -307,6 +307,17 @@ class TestPartitionZeta:
         with pytest.raises(DivergentParameters, match="dps must be >= 1"):
             partition_zeta([2, 3], 2, 10, dps=dps)
 
+    def test_cost_does_not_grow_with_the_digits_of_s(self):
+        # at 30 digits (103 bits) every term but the empty partition's 1 rounds
+        # away once s passes 135: both sides are exactly 1 from there on
+        start = time.perf_counter()
+        for s in (136, Fraction(10**1000, 3), 10**1000):
+            result = partition_zeta([2, 3], s, 40)
+            assert (result.sum_side, result.product_side, result.terms) == (1, 1, 154)
+        assert time.perf_counter() - start < 0.5
+        below = partition_zeta([2, 3], 60, 40)  # 2^-60 still shows at 30 digits
+        assert below.sum_side > 1 and below.product_side > 1
+
     def test_precision_above_the_cap_refused_before_mpmath_loads(self, monkeypatch):
         assert partition_zeta([2, 3], 2, 40, dps=series.MAX_DPS).terms == 154
         monkeypatch.setitem(sys.modules, "mpmath", None)  # now `import mpmath` fails
@@ -484,7 +495,8 @@ def test_enumerative_sides_total_their_members_first(monkeypatch, side, enumerat
     def started(*args, **kwargs):
         raise _EnumerationStarted
 
-    monkeypatch.setattr(series, enumerator, started)
+    # pba_sum_side imports its walker from families when it is called
+    monkeypatch.setattr(families if enumerator == "iter_pba_by_size" else series, enumerator, started)
     with pytest.raises(ResourceBound, match="would enumerate"):
         side(fits + 1)
     with pytest.raises(_EnumerationStarted):
@@ -536,7 +548,7 @@ def assert_reduced(grid):
 @settings(deadline=None)
 @given(factors=factor_lists, xtrunc=st.integers(0, 4), qtrunc=st.integers(0, 14))
 def test_scaled_kernel_matches_sparse_fold(factors, xtrunc, qtrunc):
-    grid = families._dense_product("kernel", len(factors), factors, xtrunc, qtrunc)
+    grid = _counters._dense_product("kernel", len(factors), factors, xtrunc, qtrunc)
     fold = sparse_fold(
         (geometric_factor(c, a, b, xtrunc, qtrunc) for c, a, b in factors), xtrunc, qtrunc
     )
@@ -547,7 +559,7 @@ def test_scaled_kernel_matches_sparse_fold(factors, xtrunc, qtrunc):
 @settings(deadline=None)
 @given(factors=factor_lists, xtrunc=st.integers(0, 4), qtrunc=st.integers(0, 14))
 def test_scaled_linear_kernel_matches_sparse_fold(factors, xtrunc, qtrunc):
-    grid = families._dense_product("kernel", len(factors), factors, xtrunc, qtrunc, linear=True)
+    grid = _counters._dense_product("kernel", len(factors), factors, xtrunc, qtrunc, linear=True)
     fold = sparse_fold(
         (BivariateSeries(xtrunc, qtrunc, {(0, 0): 1, (a, b): c}) for c, a, b in factors),
         xtrunc, qtrunc,
@@ -570,13 +582,13 @@ def test_scaled_linear_kernel_matches_sparse_fold(factors, xtrunc, qtrunc):
     linear=st.booleans(),
 )
 def test_integral_weights_give_int_cells(factors, xtrunc, qtrunc, linear):
-    grid = families._dense_product("kernel", len(factors), factors, xtrunc, qtrunc, linear=linear)
+    grid = _counters._dense_product("kernel", len(factors), factors, xtrunc, qtrunc, linear=linear)
     assert all(type(c) is int for c in cells(grid))
 
 
 def test_rational_weight_needs_a_q_exponent():
     with pytest.raises(InternalContradiction):
-        families._dense_product("kernel", 1, [(Fraction(1, 2), 1, 0)], 3, 3)
+        _counters._dense_product("kernel", 1, [(Fraction(1, 2), 1, 0)], 3, 3)
 
 
 @pytest.mark.parametrize(

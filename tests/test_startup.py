@@ -1,8 +1,8 @@
 """Lazy loading: ``import seqcong`` resolves each export on first use, and
 each CLI subcommand imports only the modules it runs."""
 
+import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import seqcong
+from seqcong import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -95,40 +96,74 @@ def test_submodules_are_attributes_right_after_import():
 
 # dataclasses (with inspect) costs every process about 14 ms, argparse (with
 # gettext) about 3 ms and building its parser 5 ms more; no subcommand uses
-# them.  sequences is loaded only by the calls that read a sequence, and
-# maps only by map and orbit.
+# them.  sequences is loaded only by the calls that read a sequence, maps
+# only by map and orbit, json only by the calls that read a JSON partition
+# or print a record, and the series commands build no partition, so only
+# the pba sum side loads families, partition and predicates.
 WATCHED = (
-    "argparse", "dataclasses", "fractions", "gettext", "inspect", "mpmath", "seqcong.families",
-    "seqcong.maps", "seqcong.sequences", "seqcong.series",
+    "argparse", "dataclasses", "fractions", "gettext", "inspect", "json", "mpmath",
+    "seqcong.families", "seqcong.maps", "seqcong.partition", "seqcong.predicates",
+    "seqcong.sequences", "seqcong.series",
 )
+# the probe imports nothing of WATCHED itself, so it prints a repr, not JSON
 PROBE = (
-    "import contextlib, io, json, sys\n"
+    "import contextlib, io, sys\n"
     "from seqcong import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    rc = cli.main(sys.argv[1:])\n"
-    f"print(json.dumps([rc, [m for m in {WATCHED!r} if m in sys.modules]]))\n"
+    f"print(repr([rc, [m for m in {WATCHED!r} if m in sys.modules]]))\n"
 )
-SERIES_MODULES = ["fractions", "seqcong.families", "seqcong.sequences", "seqcong.series"]
+SERIES_MODULES = ["fractions", "seqcong.sequences", "seqcong.series"]
+PARTITION_MODULES = ["seqcong.partition", "seqcong.predicates"]
+
+
+def _loaded(argv) -> list:
+    done = _python(PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
 
 
 @pytest.mark.parametrize(
     "argv, rc, loaded",
     [
-        (("map", "pi", "[3,1]"), 0, ["seqcong.maps"]),
-        (("check", "seqcong", "[3,1]"), 1, []),
-        (("orbit", "[3,1]"), 0, ["seqcong.maps"]),
-        (("enum", "all:5", "--count-only"), 0, ["seqcong.families", "seqcong.sequences"]),
+        (("map", "pi", "[3,1]"), 0, ["json", "seqcong.maps", *PARTITION_MODULES]),
+        (("check", "seqcong", "[3,1]"), 1, ["json", *PARTITION_MODULES]),
+        (("orbit", "[3,1]"), 0, ["json", "seqcong.maps", *PARTITION_MODULES]),
+        (("enum", "all:5", "--count-only"), 0, ["seqcong.families", *PARTITION_MODULES, "seqcong.sequences"]),
+        (("series", "expand", "product", "--qtrunc", "10"), 0, SERIES_MODULES),
+        (("series", "expand", "distinct-product", "--qtrunc", "10"), 0, SERIES_MODULES),
+        (("series", "expand", "euler", "--A", "2,3", "--xtrunc", "10"), 0, SERIES_MODULES),
+        (
+            ("series", "expand", "product", "--qtrunc", "3", "--json"), 0,
+            ["fractions", "json", "seqcong.sequences", "seqcong.series"],
+        ),
         (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
         (
             ("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0,
-            ["fractions", "mpmath", "seqcong.families", "seqcong.sequences", "seqcong.series"],
+            ["fractions", "mpmath", "seqcong.sequences", "seqcong.series"],
         ),
         (("--help",), 0, []),
-        (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, ["seqcong.maps", "seqcong.sequences"]),
-        (("check", "sna:A=2,3,1", "[9,5,2]"), 0, ["seqcong.sequences"]),
+        (
+            ("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0,
+            ["json", "seqcong.maps", *PARTITION_MODULES, "seqcong.sequences"],
+        ),
+        (("check", "sna:A=2,3,1", "[9,5,2]"), 0, ["json", *PARTITION_MODULES, "seqcong.sequences"]),
     ],
 )
 def test_each_subcommand_loads_only_what_it_runs(argv, rc, loaded):
-    done = _python(PROBE, *argv)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [rc, loaded]
+    assert _loaded(argv) == [rc, loaded]
+
+
+TERMS = ("--A", "naturals", "--B", "naturals", "--xtrunc", "3", "--qtrunc", "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("series", "expand", side, *TERMS) for side in cli._SIDES]
+    + [("series", "verify", identity, *TERMS) for identity in cli._IDENTITIES],
+)
+def test_only_the_pba_sum_side_loads_families(argv):
+    rc, loaded = _loaded(argv)
+    assert rc == 0
+    builds_members = argv[1:3] in (("expand", "pba-sum"), ("verify", "two-variable"))
+    assert ("seqcong.families" in loaded) == builds_members, loaded

@@ -32,7 +32,7 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
-from seqcong.families import _pba_value_pairs
+from seqcong._counters import _pba_value_pairs
 from test_families import PBA_SPECS
 from test_series import weights
 

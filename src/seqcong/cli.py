@@ -6,17 +6,20 @@ or property verified; 1 predicate false or property violation (witness on
 stdout); 2 usage, parse, or extent error; 3 resource cap exceeded (an item
 cap, a count or series side whose table would exceed 10**7 cells, an
 enumerative side that would build more than 10**7 members, or a partition
-of more than 10**7 parts to print).
+of more than 10**7 parts to print).  ``python -m seqcong.cli`` and the
+``seqcong`` script run :func:`run`, which ends the process without
+interpreter teardown; :func:`main` returns the code.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from functools import cache
 from itertools import chain, islice, zip_longest
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 # every other module is imported by the calls that use it: json by those that
 # read a JSON partition or print a record, partition, predicates, maps,
@@ -97,13 +100,35 @@ def _write_chunk(pending: list[str], end: str) -> None:
         pending.append("")
         text = end.join(pending)
         pending.clear()
-        sys.stdout.write(text)
+        if sys.stdout is not None:  # None when fd 1 was closed at startup; print skips it too
+            sys.stdout.write(text)
+
+
+# characters of a refused text that an error line quotes
+_SHOWN = 40
+
+
+def _shown(text: str) -> str:
+    """A refused text quoted for its error line: whole up to _SHOWN
+    characters, else its first _SHOWN and its length, so that the line
+    stays short however long the text."""
+    if len(text) <= _SHOWN:
+        return repr(text)
+    return f"{text[:_SHOWN]!r}... ({len(text)} characters)"
+
+
+def _why(e: Exception) -> str:
+    """Why a value was refused.  Python's refusal of an integer past its
+    digit limit is said plainly, without its advice to raise the limit,
+    which a command line cannot take."""
+    if str(e).startswith("Exceeds the limit"):
+        return f"integers of more than {sys.get_int_max_str_digits()} digits are not accepted"
+    return str(e)
 
 
 def parse_partition(text: str) -> Partition:
     """JSON array (e.g. ``[5,3,3]``) or frequency form (e.g. ``1^3 2 5^2``)."""
-    from .partition import Partition
-
+    Partition = _partition_class()
     text = text.strip()
     if not text:
         raise ParseError("empty partition text")
@@ -114,6 +139,8 @@ def parse_partition(text: str) -> Partition:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(f"bad JSON at position {e.pos}: {e.msg}")
+        except ValueError as e:  # an integer past the digit limit
+            raise ParseError(f"partition JSON: {_why(e)}")
         if not isinstance(data, list):
             raise ParseError("partition JSON must be an array of integers")
         try:
@@ -127,13 +154,25 @@ def parse_partition(text: str) -> Partition:
     for pos, tok in enumerate(text.split(), start=1):
         m = re.fullmatch(r"(\d+)(?:\^(\d+))?", tok)
         if not m:
-            raise ParseError(f"bad token {tok!r} at position {pos}")
-        v = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) else 1
+            raise ParseError(f"bad token {_shown(tok)} at position {pos}")
+        try:
+            v = int(m.group(1))
+            k = int(m.group(2)) if m.group(2) else 1
+        except ValueError as e:  # past the digit limit
+            raise ParseError(f"token {_shown(tok)} at position {pos}: {_why(e)}")
         if v < 1 or k < 1:
-            raise ParseError(f"token {tok!r} at position {pos}: values must be positive")
+            raise ParseError(f"token {_shown(tok)} at position {pos}: values must be positive")
         freq[v] = freq.get(v, 0) + k
     return Partition.from_frequencies(freq)
+
+
+@cache
+def _partition_class():
+    """seqcong.partition.Partition, imported on first use and bound once:
+    `check` parses one partition a line, and the import costs about 2 us."""
+    from .partition import Partition
+
+    return Partition
 
 
 def parse_sequence(text: str) -> SequenceSpec:
@@ -150,17 +189,17 @@ def parse_sequence(text: str) -> SequenceSpec:
         try:
             return SequenceSpec.constant(int(text.split(":", 1)[1]))
         except (ValueError, InvalidPart) as e:
-            raise ParseError(f"bad constant sequence {text!r}: {e}")
+            raise ParseError(f"bad constant sequence {_shown(text)}: {_why(e)}")
     try:
         return SequenceSpec.table(int(v) for v in text.split(","))
     except (ValueError, InvalidPart) as e:
-        raise ParseError(f"bad sequence {text!r}: {e}")
+        raise ParseError(f"bad sequence {_shown(text)}: {_why(e)}")
 
 
 def _part_set(text: str) -> frozenset[int]:
     allowed = frozenset(int(v) for v in text.split(","))
     if any(v < 1 for v in allowed):
-        raise ParseError(f"part set {text!r} must be positive integers")
+        raise ParseError(f"part set {_shown(text)} must be positive integers")
     return allowed
 
 
@@ -216,14 +255,14 @@ def _parse_family_text(text: str, table: dict) -> tuple[str, list]:
     entry does not take are ignored."""
     name, colon, rest = text.partition(":")
     if name not in table:
-        raise ParseError(f"unknown family {name!r}")
+        raise ParseError(f"unknown family {_shown(name)}")
     keys = table[name][0]
     given = {}
     for pos, piece in enumerate(rest.split(";") if colon else ()):
         key, eq, value = piece.partition("=")
         if not eq:
             if pos or not keys:
-                raise ParseError(f"expected key=value in family {text!r}, got {piece!r}")
+                raise ParseError(f"expected key=value in family {_shown(text)}, got {_shown(piece)}")
             key, value = keys[0], piece
         given[key.strip()] = value.strip()
     missing = [f"{key}=..." for key in keys if key not in given]
@@ -232,7 +271,7 @@ def _parse_family_text(text: str, table: dict) -> tuple[str, list]:
     try:
         return name, [_VALUES[key](given[key]) for key in keys]
     except ValueError as e:
-        raise ParseError(f"bad value in family {text!r}: {e}")
+        raise ParseError(f"bad value in family {_shown(text)}: {_why(e)}")
 
 
 def _parse_check(text: str):
@@ -260,8 +299,8 @@ def _rational(text: str):
         if "e" not in text.lower():
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational {text!r}: {e}")
-    raise ParseError(f"bad rational {text!r}: exponent notation is not accepted")
+        raise ParseError(f"bad rational {_shown(text)}: {_why(e)}")
+    raise ParseError(f"bad rational {_shown(text)}: exponent notation is not accepted")
 
 
 def parse_weights(text: str, extent: int) -> WeightSpec:
@@ -273,7 +312,7 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
         try:
             seed = int(text.split(":", 1)[1])
         except ValueError as e:
-            raise ParseError(f"bad seed in {text!r}: {e}")
+            raise ParseError(f"bad seed in {_shown(text)}: {_why(e)}")
         return series.WeightSpec.random_table(seed, extent)
     if text.startswith("table:"):
         return series.WeightSpec.from_values(map(_rational, text[6:].split(",")))
@@ -281,8 +320,8 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
         try:
             return series.WeightSpec.indicator(int(v) for v in text[10:].split(","))
         except ValueError as e:
-            raise ParseError(f"bad indicator set {text!r}: {e}")
-    raise ParseError(f"unknown weight spec {text!r}")
+            raise ParseError(f"bad indicator set {_shown(text)}: {_why(e)}")
+    raise ParseError(f"unknown weight spec {_shown(text)}")
 
 
 def _int_at_least(low: float = float("-inf")):
@@ -292,7 +331,7 @@ def _int_at_least(low: float = float("-inf")):
         try:
             value = int(text)
         except ValueError:
-            raise ParseError(f"invalid int value: {text!r}")
+            raise ParseError(f"invalid int value: {_shown(text)}")
         if value < low:
             raise ParseError(f"must be >= {low}, got {value}")
         return value
@@ -518,7 +557,7 @@ def _cmd_zeta(args) -> int:
     try:
         part_set = [int(v) for v in args.T.split(",")]
     except ValueError as e:
-        raise ParseError(f"bad zeta parameters: {e}")
+        raise ParseError(f"bad zeta parameters: {_why(e)}")
     result = series.partition_zeta(part_set, args.s, args.depth)
     print(f"sum_side {_format_fixed(result.sum_side)}")
     print(f"product_side {_format_fixed(result.product_side)}")
@@ -566,7 +605,7 @@ def _convert(name: str, convert, text: str):
         except ParseError as e:
             raise ParseError(f"{name}: {e}")
     if text not in convert:
-        raise ParseError(f"{name}: invalid choice: {text!r} (choose from {', '.join(convert)})")
+        raise ParseError(f"{name}: invalid choice: {_shown(text)} (choose from {', '.join(convert)})")
     return text
 
 
@@ -603,7 +642,7 @@ def _parse(argv: list[str]):
                 return None
             convert = options[name][0]
             if convert is None and eq:
-                raise ParseError(f"--{name}: ignored explicit argument {value!r}")
+                raise ParseError(f"--{name}: ignored explicit argument {_shown(value)}")
             if convert is not None and not eq:
                 value = next(tokens, None)
                 if value is None:
@@ -644,5 +683,20 @@ def main(argv=None) -> int:
         return 3 if isinstance(e, ResourceBound) else 2
 
 
+def run() -> NoReturn:
+    """Exit with main's code once stdout and stderr are flushed, skipping
+    interpreter teardown: the final collection, module clearing and atexit
+    callbacks cost about 10 ms after the output is written.  A flush that
+    fails falls back to sys.exit, which reports it as teardown would."""
+    rc = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its fd was closed at startup
+                stream.flush()
+    except OSError:
+        sys.exit(rc)
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -432,6 +432,28 @@ def test_rational_values_end_within_a_second(run_limited, argv, rc, out):
     assert elapsed < 1.0
 
 
+# past Python's 4,300-digit limit on converting text to an integer
+OVER_LIMIT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("map", "pi", f"[{OVER_LIMIT}]"), None),
+        (("check", "seqcong"), f"[{OVER_LIMIT}]\n"),
+        (("map", "pi", "1^" + "1" * 5001), None),
+        (("zeta", "--T", "2,3", "--s", "1" + "0" * 10000, "--depth", "3"), None),
+        (("series", "expand", "product", "--qtrunc", "3", "--f", "table:1" + "0" * 10000), None),
+        (("enum", "all:1" + "0" * 10000, "--count-only"), None),
+    ],
+)
+def test_integers_past_the_digit_limit_are_one_short_error(capsys, monkeypatch, argv, stdin):
+    code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300, err
+    assert "integers of more than 4300 digits are not accepted" in err
+
+
 @pytest.mark.parametrize(
     "family, first",
     [

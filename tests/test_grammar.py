@@ -430,11 +430,13 @@ def test_spelling_does_not_matter(capsys, data):
 
 # The contract sweep: every command path of the command table, with
 # degenerate texts, returns 0-3, raises nothing and, on exit 2 or 3, writes
-# exactly one error line.  Numbers are small, 30 digits or invalid; sizes
-# that would list members stay small, as a listing's length is its output.
+# exactly one error line.  Numbers are small, 30 digits, past Python's
+# 4,300-digit limit on integer text, or invalid; sizes that would list
+# members stay small, as a listing's length is its output.
 HUGE = str(10**30 - 7)
-NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "12", HUGE, "-" + HUGE, "x", ""])
-TERMS = st.sampled_from(["-2", "0", "1", "2", "3", "5", "7", HUGE])
+OVER_LIMIT = "1" + "0" * 4300
+NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "12", HUGE, "-" + HUGE, OVER_LIMIT, "x", ""])
+TERMS = st.sampled_from(["-2", "0", "1", "2", "3", "5", "7", HUGE, OVER_LIMIT])
 SEQUENCES = st.one_of(
     st.sampled_from(["naturals", "nat", "ones", "odds", "constant:0", "constant:-1",
                      "constant:3", "constant:" + HUGE, "const:2", "bogus"]),
@@ -449,7 +451,7 @@ WEIGHTS = st.one_of(
 PARTITIONS = st.one_of(
     st.lists(TERMS, max_size=6).map(lambda ps: "[" + ",".join(ps) + "]"),
     st.sampled_from(["[]", "[1,", "{}", "[true]", "[2.5]", "", " ", "1^3 2 5^2", "0",
-                     f"1^{HUGE}", f"{HUGE}^2 3", "2^0", "a^b", "[3]\n[2]"]),
+                     f"1^{HUGE}", f"{HUGE}^2 3", f"1^{OVER_LIMIT}", "2^0", "a^b", "[3]\n[2]"]),
 )
 
 

@@ -1,8 +1,22 @@
-"""Exception types shared by every module of the package, and the item cap."""
+"""Exception types shared by every module of the package, the item cap,
+and the quoting of refused values in their messages."""
 
 # the most items (members, table cells, parts of a written partition) any
 # one call builds; above it the call raises ResourceBound before building
 DEFAULT_ITEM_CAP = 10**7
+
+# characters of a refused value that an error message quotes
+_SHOWN = 40
+
+
+def _shown(value: object) -> str:
+    """A refused value for its error message: a text quoted as repr quotes
+    it, anything else as its repr, whole up to _SHOWN characters, else its
+    first _SHOWN and its length, so that the message stays short however
+    long the value."""
+    text = value if isinstance(value, str) else repr(value)
+    head = repr(text[:_SHOWN]) if isinstance(value, str) else text[:_SHOWN]
+    return head if len(text) <= _SHOWN else f"{head}... ({len(text)} characters)"
 
 
 class SeqcongError(Exception):

@@ -1,42 +1,37 @@
-"""Deterministic run walkers and exact counters for every partition family
+"""Descriptors, enumeration and exact counts for every partition family
 in the package, plus the finite-truncation ideal checks.
 
 Enumeration order for every family is strictly decreasing lexicographic on
 the parts sequence, and two runs produce identical streams.  A configurable
 item cap (default 10**7) turns runaway requests into a clean
-:class:`ResourceBound` error.
-
-A level of every walker picks one (value, multiplicity) run, so a member
-costs time in its distinct parts, not its parts, and becomes a
-:class:`Partition` as the runs it was built from.
+:class:`ResourceBound` error.  Members come from the run walkers of
+``_walkers`` and become :class:`Partition` values as the runs they were
+built from.
 
 Counts never enumerate: :func:`count` runs a dynamic program of
 ``_counters`` for each kind (row recursions, Euler's pentagonal numbers, the
 product kernel), and the walkers stay as the oracles the tests hold them to.
-
-The sequentially congruent walker builds members directly from the
-congruence conditions (right-to-left residue choices, realized as a DFS
-from the fixed largest part); it deliberately does not reuse the dual map,
-so that counting agreement with the plain enumerator is a genuine check.
+The walkers, ``partition`` and ``predicates`` are imported by the calls
+that build members or reports, so a count compiles none of them.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ._counters import (
     _coin_change, _dense_product, _pba_value_pairs, _pentagonal_counts, _require_members,
-    _require_strictly_increasing, _sized_list, sna_weight_sums, step_bounded_counts,
+    _sized_list, sna_weight_sums, step_bounded_counts,
 )
 from ._values import Value
-from .errors import DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound
-from .partition import Partition
-from .predicates import ViolationReport, is_member_pba
+from .errors import DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound, _shown
 from .sequences import NATURALS, SequenceSpec
 
-Membership = Callable[[Partition], bool]  # or a check: a ViolationReport is truthy when ok
+if TYPE_CHECKING:
+    from .partition import Partition
+    from .predicates import ViolationReport
+
+Membership = Callable[["Partition"], bool]  # or a check: a ViolationReport is truthy when ok
 
 
 class FamilyDescriptor(Value):
@@ -96,200 +91,8 @@ def step_bounded_largest(n: int) -> FamilyDescriptor:
 
 def _check_n(n: int, name: str = "family parameter n") -> int:
     if n < 0:
-        raise InvalidPart(f"{name} must be >= 0, got {n}")
+        raise InvalidPart(f"{name} must be >= 0, got {_shown(n)}")
     return n
-
-
-# ---------------------------------------------------------------------------
-# run walkers (tuples of runs, strictly decreasing lexicographic on the parts)
-
-Run = tuple[int, int]  # (value, multiplicity)
-# A level offers (run, below, stop) choices: the run that extends the prefix,
-# the level of runs that may follow it (None when the extended prefix is a
-# member and nothing follows), and whether the extended prefix is also a
-# member once its extensions are done.
-Level = Iterator[tuple[Run, Optional[Iterator], bool]]
-
-
-def _walk_runs(n: int, top: Level, empty: bool = False) -> Iterator[tuple[Run, ...]]:
-    """Members as tuples of runs; for n = 0 the empty partition is the only
-    one, and otherwise it comes last when `empty` says it is a member.  A
-    member is yielded after its extensions, which are lexicographically
-    larger, so levels that offer larger values first, and more copies of a
-    value before fewer, give the members in strictly decreasing
-    lexicographic order on the parts.  The stack is explicit: a member may
-    have thousands of runs, past Python's recursion limit."""
-    if n == 0:
-        yield ()
-        return
-    runs: list[Run] = []  # the run each open level below the top was opened by
-    stops = [empty]  # whether the prefix each open level extends is a member
-    stack = [top]
-    while stack:
-        for run, below, stop in stack[-1]:
-            if below is None:
-                yield (*runs, run)
-                continue
-            runs.append(run)
-            stops.append(stop)
-            stack.append(below)
-            break
-        else:  # choices exhausted: close the level and the prefix it extends
-            stack.pop()
-            if stops.pop():
-                yield tuple(runs)
-            if runs:
-                runs.pop()
-
-
-def _gen_by_size(n: int, distinct: bool) -> Iterator[tuple[Run, ...]]:
-    """Every partition of n, or those into distinct parts.  Only choices
-    that lead to a member are offered: 1s can fill any remainder, and
-    distinct parts up to v sum to at most v (v + 1) / 2."""
-
-    def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
-        for v in range(min(top, rem), 0, -1):
-            if distinct and 2 * rem > v * (v + 1):
-                return
-            copies = (1,) if distinct else (rem,) if v == 1 else range(rem // v, 0, -1)
-            for m in copies:
-                left = rem - v * m
-                if left:
-                    yield (v, m), level(v - 1, left), False
-                else:
-                    yield (v, m), None, True
-
-    return _walk_runs(n, level(n, n))
-
-
-def _gen_parts_in(part_set: tuple[int, ...], n: int) -> Iterator[tuple[Run, ...]]:
-    allowed = sorted(part_set, reverse=True)
-    gcds = [*accumulate(reversed(allowed), math.gcd, initial=0)][::-1]  # of allowed[k:]; 0 past
-
-    def level(k: int, rem: int) -> Level:  # runs of allowed[k:] summing to rem
-        if math.gcd(rem, gcds[k]) != gcds[k]:  # no sum of allowed[k:] is rem
-            return
-        for idx in range(k, len(allowed)):
-            v = allowed[idx]
-            if v > rem:
-                continue
-            if idx + 1 == len(allowed):  # the smallest part takes the rest or nothing
-                if rem % v == 0:
-                    yield (v, rem // v), None, True
-                return
-            for m in range(rem // v, 0, -1):
-                left = rem - v * m
-                if left:
-                    yield (v, m), level(idx + 1, left), False
-                else:
-                    yield (v, m), None, True
-
-    return _walk_runs(n, level(0, n))
-
-
-# The largest-part walkers below choose, for a run of c that starts at index
-# i, the index j at which it ends.  Only the congruence at j can fail (the
-# steps inside a run are 0), so a run ending at j is a member if c meets the
-# last-part condition at j, and continues with a smaller part c' that meets
-# the congruence at j.  More copies of c come first, then the continuations
-# by c' descending, then the stop.
-
-
-def _gen_seqcong_lg(n: int) -> Iterator[tuple[Run, ...]]:
-    # A member's last part is a positive multiple of its index, so a part
-    # at index r is at least r, and a continuation at j is c' = c - k j > j;
-    # a run of c from index i <= c can always run on to index c and stop.
-    # An end j >= c/2 admits no continuation and stops only at j = c or
-    # j = c/2; every end j < c/2 has the continuation c - j, and stops
-    # where j | c.
-    def level(i: int, values: Iterable[int]) -> Level:
-        for c in values:
-            yield (c, c - i + 1), None, True
-            if c % 2 == 0 and 2 * i <= c:
-                yield (c, c // 2 - i + 1), None, True
-            for j in range((c - 1) // 2, i - 1, -1):
-                yield (c, j - i + 1), level(j + 1, range(c - j, j, -j)), c % j == 0
-
-    return _walk_runs(n, level(1, (n,)))
-
-
-def _gen_step_lg(n: int) -> Iterator[tuple[Run, ...]]:
-    # Steps of 0 or j: a run of c stops only at j = c and continues only
-    # with c - j, which must exceed j, as every later stop needs a part
-    # equal to its index.
-    def level(i: int, c: int) -> Level:
-        yield (c, c - i + 1), None, True
-        for j in range((c - 1) // 2, i - 1, -1):
-            yield (c, j - i + 1), level(j + 1, c - j), False
-
-    return _walk_runs(n, level(1, n))
-
-
-def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
-    # Stops at index r need a_r | part_r, so part_r >= a_r; strictly
-    # increasing terms bound the length.  Constant-like rules admit members
-    # of every length and the family is infinite.  A run of c from index i
-    # runs on while c > a_j and c >= a_{j+1}, so its last possible end is
-    # k = max(i, first index with a_k >= c), a stop when a_k = c.  Below k,
-    # an end j with a_j >= c/2 admits no continuation (c - a_j < a_{j+1}),
-    # so only the first such j can stop, when a_j = c/2.  Every end j with
-    # a_j < c/2 may continue with a c' = c (mod a_j), a_{j+1} <= c' < c.
-    # A table that never reaches c raises from first_at_least, before any
-    # member of the run is offered, where the per-part walk did.
-    _require_strictly_increasing(a_seq)
-    at, first_at_least = a_seq.at, a_seq.first_at_least
-
-    def level(i: int, values: Iterable[int]) -> Level:
-        for c in values:
-            k = max(i, first_at_least(c))
-            if at(k) == c:
-                yield (c, k - i + 1), None, True
-            half = max(i, first_at_least((c + 1) // 2))
-            if half < k and 2 * at(half) == c:
-                yield (c, half - i + 1), None, True
-            for j in range(half - 1, i - 1, -1):
-                a_j = at(j)
-                nxt = range(c - a_j, at(j + 1) - 1, -a_j)
-                stop = c % a_j == 0
-                if nxt:
-                    yield (c, j - i + 1), level(j + 1, nxt), stop
-                elif stop:
-                    yield (c, j - i + 1), None, True
-
-    return _walk_runs(n, level(1, (n,)))
-
-
-def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
-    # A level takes the next pair, by B-value descending, that gets copies,
-    # and a positive multiple of its A-term copies, from the most down.
-    # Larger values and more copies of them come first, so members are
-    # strictly decreasing.  Bit r of reach[i] says whether pairs[i:] can
-    # place r copies, so only choices that lead to a member are taken and
-    # the work before each member is at most one step per pair.
-    n = desc.n
-    pairs = _pba_value_pairs(desc.a_seq, desc.b_seq, n, lambda a, b: a, desc.describe())
-    mask = (1 << (n + 1)) - 1
-    reach = [0] * len(pairs) + [1]
-    for i in range(len(pairs) - 1, -1, -1):
-        row, a = reach[i + 1], pairs[i][1]
-        while a <= n:  # row |= row << k*a for every k >= 1, by doubling
-            row |= (row << a) & mask
-            a *= 2
-        reach[i] = row
-
-    def level(k: int, rem: int) -> Level:  # runs of pairs[k:] placing rem copies
-        for idx in range(k, len(pairs)):
-            if not reach[idx] >> rem & 1:
-                return
-            (b, a), after = pairs[idx], reach[idx + 1]
-            for m in range(rem - rem % a, 0, -a):
-                left = rem - m
-                if not left:
-                    yield (b, m), None, True
-                elif after >> left & 1:
-                    yield (b, m), level(idx + 1, left), False
-
-    return _walk_runs(n, level(0, n))
 
 
 def iter_pba_by_size(
@@ -308,26 +111,16 @@ def iter_pba_by_size(
     finite for every sequence kind.  The pairs are sized as they arrive
     (:func:`_sized_list`), each one pass over max_size + 1 cells.
     """
-    # A level takes the next pair, by B-value descending, that gets copies,
-    # and a positive multiple of its A-term copies within both budgets, from
-    # the most down.  Every prefix is a member, and the last pair opens no
-    # level below it.  B-values are >= 1, so max_size also bounds the length.
+    from ._walkers import _gen_pba_by_size
+    from .partition import Partition
+
     _check_n(max_size, "max_size")
     if max_length is not None:
         _check_n(max_length, "max_length")
     label = f"P_B(A) members to size {max_size}"
     pairs = _pba_value_pairs(a_seq, b_seq, max_size, lambda a, b: a * b, label)
-
-    def level(k: int, size_left: int, len_left: int) -> Level:
-        for idx in range(k, len(pairs)):
-            (b, a), leaf = pairs[idx], idx + 1 == len(pairs)
-            most = min(size_left // b, len_left)
-            for m in range(most - most % a, 0, -a):
-                below = None if leaf else level(idx + 1, size_left - m * b, len_left - m)
-                yield (b, m), below, True
-
-    top = level(0, max_size, max_size if max_length is None else max_length)
-    yield from map(Partition._from_runs, _walk_runs(max_size, top, empty=True))
+    runs = _gen_pba_by_size(pairs, max_size, max_size if max_length is None else max_length)
+    yield from map(Partition._from_runs, runs)
 
 
 def _count_distinct(desc: FamilyDescriptor) -> int:
@@ -349,27 +142,28 @@ def _count_pba_len(desc: FamilyDescriptor) -> int:
 # public enumeration and counting API
 
 
-# kind -> (run walker, exact counter), both given the descriptor
+# kind -> (run walker, given the _walkers module and the descriptor, and
+# exact counter, given the descriptor)
 _KINDS = {
     "all": (
-        lambda d: _gen_by_size(d.n, False),
+        lambda w, d: w._gen_by_size(d.n, False),
         lambda d: _pentagonal_counts(d.describe(), d.n)[d.n],
     ),
     "parts-in": (
-        lambda d: _gen_parts_in(d.part_set, d.n),
+        lambda w, d: w._gen_parts_in(d.part_set, d.n),
         lambda d: _coin_change(d.describe(), d.part_set, d.n)[d.n],
     ),
-    "distinct": (lambda d: _gen_by_size(d.n, True), _count_distinct),
+    "distinct": (lambda w, d: w._gen_by_size(d.n, True), _count_distinct),
     "seqcong-lg": (
-        lambda d: _gen_seqcong_lg(d.n),
+        lambda w, d: w._gen_seqcong_lg(d.n),
         lambda d: sna_weight_sums(NATURALS, d.n, lambda i: 1, d.describe())[d.n],
     ),
-    "step-lg": (lambda d: _gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)[d.n]),
+    "step-lg": (lambda w, d: w._gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)[d.n]),
     "sna-lg": (
-        lambda d: _gen_sna_lg(d.a_seq, d.n),
+        lambda w, d: w._gen_sna_lg(d.a_seq, d.n),
         lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe())[d.n],
     ),
-    "pba-len": (_gen_pba_len, _count_pba_len),
+    "pba-len": (lambda w, d: w._gen_pba_len(d), _count_pba_len),
 }
 
 
@@ -385,10 +179,13 @@ def enumerate_family(
 ) -> Iterator[Partition]:
     """Yield every member of the family once, in strictly decreasing
     lexicographic order on the parts sequence, built from runs."""
+    from . import _walkers
+    from .partition import Partition
+
     cap = DEFAULT_ITEM_CAP if max_items is None else max_items
     produced = 0
     generate, _ = _kind(desc)
-    for runs in generate(desc):
+    for runs in generate(_walkers, desc):
         produced += 1
         if produced > cap:
             raise ResourceBound(
@@ -467,6 +264,8 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
     the witness member.  Partitions are totalled first, as in
     :func:`counts_by_size`.  A bound below 0 raises :class:`InvalidPart`.
     """
+    from .predicates import ViolationReport
+
     _check_n(bound, "bound")
     label = f"ideal closure to size {bound}"
     _require_members(label, _pentagonal_counts(label, bound)[1:])
@@ -519,6 +318,8 @@ def check_quasi_ideal(
     members, totalled first by coin change over the products a b of the
     pairs, raise :class:`ResourceBound` before any is built.  A bound below
     0 raises :class:`InvalidPart`."""
+    from .predicates import ViolationReport, is_member_pba
+
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {bound}"
     products = [a * b for b, a in _pba_value_pairs(a_seq, b_seq, bound, lambda a, b: a * b, label)]

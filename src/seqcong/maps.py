@@ -16,7 +16,8 @@ from .errors import (
     PartNotInA,
 )
 from .partition import Partition, _run_ends
-from .predicates import is_member_pba, is_sequentially_congruent
+
+# predicates is imported by the functions that check membership
 
 if TYPE_CHECKING:
     from .sequences import SequenceSpec
@@ -31,6 +32,8 @@ def pi(lam: Partition) -> Partition:
     value e*v plus the sum of the parts after it, so the work is one step
     per run.
     """
+    from .predicates import is_sequentially_congruent
+
     out = []
     tail = 0  # sum of the parts after the current run
     end = lam.length  # last index of the current run
@@ -56,6 +59,8 @@ def pi_inverse(phi: Partition) -> Partition:
     ending at index e every index recovers the same part (c - tail) / e, so
     the division is made once per run.
     """
+    from .predicates import is_sequentially_congruent
+
     report = is_sequentially_congruent(phi)
     if not report.ok:
         raise NotSequentiallyCongruent(report)
@@ -90,6 +95,8 @@ def sigma(phi: Partition) -> Partition:
     last index of each run has a nonzero difference, so the result has one
     run per run of the input.
     """
+    from .predicates import is_sequentially_congruent
+
     report = is_sequentially_congruent(phi)
     if not report.ok:
         raise NotSequentiallyCongruent(report)
@@ -135,6 +142,8 @@ def orbit(start: Partition, side: str = "P") -> OrbitTrace:
     if side not in ("P", "S"):
         raise ValueError(f"side must be 'P' or 'S', got {side!r}")
     if side == "S":
+        from .predicates import is_sequentially_congruent
+
         report = is_sequentially_congruent(start)
         if not report.ok:
             raise NotSequentiallyCongruent(report)
@@ -198,6 +207,8 @@ def scale_map_inverse(mu: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -
     :func:`scale_map`, repeated A- or B-terms over the consulted range raise
     :class:`NonDistinctA`.
     """
+    from .predicates import is_member_pba
+
     report = is_member_pba(mu, a_seq, b_seq)
     if not report.ok:
         raise NotMemberPBA(report)

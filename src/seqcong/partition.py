@@ -16,7 +16,7 @@ import sys
 from itertools import chain, repeat, starmap
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DEFAULT_ITEM_CAP, InsufficientMultiplicity, InvalidPart, ResourceBound
+from .errors import DEFAULT_ITEM_CAP, InsufficientMultiplicity, InvalidPart, ResourceBound, _shown
 
 
 def _runs_of(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -59,9 +59,9 @@ class Partition:
         t = tuple(parts)
         for i, v in enumerate(t):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise InvalidPart(f"part {v!r} is not a positive integer")
+                raise InvalidPart(f"part {_shown(v)} is not a positive integer")
             if i and t[i - 1] < v:
-                raise InvalidPart(f"parts {t} are not weakly decreasing")
+                raise InvalidPart(f"parts {_shown(t)} are not weakly decreasing")
         self._runs = _runs_of(t)
         self._parts = t
 
@@ -83,7 +83,7 @@ class Partition:
         vals = []
         for v in raw:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidPart(f"part {v!r} is not a nonnegative integer")
+                raise InvalidPart(f"part {_shown(v)} is not a nonnegative integer")
             if v:
                 vals.append(v)
         vals.sort(reverse=True)
@@ -95,9 +95,9 @@ class Partition:
         multiplicities are stored, never expanded."""
         for part, mult in fv.items():
             if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-                raise InvalidPart(f"part {part!r} is not a positive integer")
+                raise InvalidPart(f"part {_shown(part)} is not a positive integer")
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise InvalidPart(f"multiplicity {mult!r} of part {part} is not positive")
+                raise InvalidPart(f"multiplicity {_shown(mult)} of part {_shown(part)} is not positive")
         return cls._from_runs(tuple(sorted(fv.items(), reverse=True)))
 
     @property

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from typing import Optional, Sequence
 
 from ._values import Value
-from .errors import ExtentExceeded, InvalidPart
+from .errors import ExtentExceeded, InvalidPart, _shown
 
 # rule -> (a_1, step); ``constant:k`` is (k, 0)
 _PROGRESSIONS = {"naturals": (1, 1), "odds": (1, 2), "ones": (1, 0)}
@@ -41,7 +41,7 @@ class SequenceSpec(Value):
     def table(cls, terms) -> "SequenceSpec":
         t = tuple(int(v) for v in terms)
         if any(v < 1 for v in t):
-            raise InvalidPart(f"table terms must be positive, got {t}")
+            raise InvalidPart(f"table terms must be positive, got {_shown(t)}")
         return cls("table", terms=t)
 
     @classmethod
@@ -55,7 +55,7 @@ class SequenceSpec(Value):
     @classmethod
     def constant(cls, k: int) -> "SequenceSpec":
         if k < 1:
-            raise InvalidPart(f"constant term must be positive, got {k}")
+            raise InvalidPart(f"constant term must be positive, got {_shown(k)}")
         return cls("constant", k=k)
 
     @classmethod

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from seqcong.cli import _format_fixed, main, parse_partition
+from seqcong._clipartition import parse_partition
+from seqcong._cliseries import _format_fixed
+from seqcong.cli import main
 from seqcong.errors import ParseError
 from seqcong.series import partition_zeta
 
@@ -452,6 +454,30 @@ def test_integers_past_the_digit_limit_are_one_short_error(capsys, monkeypatch, 
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300, err
     assert "integers of more than 4300 digits are not accepted" in err
+
+
+# within Python's digit limit, but thousands of characters long
+NEGATIVE = "-1" + "0" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [
+        (("map", "pi", f"[{NEGATIVE}]"), "part -1000"),
+        (("map", "scale", "[3]", "--A", f"constant:{NEGATIVE}", "--B", "1"), "got -1000"),
+        (("map", "scale", "[3]", "--A", f"1,{NEGATIVE}", "--B", "1"), "got (1, -1000"),
+        (("ideal", "closure", "all", "--max-size", NEGATIVE), "got -1000"),
+        (("enum", f"all:{NEGATIVE}"), "got -1000"),
+        (("enum", "all:3", "--", "all:3", "x" * 10_000), "arguments: all:3 'xxxx"),
+        (("enum", "all:3", "--" + "x" * 10_000), "arguments: '--xx"),
+        (("enum", "all:3", "--", "all:3", *"y" * 10_000), "arguments: all:3 y y ... (10001 words)"),
+    ],
+)
+def test_long_refused_values_are_one_short_error(capsys, argv, quoted):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300, err
+    assert quoted in err
 
 
 @pytest.mark.parametrize(

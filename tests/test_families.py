@@ -37,7 +37,7 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
-from seqcong import families
+from seqcong import families, predicates
 from seqcong._counters import _pba_value_pairs
 
 NAT = SequenceSpec.naturals()
@@ -506,14 +506,15 @@ class TestQuasiIdeal:
         # 5 takes copies in blocks of 2; reject 5^2, which 5^6 reaches by
         # deleting two blocks: the check deletes one block from each
         # member, so it fails at 5^4, one block above the rejected one
-        original = families.is_member_pba
+        original = predicates.is_member_pba
 
         def rejects_5_5(p, a_seq, b_seq):
             if p.parts == (5, 5):
-                return families.ViolationReport(False, 5, "rejected")
+                return predicates.ViolationReport(False, 5, "rejected")
             return original(p, a_seq, b_seq)
 
-        monkeypatch.setattr(families, "is_member_pba", rejects_5_5)
+        # check_quasi_ideal imports the predicate from predicates when it is called
+        monkeypatch.setattr(predicates, "is_member_pba", rejects_5_5)
         report = check_quasi_ideal(self.A, self.B, 30)
         assert not report.ok and report.index == 5
         assert report.detail == (

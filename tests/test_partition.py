@@ -7,6 +7,7 @@ from seqcong import (
     InvalidPart,
     Partition,
     ResourceBound,
+    SequenceSpec,
     partitions_of,
 )
 
@@ -51,6 +52,29 @@ class TestFromParts:
             Partition((1, 3))
         with pytest.raises(InvalidPart):
             Partition((3, 0))
+
+
+HUGE = -(10**4000)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition((-1,)), "part -1 is not a positive integer"),
+        (lambda: Partition(("x",)), "part 'x' is not a positive integer"),
+        (lambda: Partition((HUGE,)), f"part {str(HUGE)[:40]}... (4002 characters) is not"),
+        (lambda: Partition.from_parts([3, HUGE]), "part -1000"),
+        (lambda: Partition.from_frequencies({HUGE: 1}), "part -1000"),
+        (lambda: Partition.from_frequencies({3: HUGE}), "multiplicity -1000"),
+        (lambda: Partition((1, 2) * 5000), "parts (1, 2, 1, 2,"),
+        (lambda: SequenceSpec.table([1, HUGE]), "got (1, -1000"),
+        (lambda: SequenceSpec.constant(HUGE), "got -1000"),
+    ],
+)
+def test_refused_values_are_quoted_short(build, message):
+    with pytest.raises(InvalidPart) as refused:
+        build()
+    assert message in str(refused.value) and len(str(refused.value)) < 200
 
 
 class TestBasicViews:

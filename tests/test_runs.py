@@ -40,7 +40,8 @@ from seqcong import (
     step_bounded_largest,
 )
 from seqcong import cli
-from seqcong.errors import ExtentExceeded
+from seqcong._clipartition import _partition_json
+from seqcong.errors import DEFAULT_ITEM_CAP, ExtentExceeded
 
 # ---------------------------------------------------------------------------
 # per-part references
@@ -362,7 +363,7 @@ def dumped(obj):
 @given(partitions())
 def test_writer_matches_json_dumps(pair):
     lam, t = pair
-    assert cli._partition_json(lam) == dumped(list(t))
+    assert _partition_json(lam) == dumped(list(t))
 
 
 def cli_stdout(*argv):
@@ -398,14 +399,14 @@ def test_enum_output_matches_json_dumps(family, desc):
 
 
 def test_writer_refuses_more_parts_than_the_cap():
-    cap = cli.DEFAULT_ITEM_CAP
-    assert cli._partition_json(Partition.from_frequencies({2: 3})) == "[2,2,2]"
+    cap = DEFAULT_ITEM_CAP
+    assert _partition_json(Partition.from_frequencies({2: 3})) == "[2,2,2]"
     with pytest.raises(ResourceBound):
-        cli._partition_json(Partition.from_frequencies({1: cap + 1}))
+        _partition_json(Partition.from_frequencies({1: cap + 1}))
 
 
 def test_ferrers_refuses_more_cells_than_the_cap():
-    cap = cli.DEFAULT_ITEM_CAP
+    cap = DEFAULT_ITEM_CAP
     assert Partition.from_frequencies({2: 2}).ferrers() == "..\n.."
     with pytest.raises(ResourceBound):
         Partition((cap + 1,)).ferrers()

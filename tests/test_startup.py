@@ -51,10 +51,10 @@ EXPORTS = {
 ALL_NAMES = [name for names in EXPORTS.values() for name in names]
 
 
-def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _python(code: str, *argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code, *argv], env=env, input=stdin, capture_output=True, text=True, timeout=60,
     )
 
 
@@ -96,12 +96,17 @@ def test_submodules_are_attributes_right_after_import():
 
 # dataclasses (with inspect) costs every process about 14 ms, argparse (with
 # gettext) about 3 ms and building its parser 5 ms more; no subcommand uses
-# them.  sequences is loaded only by the calls that read a sequence, maps
-# only by map and orbit, json only by the calls that read a JSON partition
-# or print a record, and the series commands build no partition, so only
-# the pba sum side loads families, partition and predicates.
+# them.  Each command compiles only its handler module: _clipartition for
+# check, map and orbit (and the lines of an enum listing), _clifamily for
+# enum, ideal and check, _cliseries for series and zeta.  sequences is
+# loaded only by the calls that read a sequence or count, maps only by map
+# and orbit, predicates only by the calls that check membership, json only
+# by the calls that read a JSON partition or print a record, and the run
+# walkers only by the calls that build members: a count builds none, and
+# of the series commands only the pba sum side does.
 WATCHED = (
     "argparse", "dataclasses", "fractions", "gettext", "inspect", "json", "mpmath",
+    "seqcong._clifamily", "seqcong._clipartition", "seqcong._cliseries", "seqcong._walkers",
     "seqcong.families", "seqcong.maps", "seqcong.partition", "seqcong.predicates",
     "seqcong.sequences", "seqcong.series",
 )
@@ -113,45 +118,80 @@ PROBE = (
     "    rc = cli.main(sys.argv[1:])\n"
     f"print(repr([rc, [m for m in {WATCHED!r} if m in sys.modules]]))\n"
 )
-SERIES_MODULES = ["fractions", "seqcong.sequences", "seqcong.series"]
-PARTITION_MODULES = ["seqcong.partition", "seqcong.predicates"]
+COUNT_MODULES = ["seqcong._clifamily", "seqcong.families", "seqcong.sequences"]
+SERIES_MODULES = ["fractions", "seqcong._cliseries", "seqcong.sequences", "seqcong.series"]
+MEMBER_MODULES = ["seqcong._walkers", "seqcong.families", "seqcong.partition", "seqcong.sequences"]
+CHECK_MODULES = [
+    "json", "seqcong._clifamily", "seqcong._clipartition", "seqcong.partition", "seqcong.predicates",
+]
+MAP_MODULES = ["json", "seqcong._clipartition", "seqcong.maps", "seqcong.partition"]
 
 
-def _loaded(argv) -> list:
-    done = _python(PROBE, *argv)
+def _loaded(argv, stdin: str | None = None) -> list:
+    done = _python(PROBE, *argv, stdin=stdin)
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout)
 
 
+# the paths first pinned, then one case for each job shape of the
+# benchmark's workloads that they do not cover
 @pytest.mark.parametrize(
     "argv, rc, loaded",
     [
-        (("map", "pi", "[3,1]"), 0, ["json", "seqcong.maps", *PARTITION_MODULES]),
-        (("check", "seqcong", "[3,1]"), 1, ["json", *PARTITION_MODULES]),
-        (("orbit", "[3,1]"), 0, ["json", "seqcong.maps", *PARTITION_MODULES]),
-        (("enum", "all:5", "--count-only"), 0, ["seqcong.families", *PARTITION_MODULES, "seqcong.sequences"]),
+        (("map", "pi", "[3,1]"), 0, [*MAP_MODULES, "seqcong.predicates"]),
+        (("check", "seqcong", "[3,1]"), 1, CHECK_MODULES),
+        (("orbit", "[3,1]"), 0, [*MAP_MODULES, "seqcong.predicates"]),
+        (("enum", "all:5", "--count-only"), 0, COUNT_MODULES),
         (("series", "expand", "product", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "distinct-product", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "euler", "--A", "2,3", "--xtrunc", "10"), 0, SERIES_MODULES),
         (
             ("series", "expand", "product", "--qtrunc", "3", "--json"), 0,
-            ["fractions", "json", "seqcong.sequences", "seqcong.series"],
+            ["fractions", "json", "seqcong._cliseries", "seqcong.sequences", "seqcong.series"],
         ),
         (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
         (
             ("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0,
-            ["fractions", "mpmath", "seqcong.sequences", "seqcong.series"],
+            ["fractions", "mpmath", "seqcong._cliseries", "seqcong.sequences", "seqcong.series"],
         ),
         (("--help",), 0, []),
+        (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, [*MAP_MODULES, "seqcong.sequences"]),
+        (("check", "sna:A=2,3,1", "[9,5,2]"), 0, [*CHECK_MODULES, "seqcong.sequences"]),
+        # count-verify
+        (("enum", "seqcong-lg:10", "--count-only"), 0, COUNT_MODULES),
+        (("enum", "step-lg:10", "--count-only"), 0, COUNT_MODULES),
+        (("enum", "sna-lg:A=odds;n=10", "--count-only"), 0, COUNT_MODULES),
+        (("enum", "pba:A=naturals;B=naturals;n=10", "--count-only"), 0, COUNT_MODULES),
         (
-            ("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0,
-            ["json", "seqcong.maps", *PARTITION_MODULES, "seqcong.sequences"],
+            ("ideal", "invariance", "--A", "3,1,2", "--B", "naturals", "--max-size", "6"), 0,
+            ["json", "seqcong._clifamily", *MEMBER_MODULES],
         ),
-        (("check", "sna:A=2,3,1", "[9,5,2]"), 0, ["json", *PARTITION_MODULES, "seqcong.sequences"]),
+        (("series", "verify", "product-sum", "--qtrunc", "10", "--f", "random:3"), 0, SERIES_MODULES),
+        (("series", "verify", "product-seqcong", "--qtrunc", "10", "--f", "random:3"), 0, SERIES_MODULES),
+        (
+            ("series", "verify", "two-variable", "--qtrunc", "5", "--xtrunc", "5", "--A", "naturals",
+             "--B", "naturals"), 0,
+            ["fractions", "seqcong._cliseries", *MEMBER_MODULES, "seqcong.series"],
+        ),
+        # series-expand
+        (
+            ("series", "expand", "two-variable", "--A", "naturals", "--B", "naturals", "--xtrunc", "3",
+             "--qtrunc", "3"), 0, SERIES_MODULES,
+        ),
+        # member-io: a listing, its members checked on stdin, and small calls
+        (("enum", "seqcong-lg:8"), 0, ["seqcong._clifamily", "seqcong._clipartition", *MEMBER_MODULES]),
+        (("check", "seqcong"), 1, CHECK_MODULES),
+        (
+            ("map", "sigma-inv", "1^2 3"), 0,
+            ["seqcong._clipartition", "seqcong.maps", "seqcong.partition", "seqcong.predicates"],
+        ),
+        (("map", "conjugate", "[3,1]"), 0, ["json", "seqcong._clipartition", "seqcong.partition"]),
+        (("check", "freqcong", "1^2"), 0, CHECK_MODULES),
+        (("check", "selfconj", "[2,1]"), 0, CHECK_MODULES),
     ],
 )
 def test_each_subcommand_loads_only_what_it_runs(argv, rc, loaded):
-    assert _loaded(argv) == [rc, loaded]
+    assert _loaded(argv, stdin="[3,1]\n[2]\n") == [rc, loaded]
 
 
 TERMS = ("--A", "naturals", "--B", "naturals", "--xtrunc", "3", "--qtrunc", "3")
@@ -167,3 +207,4 @@ def test_only_the_pba_sum_side_loads_families(argv):
     assert rc == 0
     builds_members = argv[1:3] in (("expand", "pba-sum"), ("verify", "two-variable"))
     assert ("seqcong.families" in loaded) == builds_members, loaded
+    assert ("seqcong._walkers" in loaded) == builds_members, loaded

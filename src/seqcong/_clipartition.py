@@ -56,7 +56,7 @@ def _partition_json(p: Partition) -> str:
     more than DEFAULT_ITEM_CAP parts raises :class:`ResourceBound` before
     any text is built."""
     if p.length > DEFAULT_ITEM_CAP:
-        raise ResourceBound(f"printing {p.length} parts is more than the cap of {DEFAULT_ITEM_CAP}")
+        raise ResourceBound(f"printing {_shown(p.length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
     return "[" + ",".join([(f"{v}," * m)[:-1] for v, m in p.runs]) + "]"
 
 

@@ -10,7 +10,7 @@ import math
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import DEFAULT_ITEM_CAP, InternalContradiction, InvalidExponent, ResourceBound
+from .errors import DEFAULT_ITEM_CAP, InternalContradiction, InvalidExponent, ResourceBound, _shown
 from .sequences import SequenceSpec
 
 
@@ -24,7 +24,7 @@ def _require_cells(label: str, rows: int, n: int, xtrunc: int = 0) -> None:
     cells = max(rows, 1) * (xtrunc + 1) * (n + 1)
     if cells > DEFAULT_ITEM_CAP:
         raise ResourceBound(
-            f"{label} needs a table of {cells} cells, more than the cap of "
+            f"{label} needs a table of {_shown(cells)} cells, more than the cap of "
             f"{DEFAULT_ITEM_CAP}"
         )
 
@@ -332,3 +332,24 @@ def _coin_change(label: str, coins: Iterable[int], n: int) -> list[int]:
     multiple of each coin; equal coins count as different coins."""
     coins = [c for c in coins if c <= n]
     return _dense_product(label, len(coins), ((1, 0, c) for c in coins), 0, n)[0]
+
+
+def _distinct_counts(label: str, n: int) -> list[int]:
+    """Entry v (0 <= v <= n) counts the partitions of v into distinct parts:
+    the 0/1 knapsack over the parts 1..n, the kernel's product of 1 + q^k."""
+    parts = ((1, 0, k) for k in range(1, n + 1))
+    return _dense_product(label, n, parts, 0, n, linear=True)[0]
+
+
+def _pba_length_counts(a_seq: SequenceSpec, b_seq: SequenceSpec, n: int, label: str) -> list[int]:
+    """Entry v (0 <= v <= n) counts the members of P_B(A) of length v: coin
+    change over the A-terms of the pairs the enumerator uses."""
+    pairs = _pba_value_pairs(a_seq, b_seq, n, lambda a, b: a, label)
+    return _coin_change(label, [a for _, a in pairs], n)
+
+
+def _restricted_counts(a_seq: SequenceSpec, n: int, label: str) -> list[int]:
+    """Entry v (0 <= v <= n) counts the partitions of v into terms of A,
+    sized by the length of A's values up to n before any is read."""
+    values = a_seq.values_upto(n)
+    return _dense_product(label, len(values), ((1, 0, v) for v in values), 0, n)[0]

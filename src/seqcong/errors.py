@@ -13,14 +13,52 @@ def _shown(value: object) -> str:
     """A refused value for its error message: a text quoted as repr quotes
     it, anything else as its repr, whole up to _SHOWN characters, else its
     first _SHOWN and its length, so that the message stays short however
-    long the value."""
-    text = value if isinstance(value, str) else repr(value)
-    head = repr(text[:_SHOWN]) if isinstance(value, str) else text[:_SHOWN]
+    long the value.  An int past Python's limit on integer text is shown
+    the same way, from its leading digits."""
+    if isinstance(value, str):
+        return _clipped(value, repr(value[:_SHOWN]))
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return _leading_digits(value)
+    return _clipped(text, text[:_SHOWN])
+
+
+def _clipped(text: str, head: str) -> str:
     return head if len(text) <= _SHOWN else f"{head}... ({len(text)} characters)"
 
 
+def _leading_digits(value: int) -> str:
+    """_shown of an int too long for str: its digits are counted from its
+    bit length, and only its first _SHOWN are turned into text."""
+    size = abs(value)
+    digits = int(size.bit_length() * 0.30102999566398120)  # log10(2): one digit short at most
+    if size >= 10**digits:
+        digits += 1
+    text = ("-" if value < 0 else "") + str(size // 10 ** (digits - _SHOWN))
+    return f"{text[:_SHOWN]}... ({digits + (value < 0)} characters)"
+
+
+def _short_numbers(message: str) -> str:
+    """The message with every number of more than _SHOWN characters shown
+    as _shown shows it."""
+    if len(message) <= _SHOWN:
+        return message
+    import re  # here, so that a short message and importing errors load nothing
+
+    return re.sub(r"-?\d{%d,}" % _SHOWN, lambda m: _clipped(m[0], m[0][:_SHOWN]), message)
+
+
 class SeqcongError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  A message names
+    each number of more than _SHOWN characters by its first _SHOWN and its
+    length, as :func:`_shown` does, so that it stays short however large
+    the values it was made from."""
+
+    def __init__(self, message: str = ""):
+        super().__init__(_short_numbers(message))
 
 
 class InvalidPart(SeqcongError):

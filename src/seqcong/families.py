@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ._counters import (
-    _coin_change, _dense_product, _pba_value_pairs, _pentagonal_counts, _require_members,
-    _sized_list, sna_weight_sums, step_bounded_counts,
+    _coin_change, _distinct_counts, _pba_length_counts, _pba_value_pairs, _pentagonal_counts,
+    _require_members, _restricted_counts, sna_weight_sums, step_bounded_counts,
 )
 from ._values import Value
 from .errors import DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound, _shown
@@ -123,47 +123,35 @@ def iter_pba_by_size(
     yield from map(Partition._from_runs, runs)
 
 
-def _count_distinct(desc: FamilyDescriptor) -> int:
-    """0/1 knapsack over the parts 1..n: the kernel's product of 1 + q^k."""
-    n = desc.n
-    parts = ((1, 0, k) for k in range(1, n + 1))
-    return _dense_product(desc.describe(), n, parts, 0, n, linear=True)[0][n]
-
-
-def _count_pba_len(desc: FamilyDescriptor) -> int:
-    """Coin change over the A-terms of the same (B-value, A-term) pairs the
-    enumerator uses: each B-value takes a multiple of its A-term copies."""
-    label, n = desc.describe(), desc.n
-    pairs = _pba_value_pairs(desc.a_seq, desc.b_seq, n, lambda a, b: a, label)
-    return _coin_change(label, [a for _, a in pairs], n)[n]
-
-
 # ---------------------------------------------------------------------------
 # public enumeration and counting API
 
 
 # kind -> (run walker, given the _walkers module and the descriptor, and
-# exact counter, given the descriptor)
+# exact counter, given the descriptor: the counts for n = 0..d.n)
 _KINDS = {
     "all": (
         lambda w, d: w._gen_by_size(d.n, False),
-        lambda d: _pentagonal_counts(d.describe(), d.n)[d.n],
+        lambda d: _pentagonal_counts(d.describe(), d.n),
     ),
     "parts-in": (
         lambda w, d: w._gen_parts_in(d.part_set, d.n),
-        lambda d: _coin_change(d.describe(), d.part_set, d.n)[d.n],
+        lambda d: _coin_change(d.describe(), d.part_set, d.n),
     ),
-    "distinct": (lambda w, d: w._gen_by_size(d.n, True), _count_distinct),
+    "distinct": (lambda w, d: w._gen_by_size(d.n, True), lambda d: _distinct_counts(d.describe(), d.n)),
     "seqcong-lg": (
         lambda w, d: w._gen_seqcong_lg(d.n),
-        lambda d: sna_weight_sums(NATURALS, d.n, lambda i: 1, d.describe())[d.n],
+        lambda d: sna_weight_sums(NATURALS, d.n, lambda i: 1, d.describe()),
     ),
-    "step-lg": (lambda w, d: w._gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)[d.n]),
+    "step-lg": (lambda w, d: w._gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)),
     "sna-lg": (
         lambda w, d: w._gen_sna_lg(d.a_seq, d.n),
-        lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe())[d.n],
+        lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe()),
     ),
-    "pba-len": (lambda w, d: w._gen_pba_len(d), _count_pba_len),
+    "pba-len": (
+        lambda w, d: w._gen_pba_len(d),
+        lambda d: _pba_length_counts(d.a_seq, d.b_seq, d.n, d.describe()),
+    ),
 }
 
 
@@ -203,7 +191,7 @@ def count(desc: FamilyDescriptor) -> int:
     exceed DEFAULT_ITEM_CAP cells raises :class:`ResourceBound` before the
     table is allocated.
     """
-    return _kind(desc)[1](desc)
+    return _kind(desc)[1](desc)[desc.n]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -340,12 +328,9 @@ def check_quasi_ideal(
 
 def restricted_count(a_seq: SequenceSpec, n: int) -> int:
     """Number of partitions of n with all parts among the terms of A."""
-    values = a_seq.values_upto(n)
-    if n == 0:
-        return 1
-    if not values:
+    if n < 0:  # no partition has a negative size
         return 0
-    return count(parts_in(values, n))
+    return _restricted_counts(a_seq, n, f"parts-in:{n}:A={a_seq.describe()}")[n]
 
 
 class InvarianceReport(Value):
@@ -401,15 +386,11 @@ def count_invariance_suite(
         if not seq.is_distinct_through(max(bound, seq.extent or 0)):
             raise NonDistinctA(f"{name} ({seq.describe()}) must have distinct terms")
     label = f"count invariance to size {bound}"
-
-    def coin_counts(a: SequenceSpec, b: SequenceSpec) -> list[int]:  # by length, to bound
-        pairs = _pba_value_pairs(a, b, bound, lambda a, b: a, label)
-        return _coin_change(label, [t for _, t in pairs], bound)
-
-    walked = coin_counts(a_seq, b_seq) + coin_counts(a_prime, b_seq)
+    walked = _pba_length_counts(a_seq, b_seq, bound, label)
+    walked += _pba_length_counts(a_prime, b_seq, bound, label)
     _require_members(label, walked)
-    replaced = coin_counts(a_seq, b_prime)
-    expected = _coin_change(label, _sized_list(label, a_seq.values_upto(bound), bound), bound)
+    replaced = _pba_length_counts(a_seq, b_prime, bound, label)
+    expected = _restricted_counts(a_seq, bound, label)
 
     counts: list[int] = []
     differs_at: Optional[int] = None

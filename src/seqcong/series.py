@@ -28,9 +28,9 @@ from .errors import (
     ResourceBound,
 )
 from ._counters import (
-    _coin_change, _dense_product, _exact, _multipliers, _pba_value_pairs, _pentagonal_counts,
-    _positions, _require_cells, _require_members, _scales, _sized_list, _zeros, sna_weight_sums,
-    step_bounded_counts,
+    _coin_change, _dense_product, _distinct_counts, _exact, _multipliers, _pba_value_pairs,
+    _pentagonal_counts, _positions, _require_cells, _require_members, _restricted_counts, _scales,
+    _sized_list, _zeros, sna_weight_sums, step_bounded_counts,
 )
 from .sequences import NATURALS, SequenceSpec
 
@@ -323,17 +323,14 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
         raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
     label = f"euler side x^{xtrunc}"
     _require_cells(label, 1, 0, xtrunc)  # before a range too long for len() is sized
-    values = a_seq.values_upto(xtrunc)
-    grid = _dense_product(label, len(values), ((1, a, 0) for a in values), xtrunc, 0)
-    return BivariateSeries._of_rows(grid)
+    return BivariateSeries._of_rows([[c] for c in _restricted_counts(a_seq, xtrunc, label)])
 
 
 def distinct_product_side(qtrunc: int) -> BivariateSeries:
     """Product over n of (1 + q^n), truncated; the q^n coefficient counts
     partitions of n into distinct parts."""
-    factors = ((1, 0, n) for n in range(1, qtrunc + 1))
     label = f"distinct product side q^{qtrunc}"
-    return BivariateSeries._of_rows(_dense_product(label, qtrunc, factors, 0, qtrunc, linear=True))
+    return BivariateSeries._of_rows([_distinct_counts(label, qtrunc)])
 
 
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:

@@ -17,16 +17,18 @@ def _limit_memory():
 
 @pytest.fixture
 def run_limited():
-    """Run ``python -m seqcong.cli *argv`` in a child limited to 512 MiB of
-    address space (the limit acts on the child only); returns the completed
-    process and its wall time in seconds.  ``stdout=subprocess.DEVNULL``
-    discards the child's output instead of capturing it."""
+    """Run ``python -m seqcong.cli *argv``, or ``python -c code`` when
+    `code` is given, in a child limited to 512 MiB of address space (the
+    limit acts on the child only); returns the completed process and its
+    wall time in seconds.  ``stdout=subprocess.DEVNULL`` discards the
+    child's output instead of capturing it."""
 
-    def run(*argv: str, stdout=subprocess.PIPE):
+    def run(*argv: str, stdout=subprocess.PIPE, code: str | None = None):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        command = ["-c", code] if code else ["-m", "seqcong.cli"]
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "seqcong.cli", *argv],
+            [sys.executable, *command, *argv],
             env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=10,
             preexec_fn=_limit_memory,
         )

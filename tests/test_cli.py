@@ -554,6 +554,19 @@ def test_partitions_of_a_billion_parts_within_a_second(run_limited, argv, rc, ou
     assert elapsed < 1.0
 
 
+def test_a_part_count_past_the_digit_limit_is_refused_in_one_line(run_limited):
+    # pi's image has 2 (10^4300 - 1) parts, a count of 4,301 digits, more
+    # than str() turns into text
+    nines = "9" * 4300
+    done, elapsed = run_limited("map", "pi", f"1^{nines} 2^{nines}")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: printing 1999999999999999999999999999999999999999... (4301 characters) parts "
+        "is more than the cap of 10000000\n"
+    )
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

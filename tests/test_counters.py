@@ -262,3 +262,18 @@ def test_cli_oversized_count_exits_3_within_a_second(run_limited):
     assert done.returncode == 3, done.stderr
     assert done.stdout == "" and "cap" in done.stderr
     assert elapsed < 1.0
+
+
+def test_restricted_count_is_sized_before_anything_is_built(run_limited):
+    # the table of 3,000,000 terms by 3,000,001 sizes is refused from its
+    # dimensions, before a term of A is listed or a message lists them
+    done, elapsed = run_limited(code=(
+        "from seqcong import NATURALS, ResourceBound, restricted_count\n"
+        "try:\n"
+        "    restricted_count(NATURALS, 3_000_000)\n"
+        "except ResourceBound as e:\n"
+        "    print(e)\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    assert "cap" in done.stdout and len(done.stdout.encode()) < 300
+    assert elapsed < 1.0

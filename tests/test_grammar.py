@@ -430,12 +430,15 @@ def test_spelling_does_not_matter(capsys, data):
 
 # The contract sweep: every command path of the command table, with
 # degenerate texts, returns 0-3, raises nothing and, on exit 2 or 3, writes
-# exactly one error line.  Numbers are small, 30 digits, past Python's
-# 4,300-digit limit on integer text, or invalid; sizes that would list
-# members stay small, as a listing's length is its output.
+# exactly one error line of under 300 bytes.  Numbers are small, 30 digits,
+# 2,201 digits (whose square passes Python's 4,300-digit limit on integer
+# text), past that limit, or invalid; sizes that would list members stay
+# small, as a listing's length is its output.
 HUGE = str(10**30 - 7)
+SQUARE_OVER_LIMIT = "1" + "0" * 2200
 OVER_LIMIT = "1" + "0" * 4300
-NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "12", HUGE, "-" + HUGE, OVER_LIMIT, "x", ""])
+NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "12", HUGE, "-" + HUGE, SQUARE_OVER_LIMIT,
+                           "-" + SQUARE_OVER_LIMIT, OVER_LIMIT, "x", ""])
 TERMS = st.sampled_from(["-2", "0", "1", "2", "3", "5", "7", HUGE, OVER_LIMIT])
 SEQUENCES = st.one_of(
     st.sampled_from(["naturals", "nat", "ones", "odds", "constant:0", "constant:-1",
@@ -534,5 +537,6 @@ def test_every_command_path_keeps_the_exit_contract(data):
     assert code in (0, 1, 2, 3), argv
     if code in (2, 3):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert len(err.getvalue().encode()) < 300, argv
     else:
         assert err.getvalue() == "", argv

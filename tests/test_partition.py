@@ -55,6 +55,7 @@ class TestFromParts:
 
 
 HUGE = -(10**4000)
+PAST_LIMIT = -(10**5000)  # past Python's 4,300-digit limit on integer text
 
 
 @pytest.mark.parametrize(
@@ -69,6 +70,10 @@ HUGE = -(10**4000)
         (lambda: Partition((1, 2) * 5000), "parts (1, 2, 1, 2,"),
         (lambda: SequenceSpec.table([1, HUGE]), "got (1, -1000"),
         (lambda: SequenceSpec.constant(HUGE), "got -1000"),
+        pytest.param(lambda: Partition((PAST_LIMIT,)), f"part -1{'0' * 38}... (5002 characters) is not",
+                     id="part-past-the-digit-limit"),
+        pytest.param(lambda: SequenceSpec.constant(PAST_LIMIT), "got -1000",
+                     id="constant-past-the-digit-limit"),
     ],
 )
 def test_refused_values_are_quoted_short(build, message):

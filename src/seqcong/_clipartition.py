@@ -53,10 +53,14 @@ def parse_partition(text: str) -> Partition:
 def _partition_json(p: Partition) -> str:
     """The parts as a JSON array, byte for byte ``_dump(list(p.parts))``,
     written one run at a time without expanding the parts.  A partition of
-    more than DEFAULT_ITEM_CAP parts raises :class:`ResourceBound` before
-    any text is built."""
+    more than DEFAULT_ITEM_CAP parts, or whose largest part has more digits
+    than Python writes, raises :class:`ResourceBound` before any text is
+    built."""
     if p.length > DEFAULT_ITEM_CAP:
         raise ResourceBound(f"printing {_shown(p.length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
+    top, limit = p.runs[0][0] if p.runs else 0, sys.get_int_max_str_digits()
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # 10**limit has ~3.3 limit bits
+        raise ResourceBound(f"printing part {_shown(top)} is past the limit of {limit} digits")
     return "[" + ",".join([(f"{v}," * m)[:-1] for v, m in p.runs]) + "]"
 
 

@@ -20,7 +20,7 @@ def _require_cells(label: str, rows: int, n: int, xtrunc: int = 0) -> None:
     exceed DEFAULT_ITEM_CAP cells.  Every table and grid is checked so
     before it is allocated, so time and memory follow the input text."""
     if xtrunc < 0 or n < 0:
-        raise InvalidExponent(f"truncation bounds ({xtrunc}, {n}) must be >= 0")
+        raise InvalidExponent(f"truncation bounds ({_shown(xtrunc)}, {_shown(n)}) must be >= 0")
     cells = max(rows, 1) * (xtrunc + 1) * (n + 1)
     if cells > DEFAULT_ITEM_CAP:
         raise ResourceBound(
@@ -170,7 +170,7 @@ def step_bounded_counts(n: int) -> list[int]:
     c in {v, v-i} and a stop only at v = i:
     W(i, v) = [v = i] + [v > i] W(i+1, v) + [v-i > i] W(i+1, v-i).
     """
-    _require_cells(f"step-lg:{n}", n, n)
+    _require_cells(f"step-lg:{_shown(n)}", n, n)
     w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v <= i
     for i in range(n, 0, -1):
         for v in range(n, 2 * i, -1):  # descending, so w[v - i] is still row i+1
@@ -341,11 +341,11 @@ def _distinct_counts(label: str, n: int) -> list[int]:
     return _dense_product(label, n, parts, 0, n, linear=True)[0]
 
 
-def _pba_length_counts(a_seq: SequenceSpec, b_seq: SequenceSpec, n: int, label: str) -> list[int]:
+def _pba_length_counts(a_seq: SequenceSpec, b_seq: SequenceSpec, n: int, label: str) -> tuple:
     """Entry v (0 <= v <= n) counts the members of P_B(A) of length v: coin
-    change over the A-terms of the pairs the enumerator uses."""
+    change over the A-terms of the pairs, which are returned beside them."""
     pairs = _pba_value_pairs(a_seq, b_seq, n, lambda a, b: a, label)
-    return _coin_change(label, [a for _, a in pairs], n)
+    return _coin_change(label, [a for _, a in pairs], n), pairs
 
 
 def _restricted_counts(a_seq: SequenceSpec, n: int, label: str) -> list[int]:

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from ._counters import _pba_value_pairs, _require_strictly_increasing
-
-if TYPE_CHECKING:
-    from .families import FamilyDescriptor
-    from .sequences import SequenceSpec
+from ._counters import _require_strictly_increasing
+from .sequences import SequenceSpec
 
 
 Run = tuple[int, int]  # (value, multiplicity)
@@ -178,15 +175,13 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
     return _walk_runs(n, level(1, (n,)))
 
 
-def _gen_pba_len(desc: FamilyDescriptor) -> Iterator[tuple[Run, ...]]:
+def _gen_pba_len(pairs: list[tuple[int, int]], n: int) -> Iterator[tuple[Run, ...]]:
     # A level takes the next pair, by B-value descending, that gets copies,
-    # and a positive multiple of its A-term copies, from the most down.
-    # Larger values and more copies of them come first, so members are
-    # strictly decreasing.  Bit r of reach[i] says whether pairs[i:] can
-    # place r copies, so only choices that lead to a member are taken and
-    # the work before each member is at most one step per pair.
-    n = desc.n
-    pairs = _pba_value_pairs(desc.a_seq, desc.b_seq, n, lambda a, b: a, desc.describe())
+    # and a positive multiple of its A-term copies (none past n), from the
+    # most down.  Larger values and more copies of them come first, so
+    # members are strictly decreasing.  Bit r of reach[i] says whether
+    # pairs[i:] can place r copies, so only choices that lead to a member
+    # are taken and the work before each member is at most one per pair.
     mask = (1 << (n + 1)) - 1
     reach = [0] * len(pairs) + [1]
     for i in range(len(pairs) - 1, -1, -1):

@@ -42,20 +42,22 @@ def _leading_digits(value: int) -> str:
 
 
 def _short_numbers(message: str) -> str:
-    """The message with every number of more than _SHOWN characters shown
-    as _shown shows it."""
+    """The message with every number, and every run of numbers separated
+    by commas (a table as ``1,2,3`` or ``[1, 2, 3]``), of more than _SHOWN
+    characters shown as _shown shows it."""
     if len(message) <= _SHOWN:
         return message
     import re  # here, so that a short message and importing errors load nothing
 
-    return re.sub(r"-?\d{%d,}" % _SHOWN, lambda m: _clipped(m[0], m[0][:_SHOWN]), message)
+    return re.sub(r"-?\d+(?:, ?-?\d+)*", lambda m: _clipped(m[0], m[0][:_SHOWN]), message)
 
 
 class SeqcongError(Exception):
     """Base class for all errors raised by this package.  A message names
-    each number of more than _SHOWN characters by its first _SHOWN and its
-    length, as :func:`_shown` does, so that it stays short however large
-    the values it was made from."""
+    each number, and each comma-separated run of numbers, of more than
+    _SHOWN characters by its first _SHOWN and its length, as :func:`_shown`
+    does, so that it stays short however large or long the values it was
+    made from."""
 
     def __init__(self, message: str = ""):
         super().__init__(_short_numbers(message))

@@ -48,7 +48,7 @@ class FamilyDescriptor(Value):
     _required = 2
 
     def describe(self) -> str:
-        bits = [self.kind, str(self.n)]
+        bits = [self.kind, _shown(self.n)]
         if self.part_set is not None:
             bits.append("T=" + ",".join(map(str, self.part_set)))
         if self.a_seq is not None:
@@ -117,7 +117,7 @@ def iter_pba_by_size(
     _check_n(max_size, "max_size")
     if max_length is not None:
         _check_n(max_length, "max_length")
-    label = f"P_B(A) members to size {max_size}"
+    label = f"P_B(A) members to size {_shown(max_size)}"
     pairs = _pba_value_pairs(a_seq, b_seq, max_size, lambda a, b: a * b, label)
     runs = _gen_pba_by_size(pairs, max_size, max_size if max_length is None else max_length)
     yield from map(Partition._from_runs, runs)
@@ -149,8 +149,9 @@ _KINDS = {
         lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe()),
     ),
     "pba-len": (
-        lambda w, d: w._gen_pba_len(d),
-        lambda d: _pba_length_counts(d.a_seq, d.b_seq, d.n, d.describe()),
+        lambda w, d: w._gen_pba_len(
+            _pba_value_pairs(d.a_seq, d.b_seq, d.n, lambda a, b: a, d.describe()), d.n),
+        lambda d: _pba_length_counts(d.a_seq, d.b_seq, d.n, d.describe())[0],
     ),
 }
 
@@ -214,7 +215,7 @@ def counts_by_size(membership: Membership, bound: int) -> list[int]:
     A bound below 0 raises :class:`InvalidPart`.
     """
     _check_n(bound, "bound")
-    label = f"counts by size to {bound}"
+    label = f"counts by size to {_shown(bound)}"
     _require_members(label, _pentagonal_counts(label, bound))
     return [
         sum(1 for p in partitions_of(n) if membership(p)) for n in range(bound + 1)
@@ -255,7 +256,7 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
     from .predicates import ViolationReport
 
     _check_n(bound, "bound")
-    label = f"ideal closure to size {bound}"
+    label = f"ideal closure to size {_shown(bound)}"
     _require_members(label, _pentagonal_counts(label, bound)[1:])
     for n in range(1, bound + 1):
         for p in partitions_of(n):
@@ -285,12 +286,17 @@ def scaled_deletion(
     outside the quasi-ideal contract and raises :class:`InvalidDeletion`."""
     pos = b_seq.index_of(value)
     if pos is None:
-        raise InvalidDeletion(f"value {value} is not a term of B ({b_seq.describe()})")
+        raise InvalidDeletion(f"value {_shown(value)} is not a term of B ({b_seq.describe()})")
+    ext = a_seq.extent
+    if ext is not None and pos > ext:
+        raise InvalidDeletion(
+            f"value {_shown(value)} is at B position {_shown(pos)}, past the {ext} terms of A"
+        )
     a = a_seq.at(pos)
     if copies < 1 or copies % a:
         raise InvalidDeletion(
-            f"may only delete positive multiples of {a} copies of {value}, "
-            f"not {copies}"
+            f"may only delete positive multiples of {a} copies of {_shown(value)}, "
+            f"not {_shown(copies)}"
         )
     return lam.delete_parts(value, copies)
 
@@ -304,23 +310,25 @@ def check_quasi_ideal(
     block of a copies (a the part's A-term) from each gives every multiple
     by induction, and the check is complete.  More than DEFAULT_ITEM_CAP
     members, totalled first by coin change over the products a b of the
-    pairs, raise :class:`ResourceBound` before any is built.  A bound below
-    0 raises :class:`InvalidPart`."""
+    pairs they are walked on, raise :class:`ResourceBound` before any is
+    built.  A bound below 0 raises :class:`InvalidPart`."""
+    from ._walkers import _gen_pba_by_size
+    from .partition import Partition
     from .predicates import ViolationReport, is_member_pba
 
     _check_n(bound, "bound")
-    label = f"quasi-ideal check to size {bound}"
-    products = [a * b for b, a in _pba_value_pairs(a_seq, b_seq, bound, lambda a, b: a * b, label)]
-    _require_members(label, _coin_change(label, products, bound))
-    for p in iter_pba_by_size(a_seq, b_seq, bound):
-        for value, _ in reversed(p.runs):  # a member holds a positive multiple of a copies
-            a = a_seq.at(b_seq.index_of(value))
-            reduced = scaled_deletion(p, a_seq, b_seq, value, a)
+    label = f"quasi-ideal check to size {_shown(bound)}"
+    pairs = _pba_value_pairs(a_seq, b_seq, bound, lambda a, b: a * b, label)
+    _require_members(label, _coin_change(label, [a * b for b, a in pairs], bound))
+    a_term = dict(pairs)
+    for p in map(Partition._from_runs, _gen_pba_by_size(pairs, bound, bound)):
+        for value, _ in reversed(p.runs):  # a member holds a positive multiple of its A-term
+            reduced = p.delete_parts(value, a_term[value])
             if not is_member_pba(reduced, a_seq, b_seq).ok:
                 return ViolationReport(
                     False,
                     value,
-                    f"deleting {a} copies of {value} from {list(p.parts)} "
+                    f"deleting {a_term[value]} copies of {value} from {list(p.parts)} "
                     f"leaves {list(reduced.parts)}, which is outside the family",
                 )
     return ViolationReport(True, None, "closed under scaled deletions")
@@ -330,7 +338,7 @@ def restricted_count(a_seq: SequenceSpec, n: int) -> int:
     """Number of partitions of n with all parts among the terms of A."""
     if n < 0:  # no partition has a negative size
         return 0
-    return _restricted_counts(a_seq, n, f"parts-in:{n}:A={a_seq.describe()}")[n]
+    return _restricted_counts(a_seq, n, f"parts-in:{_shown(n)}:A={a_seq.describe()}")[n]
 
 
 class InvarianceReport(Value):
@@ -366,6 +374,8 @@ def count_invariance_suite(
     and of the partitions with parts in A, are one coin change each.  A
     bound below 0 raises :class:`InvalidPart`.
     """
+    from ._walkers import _gen_pba_len
+
     _check_n(bound, "bound")
     probe = max(bound, a_seq.extent or 0)
     if not a_seq.is_distinct_through(probe):
@@ -385,18 +395,18 @@ def count_invariance_suite(
     for name, seq in (("B", b_seq), ("b_prime", b_prime)):
         if not seq.is_distinct_through(max(bound, seq.extent or 0)):
             raise NonDistinctA(f"{name} ({seq.describe()}) must have distinct terms")
-    label = f"count invariance to size {bound}"
-    walked = _pba_length_counts(a_seq, b_seq, bound, label)
-    walked += _pba_length_counts(a_prime, b_seq, bound, label)
-    _require_members(label, walked)
-    replaced = _pba_length_counts(a_seq, b_prime, bound, label)
+    label = f"count invariance to size {_shown(bound)}"
+    walked, pairs = _pba_length_counts(a_seq, b_seq, bound, label)
+    walked_prime, pairs_prime = _pba_length_counts(a_prime, b_seq, bound, label)
+    _require_members(label, walked + walked_prime)
+    replaced, _ = _pba_length_counts(a_seq, b_prime, bound, label)
     expected = _restricted_counts(a_seq, bound, label)
 
     counts: list[int] = []
     differs_at: Optional[int] = None
-    for n in range(bound + 1):
-        base = sorted(p.runs for p in enumerate_family(pba_length(a_seq, b_seq, n)))
-        permuted = sorted(p.runs for p in enumerate_family(pba_length(a_prime, b_seq, n)))
+    for n in range(bound + 1):  # each list strictly decreasing, so equal lists are equal sets
+        base = list(_gen_pba_len(pairs, n))
+        permuted = list(_gen_pba_len(pairs_prime, n))
         counts.append(len(base))
         if len(base) != len(permuted):
             failure = f"permuting A changed the count {len(base)} -> {len(permuted)}"

@@ -141,12 +141,7 @@ def orbit(start: Partition, side: str = "P") -> OrbitTrace:
     """
     if side not in ("P", "S"):
         raise ValueError(f"side must be 'P' or 'S', got {side!r}")
-    if side == "S":
-        from .predicates import is_sequentially_congruent
-
-        report = is_sequentially_congruent(start)
-        if not report.ok:
-            raise NotSequentiallyCongruent(report)
+    if side == "S":  # sigma refuses a start that is not sequentially congruent
         ops = (sigma, pi)
     else:
         ops = (pi, sigma)

@@ -70,11 +70,11 @@ class SequenceSpec(Value):
     def at(self, i: int) -> int:
         """The i-th term (1-based).  Tables raise past their extent."""
         if i < 1:
-            raise ExtentExceeded(f"sequence index {i} must be >= 1")
+            raise ExtentExceeded(f"sequence index {_shown(i)} must be >= 1")
         if self.kind == "table":
             if i > len(self.terms):
                 raise ExtentExceeded(
-                    f"table {list(self.terms)} has no term at index {i}"
+                    f"table {list(self.terms)} has no term at index {_shown(i)}"
                 )
             return self.terms[i - 1]
         return self._first + (i - 1) * self._step

@@ -26,6 +26,7 @@ from .errors import (
     InvalidExponent,
     NonDistinctA,
     ResourceBound,
+    _shown,
 )
 from ._counters import (
     _coin_change, _dense_product, _distinct_counts, _exact, _multipliers, _pba_value_pairs,
@@ -51,7 +52,7 @@ class BivariateSeries:
     def __init__(
         self, xtrunc: int, qtrunc: int, coeffs: Mapping[tuple[int, int], Fraction] | None = None
     ):
-        _require_cells(f"series x^{xtrunc} q^{qtrunc}", 1, qtrunc, xtrunc)
+        _require_cells(f"series x^{_shown(xtrunc)} q^{_shown(qtrunc)}", 1, qtrunc, xtrunc)
         rows = _zeros(xtrunc, qtrunc)
         for (a, b), c in (coeffs or {}).items():
             if a < 0 or b < 0:
@@ -170,14 +171,14 @@ class WeightSpec(Value):
 
     def value(self, n: int) -> Fraction:
         if n < 1:
-            raise ExtentExceeded(f"weight index {n} must be >= 1")
+            raise ExtentExceeded(f"weight index {_shown(n)} must be >= 1")
         if self.kind == "one":
             return Fraction(1)
         if self.kind in ("table", "random"):
             extent = len(self.table) if self.kind == "table" else self.extent
             if n > extent:
                 raise ExtentExceeded(
-                    f"weight table of extent {extent} has no value at {n}"
+                    f"weight table of extent {extent} has no value at {_shown(n)}"
                 )
             return self._values()[n - 1]
         if self.kind == "indicator":
@@ -224,7 +225,7 @@ def product_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     so the finite product is exact.
     """
     factors = ((f.value(n), 0, n) for n in range(1, qtrunc + 1))
-    grid = _dense_product(f"product side q^{qtrunc}", qtrunc, factors, 0, qtrunc)
+    grid = _dense_product(f"product side q^{_shown(qtrunc)}", qtrunc, factors, 0, qtrunc)
     return BivariateSeries._of_rows(grid)
 
 
@@ -245,7 +246,7 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     # multiplies by cq[n + v] ... cq[n + m v], cq[q] = S_q f(v) / S_{q-v},
     # kept as prefix products per size; each total is divided by S_n once.
     # Parts of weight 0 are left out, as every partition holding one adds 0.
-    label = f"partition sum side q^{qtrunc}"
+    label = f"partition sum side q^{_shown(qtrunc)}"
     _require_members(label, _pentagonal_counts(label, qtrunc))
     weights = [_exact(Fraction(f.value(v))) for v in range(1, qtrunc + 1)]
     live = [(w, 0, v) for v, w in enumerate(weights, start=1) if w]
@@ -273,7 +274,7 @@ def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     raises :class:`ExtentExceeded`.
     """
     sums = sna_weight_sums(
-        NATURALS, qtrunc, lambda i: _exact(f.value(i)), f"seqcong-lg:{qtrunc}"
+        NATURALS, qtrunc, lambda i: _exact(f.value(i)), f"seqcong-lg:{_shown(qtrunc)}"
     )
     return BivariateSeries._of_rows([sums])
 
@@ -282,7 +283,7 @@ def two_var_product_side(
     a_seq: SequenceSpec, b_seq: SequenceSpec, xtrunc: int, qtrunc: int
 ) -> BivariateSeries:
     """Product over positions n of 1 / (1 - x^{a_n} q^{a_n b_n}), truncated."""
-    label = f"two-variable product side x^{xtrunc} q^{qtrunc}"
+    label = f"two-variable product side x^{_shown(xtrunc)} q^{_shown(qtrunc)}"
     positions = _positions(a_seq, b_seq, qtrunc, lambda a, b: a * b)
     live = ((1, a, a * b) for a, b in positions if a <= xtrunc and a * b <= qtrunc)
     factors = _sized_list(label, live, qtrunc, xtrunc)
@@ -296,20 +297,20 @@ def pba_sum_side(
     family with length m and size n, by direct enumeration.
 
     The dense kernel only sizes it, over the (B-value, A-term) pairs the
-    enumeration uses (a length never exceeds its size): more than
+    enumeration walks (a length never exceeds its size): more than
     DEFAULT_ITEM_CAP members raise :class:`ResourceBound` before any is built.
     """
-    from .families import iter_pba_by_size  # the one side that builds members
+    from ._walkers import _gen_pba_by_size  # the one side that walks members
 
-    label = f"pba sum side x^{xtrunc} q^{qtrunc}"
+    label = f"pba sum side x^{_shown(xtrunc)} q^{_shown(qtrunc)}"
     _require_cells(label, 1, qtrunc, xtrunc)  # the grid of counts
     pairs = _pba_value_pairs(a_seq, b_seq, qtrunc, lambda a, b: a * b, label)
     sizing = ((1, a, a * b) for b, a in pairs)
     counts = _dense_product(label, len(pairs), sizing, min(xtrunc, qtrunc), qtrunc)
     _require_members(label, map(sum, counts))
     rows = _zeros(xtrunc, qtrunc)
-    for p in iter_pba_by_size(a_seq, b_seq, qtrunc, max_length=xtrunc):
-        rows[p.length][p.size] += 1
+    for runs in _gen_pba_by_size(pairs, qtrunc, xtrunc):
+        rows[sum(m for _, m in runs)][sum(v * m for v, m in runs)] += 1
     return BivariateSeries._of_rows(rows)
 
 
@@ -321,7 +322,7 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
     """
     if not a_seq.is_distinct_through(a_seq.extent or 2):  # a rule repeats by its 2nd term
         raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
-    label = f"euler side x^{xtrunc}"
+    label = f"euler side x^{_shown(xtrunc)}"
     _require_cells(label, 1, 0, xtrunc)  # before a range too long for len() is sized
     return BivariateSeries._of_rows([[c] for c in _restricted_counts(a_seq, xtrunc, label)])
 
@@ -329,7 +330,7 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
 def distinct_product_side(qtrunc: int) -> BivariateSeries:
     """Product over n of (1 + q^n), truncated; the q^n coefficient counts
     partitions of n into distinct parts."""
-    label = f"distinct product side q^{qtrunc}"
+    label = f"distinct product side q^{_shown(qtrunc)}"
     return BivariateSeries._of_rows([_distinct_counts(label, qtrunc)])
 
 
@@ -405,7 +406,7 @@ def partition_zeta(
         raise DivergentParameters(f"dps must be >= 1, got {dps}")
     if dps > MAX_DPS:
         raise ResourceBound(f"dps {dps} is more than the cap of {MAX_DPS} digits")
-    label = f"zeta sum over parts in {values} to depth {qdepth}"
+    label = f"zeta sum over parts in {values} to depth {_shown(qdepth)}"
     _require_members(label, _coin_change(label, values, qdepth))
     import mpmath
 

@@ -567,6 +567,22 @@ def test_a_part_count_past_the_digit_limit_is_refused_in_one_line(run_limited):
     assert elapsed < 1.0
 
 
+def test_a_part_past_the_digit_limit_is_refused_in_one_line(run_limited):
+    # the conjugate's largest part is its length, 2 (10^4300 - 1), a part
+    # of 4,301 digits, more than str() turns into text
+    nines = "9" * 4300
+    done, elapsed = run_limited("map", "conjugate", f"1^{nines} 2^{nines}")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: printing part 1999999999999999999999999999999999999999... (4301 characters) "
+        "is past the limit of 4300 digits\n"
+    )
+    assert elapsed < 1.0
+    # one digit fewer is printed
+    done, _ = run_limited("map", "conjugate", f"1^{nines[1:]} 2^{nines[1:]}")
+    assert (done.returncode, done.stdout) == (0, f"[{2 * int(nines[1:])},{nines[1:]}]\n")
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -252,6 +252,30 @@ def test_oversized_table_refused_before_allocation(desc):
     assert time.perf_counter() - start < 0.5
 
 
+# past Python's 4,300-digit limit on integer text, so a label that wrote it
+# with str() would fail before the size guard runs
+PAST_LIMIT = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count(all_of_size(PAST_LIMIT)),
+        lambda: count(pba_length(NATURALS, NATURALS, PAST_LIMIT)),
+        lambda: restricted_count(SequenceSpec.table([2, 3]), PAST_LIMIT),
+        lambda: product_side(WeightSpec.one(), PAST_LIMIT),
+        lambda: step_bounded_sum_side(PAST_LIMIT),
+        lambda: BivariateSeries(PAST_LIMIT, PAST_LIMIT),
+        lambda: SequenceSpec.table([2, 3]).at(PAST_LIMIT),
+        lambda: WeightSpec.one().value(-PAST_LIMIT),
+    ],
+)
+def test_a_bound_past_the_digit_limit_is_refused_in_short(call):
+    with pytest.raises(SeqcongError) as refused:
+        call()
+    assert "000000000... (500" in str(refused.value) and len(str(refused.value)) < 300
+
+
 def test_weighted_sum_side_refuses_oversized_table():
     with pytest.raises(ResourceBound):
         seqcong_sum_side(WeightSpec.one(), 10**8)

@@ -37,7 +37,7 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
-from seqcong import families, predicates
+from seqcong import _walkers, families, predicates
 from seqcong._counters import _pba_value_pairs
 
 NAT = SequenceSpec.naturals()
@@ -382,16 +382,17 @@ class _WalkStarted(Exception):
         (lambda m: counts_by_size(has_distinct_parts, m), "partitions_of", 62),
         (lambda m: check_ideal_closure(has_distinct_parts, m), "partitions_of", 62),
         # partitions into squares of size <= 290, as for pba_sum_side
-        (lambda m: check_quasi_ideal(NAT, NAT, m), "iter_pba_by_size", 290),
+        (lambda m: check_quasi_ideal(NAT, NAT, m), "_gen_pba_by_size", 290),
         # both walked families of A = (1, 2) have n // 2 + 1 members of length n
-        (lambda m: count_invariance_suite(SequenceSpec.table([1, 2]), NAT, m), "enumerate_family", 4470),
+        (lambda m: count_invariance_suite(SequenceSpec.table([1, 2]), NAT, m), "_gen_pba_len", 4470),
     ],
 )
 def test_ideal_checks_total_their_members_first(monkeypatch, check, walker, fits):
     def started(*args, **kwargs):
         raise _WalkStarted
 
-    monkeypatch.setattr(families, walker, started)
+    # the P_B(A) checks import their run walker from _walkers when they are called
+    monkeypatch.setattr(_walkers if walker.startswith("_gen") else families, walker, started)
     with pytest.raises(ResourceBound, match="would enumerate .* members, more than the cap of 10000000"):
         check(fits + 1)
     with pytest.raises(_WalkStarted):
@@ -501,6 +502,9 @@ class TestQuasiIdeal:
             scaled_deletion(lam, self.A, self.B, 5, 3)
         with pytest.raises(InvalidDeletion):
             scaled_deletion(lam, self.A, self.B, 9, 2)
+        # a B-position past a table A, which is_member_pba reports the same way
+        with pytest.raises(InvalidDeletion, match="^value 3 is at B position 3, past the 2 terms of A$"):
+            scaled_deletion(Partition((3, 3, 3)), SequenceSpec.table([1, 2]), NAT, 3, 1)
 
     def test_one_block_per_part_reaches_every_multiple(self, monkeypatch):
         # 5 takes copies in blocks of 2; reject 5^2, which 5^6 reaches by

@@ -432,17 +432,20 @@ def test_spelling_does_not_matter(capsys, data):
 # degenerate texts, returns 0-3, raises nothing and, on exit 2 or 3, writes
 # exactly one error line of under 300 bytes.  Numbers are small, 30 digits,
 # 2,201 digits (whose square passes Python's 4,300-digit limit on integer
-# text), past that limit, or invalid; sizes that would list members stay
-# small, as a listing's length is its output.
+# text), past that limit, or invalid; tables are short or of 2,000 terms;
+# sizes that would list members stay small, as a listing's length is its
+# output.
 HUGE = str(10**30 - 7)
 SQUARE_OVER_LIMIT = "1" + "0" * 2200
 OVER_LIMIT = "1" + "0" * 4300
 NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", "7", "12", HUGE, "-" + HUGE, SQUARE_OVER_LIMIT,
                            "-" + SQUARE_OVER_LIMIT, OVER_LIMIT, "x", ""])
 TERMS = st.sampled_from(["-2", "0", "1", "2", "3", "5", "7", HUGE, OVER_LIMIT])
+LONG_TABLE = ",".join(map(str, range(1, 2001)))
+TABLES = st.one_of(st.lists(TERMS, max_size=4).map(",".join), st.just(LONG_TABLE))
 SEQUENCES = st.one_of(
     st.sampled_from(["naturals", "nat", "ones", "odds", "constant:0", "constant:-1",
-                     "constant:3", "constant:" + HUGE, "const:2", "bogus"]),
+                     "constant:3", "constant:" + HUGE, "const:2", "bogus", LONG_TABLE]),
     st.lists(TERMS, max_size=5).map(",".join),  # repeated terms, short tables, 30 digits
 )
 WEIGHTS = st.one_of(
@@ -465,14 +468,14 @@ def _family_text(draw, table, small_n: bool):
     False."""
     name = draw(st.sampled_from(sorted(table)))
     keys = table[name][0]
-    values = {"T": st.lists(TERMS, max_size=4).map(",".join), "A": SEQUENCES, "B": SEQUENCES,
+    values = {"T": TABLES, "A": SEQUENCES, "B": SEQUENCES,
               "n": st.sampled_from(["-1", "0", "3", "7", "12", "x"]) if small_n else NUMBERS}
     pieces = [f"{key}={draw(values[key])}" for key in keys if draw(st.integers(0, 9))]
     return name + (":" + ";".join(pieces) if pieces else "")
 
 
 _OPTION_TEXTS = {"A": SEQUENCES, "B": SEQUENCES, "A-prime": SEQUENCES, "B-prime": SEQUENCES,
-                 "f": WEIGHTS, "T": st.lists(TERMS, max_size=4).map(",".join),
+                 "f": WEIGHTS, "T": TABLES,
                  "s": st.sampled_from(["2", "1", "0", "-2", "21/20", "1/0", "nan", "inf", "1e400",
                                        f"{HUGE}/{HUGE[:-1]}", HUGE, "x"])}
 

@@ -2,6 +2,7 @@
 positions of A and B, the (B-value, A-term) pairs taken on top of it, and
 the sequence and bound checks beside them."""
 
+import sys
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcong import _counters, _walkers  # noqa: F401 (loaded, so a builder it binds is counted)
 from seqcong._counters import _pba_value_pairs
 from seqcong.errors import ExtentExceeded, InvalidPart, NonDistinctA, ResourceBound
 from seqcong.families import (
@@ -18,6 +20,7 @@ from seqcong.families import (
     counts_by_size,
     enumerate_family,
     iter_pba_by_size,
+    partitions_of,
     pba_length,
 )
 from seqcong.predicates import is_member_pba
@@ -107,6 +110,43 @@ def test_every_listed_member_is_a_member(a_seq, b_seq, n):
     members += iter_pba_by_size(a_seq, b_seq, 2 * n)
     for p in members:
         assert is_member_pba(p, a_seq, b_seq).ok, (a_seq, b_seq, p.parts)
+
+
+UP_TO_12 = [p for n in range(13) for p in partitions_of(n)]
+# tables with repeats whose terms reach every size up to 12, of any two lengths
+tables_to_12 = st.one_of(
+    st.sampled_from(RULES),
+    st.lists(st.integers(1, 12), max_size=8).map(SequenceSpec.table),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_seq=tables_to_12, b_seq=tables_to_12)
+def test_every_member_is_listed(a_seq, b_seq):
+    accepted = {p for p in UP_TO_12 if is_member_pba(p, a_seq, b_seq).ok}
+    assert set(iter_pba_by_size(a_seq, b_seq, 12)) == accepted, (a_seq, b_seq)
+
+
+@pytest.mark.parametrize(
+    "call, tables",
+    [
+        (lambda: count_invariance_suite(SequenceSpec.table([5, 1, 11, 3, 7, 2]), NAT, 30), 3),
+        (lambda: check_quasi_ideal(SequenceSpec.table([1, 2]), NAT, 40), 1),
+        (lambda: pba_sum_side(NAT, NAT, 12, 30), 1),
+    ],
+)
+def test_each_call_builds_each_pair_table_once(monkeypatch, call, tables):
+    built, original = [], _counters._pba_value_pairs
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):  # each binds the builder by name
+        if name.startswith("seqcong.") and getattr(module, "_pba_value_pairs", None) is original:
+            monkeypatch.setattr(module, "_pba_value_pairs", counted)
+    call()
+    assert len(built) == tables
 
 
 def test_a_repeated_b_value_keeps_its_out_of_bound_first_position():

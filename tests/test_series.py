@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import _counters, families, series
+from seqcong import _counters, _walkers, series
 from seqcong import (
     BivariateSeries,
     BoundsMismatch,
@@ -488,15 +488,15 @@ class _EnumerationStarted(Exception):
         # the partition sum and zeta sides walk all sizes in one _size_totals
         (lambda q: partition_sum_side(ONE, q), "_size_totals", 62),
         (lambda d: partition_zeta([2, 3], 2, d), "_size_totals", 10951),
-        (lambda q: pba_sum_side(NAT, NAT, q, q), "iter_pba_by_size", 290),
+        (lambda q: pba_sum_side(NAT, NAT, q, q), "_gen_pba_by_size", 290),
     ],
 )
 def test_enumerative_sides_total_their_members_first(monkeypatch, side, enumerator, fits):
     def started(*args, **kwargs):
         raise _EnumerationStarted
 
-    # pba_sum_side imports its walker from families when it is called
-    monkeypatch.setattr(families if enumerator == "iter_pba_by_size" else series, enumerator, started)
+    # pba_sum_side imports its walker from _walkers when it is called
+    monkeypatch.setattr(_walkers if enumerator == "_gen_pba_by_size" else series, enumerator, started)
     with pytest.raises(ResourceBound, match="would enumerate"):
         side(fits + 1)
     with pytest.raises(_EnumerationStarted):

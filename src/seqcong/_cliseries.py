@@ -9,6 +9,8 @@ from .cli import _IDENTITIES, _SIDES, _dump, _rational, _why, _write_lines, pars
 from .errors import ParseError, _shown
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .series import BivariateSeries, WeightSpec
 
 
@@ -43,12 +45,8 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
 _ZETA_PLACES = 12
 
 
-def _format_fixed(value, places: int = _ZETA_PLACES) -> str:
-    from fractions import Fraction
-
-    # rounded exactly: at mpmath's default 53 bits a value above 9000 lost places
-    man, exp = value.man_exp  # |value| = man * 2**exp
-    scaled = round(Fraction(man * 10**places) * Fraction(2) ** exp)
+def _format_fixed(value: Fraction, places: int = _ZETA_PLACES) -> str:
+    scaled = round(abs(value) * 10**places)  # exact: a float's 53 bits lose places above 9000
     sign = "-" if scaled and value < 0 else ""
     ip, fp = divmod(scaled, 10**places)
     return f"{sign}{ip}.{fp:0{places}d}"

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Iterable, NoReturn
 
 # every other module is imported by the calls that use it: the handler
 # modules, json by the calls that read a JSON partition or print a record,
-# partition, predicates, maps, families, series, sequences, fractions and
-# mpmath by the commands they run
+# partition, predicates, maps, families, series, sequences and fractions by
+# the commands they run
 from .errors import (
     _SHOWN,
     InternalContradiction,

@@ -26,6 +26,15 @@ def _shown(value: object) -> str:
     return _clipped(text, text[:_SHOWN])
 
 
+def _written(value: int) -> str:
+    """An int as str writes it, whatever its length, or as _shown shows it
+    when it is past Python's limit on integer text."""
+    try:
+        return str(value)
+    except ValueError:
+        return _leading_digits(value)
+
+
 def _clipped(text: str, head: str) -> str:
     return head if len(text) <= _SHOWN else f"{head}... ({len(text)} characters)"
 

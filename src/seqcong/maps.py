@@ -14,6 +14,7 @@ from .errors import (
     NotMemberPBA,
     NotSequentiallyCongruent,
     PartNotInA,
+    _shown,
 )
 from .partition import Partition, _run_ends
 
@@ -185,7 +186,7 @@ def scale_map(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> Parti
     for part, mult in freq.items():
         pos = a_seq.index_of(part)
         if pos is None:
-            raise PartNotInA(f"part {part} is not a term of A ({a_seq.describe()})")
+            raise PartNotInA(f"part {_shown(part)} is not a term of A ({a_seq.describe()})")
         max_pos = max(max_pos, pos)
         b = b_seq.at(pos)
         out[b] = out.get(b, 0) + part * mult
@@ -213,7 +214,7 @@ def scale_map_inverse(mu: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -
     for part, mult in freq.items():
         pos = b_seq.index_of(part)
         if pos is None:  # membership above already guarantees a position
-            raise InternalContradiction(f"part {part} lost its position in B")
+            raise InternalContradiction(f"part {_shown(part)} lost its position in B")
         max_pos = max(max_pos, pos)
         a = a_seq.at(pos)
         out[a] = out.get(a, 0) + mult // a

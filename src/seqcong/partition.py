@@ -155,7 +155,7 @@ class Partition:
     def delete_parts(self, value: int, count: int = 1) -> "Partition":
         """Remove `count` copies of `value`; the rest of the partition is unchanged."""
         if value < 1 or count < 1:
-            raise InvalidPart(f"cannot delete {count} copies of {value}")
+            raise InvalidPart(f"cannot delete {_shown(count)} copies of {_shown(value)}")
         runs = list(self._runs)
         for j, (v, have) in enumerate(runs):
             if v == value:
@@ -163,10 +163,10 @@ class Partition:
         else:
             j, have = len(runs), 0
         if have < count:
-            held = " ".join(f"{v}^{m}" for v, m in self._runs)
+            held = " ".join(f"{_shown(v)}^{_shown(m)}" for v, m in self._runs)
             raise InsufficientMultiplicity(
-                f"partition {held or '()'} has only {have} copies of {value}, "
-                f"cannot delete {count}"
+                f"partition {held or '()'} has only {_shown(have)} copies of {_shown(value)}, "
+                f"cannot delete {_shown(count)}"
             )
         if have == count:
             del runs[j]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._values import Value
-from .errors import ExtentExceeded
+from .errors import ExtentExceeded, _shown, _written
 from .partition import Partition, _run_ends
 
 if TYPE_CHECKING:
@@ -31,8 +31,11 @@ class ViolationReport(Value):
         return self.ok
 
 
-def _failed(index: int, detail: str) -> ViolationReport:
-    return ViolationReport(False, index, detail)
+def _failed(index: int, detail: str, *values) -> ViolationReport:
+    """A failing report, each {} of `detail` filled with the next value as
+    str writes it: an int past Python's limit on integer text is shown by
+    its leading digits, so that no part too long to print breaks the check."""
+    return ViolationReport(False, index, detail.format(*map(_written, values)))
 
 
 # each predicate's passing report, built once and shared, as records are
@@ -54,8 +57,8 @@ def is_sequentially_congruent(lam: Partition) -> ViolationReport:
     for i, a, b in _run_ends(lam.runs):
         if (a - b) % i:
             if not b:
-                return _failed(i, f"smallest part {a} is not congruent to 0 modulo {i}")
-            return _failed(i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {i}")
+                return _failed(i, "smallest part {} is not congruent to 0 modulo {}", a, i)
+            return _failed(i, "lambda_{}={} is not congruent to lambda_{}={} modulo {}", i, a, i + 1, b, i)
     return _SEQCONG_OK
 
 
@@ -63,10 +66,7 @@ def is_frequency_congruent(lam: Partition) -> ViolationReport:
     """Each part divides its own multiplicity; the failing part is the index."""
     for part, mult in reversed(lam.runs):  # smallest part first
         if mult % part:
-            return _failed(
-                part,
-                f"part {part} has multiplicity {mult}, not divisible by {part}",
-            )
+            return _failed(part, "part {} has multiplicity {}, not divisible by {}", part, mult, part)
     return _FREQCONG_OK
 
 
@@ -83,15 +83,14 @@ def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> V
     for part, mult in reversed(lam.runs):  # smallest part first
         pos = b_seq.index_of(part)
         if pos is None:
-            return _failed(part, f"part {part} is not a term of B ({b_seq.describe()})")
+            return _failed(part, "part {} is not a term of B ({})", part, b_seq.describe())
         if ext is not None and pos > ext:
-            return _failed(part, f"part {part} is at B position {pos}, past the {ext} terms of A")
+            return _failed(part, "part {} is at B position {}, past the {} terms of A", part, pos, ext)
         a = a_seq.at(pos)
         if mult % a:
             return _failed(
-                part,
-                f"multiplicity {mult} of part {part} is not divisible by "
-                f"{a} (A term at position {pos})",
+                part, "multiplicity {} of part {} is not divisible by {} (A term at position {})",
+                mult, part, a, pos,
             )
     return _PBA_OK
 
@@ -104,14 +103,12 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
     ext = a_seq.extent
     if ext is not None and r > ext:
         raise ExtentExceeded(
-            f"partition of length {r} needs A terms beyond extent {ext}"
+            f"partition of length {_shown(r)} needs A terms beyond extent {ext}"
         )
     for i, a, b in _run_ends(lam.runs):
         m = a_seq.at(i)
         if (a - b) % m:
-            return _failed(
-                i, f"lambda_{i}={a} is not congruent to lambda_{i + 1}={b} modulo {m}"
-            )
+            return _failed(i, "lambda_{}={} is not congruent to lambda_{}={} modulo {}", i, a, i + 1, b, m)
     return _SNA_OK
 
 
@@ -128,7 +125,7 @@ def is_step_bounded_seqcong(lam: Partition) -> ViolationReport:
     for i, a, b in _run_ends(lam.runs):
         step = a - b
         if step != i:
-            return _failed(i, f"step {step} at index {i} is neither 0 nor {i}")
+            return _failed(i, "step {} at index {} is neither 0 nor {}", step, i, i)
     return _STEP_OK
 
 

@@ -12,6 +12,7 @@ truncation depth instead of asserting agreement.
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 import operator
@@ -366,8 +367,8 @@ def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
 
 class ZetaEvaluation(Value):
     """Both sides of the restricted-partition zeta identity, `sum_side` and
-    `product_side`, as high precision reals, with the `qdepth` that produced
-    the sum and its `terms`; no field has a default."""
+    `product_side`, each the exact Fraction of its dps-digit decimal, with
+    the `qdepth` that produced the sum and its `terms`; no field has a default."""
 
     __slots__ = _fields = __match_args__ = ("sum_side", "product_side", "qdepth", "terms")
     _required = 4
@@ -387,10 +388,12 @@ def partition_zeta(
     and dps >= 1 (decimal digits of working precision); anything else
     raises :class:`DivergentParameters`.  A dps above MAX_DPS, or more than
     DEFAULT_ITEM_CAP partitions of size <= qdepth, totalled by coin change
-    before any is built, raise :class:`ResourceBound` before mpmath is
-    loaded; the sum is one walk with one step per partition, so this bounds
-    its work too.  No equality is asserted here; callers decide what
-    agreement to demand at which depth.
+    before any is built, raise :class:`ResourceBound` before any power is
+    taken; the sum is one walk with one step per partition, so this bounds
+    its work too.  Each call computes in a decimal context of its own, so
+    concurrent calls at any precisions leave one another's digits alone.
+    No equality is asserted here; callers decide what agreement to demand
+    at which depth.
     """
     values = sorted(set(int(v) for v in part_set))
     if not values:
@@ -408,24 +411,21 @@ def partition_zeta(
         raise ResourceBound(f"dps {dps} is more than the cap of {MAX_DPS} digits")
     label = f"zeta sum over parts in {values} to depth {_shown(qdepth)}"
     _require_members(label, _coin_change(label, values, qdepth))
-    import mpmath
-
-    with mpmath.workdps(dps):
+    with localcontext(Context(prec=dps)):
         # the terms past the empty partition's 1 are fewer than 2^24 (the item
-        # cap) and each at most 2^-s, so past prec + 32 bits they round away
-        # and both sides are 1: a larger s runs as that one, whatever its digits
-        s = min(s, mpmath.mp.prec + 32)
-        s_mp = mpmath.mpf(s.numerator) / s.denominator
-        prod = mpmath.mpf(1)
-        for t in values:
-            prod /= 1 - mpmath.power(t, -s_mp)
+        # cap) and each below 2^-s: past s = 4 dps + 32 they sum to less than
+        # 2^-8 * 16^-dps and round away against 1, so both sides are 1 and a
+        # larger s runs as that one, whatever its digits
+        s = min(s, 4 * dps + 32)
+        minus_s = -(Decimal(s.numerator) / s.denominator)
+        bases = [Decimal(t) ** minus_s for t in values]
+        prod = Decimal(1)
+        for b in bases:
+            prod /= 1 - b
         # a term is its parent's times t^(-s m) for its last run, m copies
-        # of t: rounded once per distinct part, however deep the walk goes
-        runs = [
-            [None] + [mpmath.power(t, -s_mp * m) for m in range(1, qdepth // t + 1)]
-            for t in values
-        ]
+        # of t: one power per part, however deep the walk goes
+        runs = [[None] + [b**m for m in range(1, qdepth // t + 1)] for t, b in zip(values, bases)]
         factors = [runs] * (qdepth + 1)
-        totals, terms = _size_totals(values, factors, qdepth, mpmath.mpf(1))
-        total = sum(filter(None, totals), mpmath.mpf(0))  # skip the sizes no partition has
-    return ZetaEvaluation(total, prod, qdepth, terms)
+        totals, terms = _size_totals(values, factors, qdepth, Decimal(1))
+        total = sum(filter(None, totals), Decimal(0))  # skip the sizes no partition has
+    return ZetaEvaluation(Fraction(total), Fraction(prod), qdepth, terms)

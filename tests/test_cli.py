@@ -329,6 +329,13 @@ class TestIdeal:
         )
         assert code == 0 and '"sets_differ_at":2' in out
 
+    def test_invariance_needs_a_table_a(self, capsys):
+        code, out, err = run(
+            capsys, "ideal", "invariance", "--A", "naturals", "--B", "naturals", "--max-size", "5"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: a_prime is required when A is not an explicit table\n"
+
     def test_invariance_replaces_b_past_the_bound(self, capsys):
         # the default B' is the rule naturals, so A's last terms 2 and 1 keep
         # a position though the bound is 3
@@ -721,11 +728,8 @@ class TestZeta:
                                         f"product_side {_format_fixed(exact.product_side)}"]
 
     def test_places_are_exact_above_the_default_precision(self):
-        import mpmath
-
-        with mpmath.workdps(30):
-            value = mpmath.mpf("12345678901.1234567890125")
-            negative = -value
+        value = Fraction("12345678901.1234567890126")  # more digits than a float holds
+        negative = -value
         assert _format_fixed(value) == "12345678901.123456789013"
         assert _format_fixed(negative) == "-12345678901.123456789013"
 

@@ -565,6 +565,59 @@ class TestCountInvariance:
                 self.A, self.B, 6, a_prime=SequenceSpec.table([2, 4])
             )
 
+    def test_repeated_a_rejected(self):
+        with pytest.raises(NonDistinctA, match=r"^A \(2,2\) must have distinct terms$"):
+            count_invariance_suite(SequenceSpec.table([2, 2]), self.B, 6)
+
+    def test_rule_a_needs_an_explicit_permutation(self):
+        with pytest.raises(InvalidPart, match="^a_prime is required when A is not an explicit table$"):
+            count_invariance_suite(NAT, NAT, 5)
+
+    # each failure below is forced by one patched walk or row; the suite's
+    # rows agree on every input, as the paper proves they must
+
+    def test_permuted_count_failure(self, monkeypatch):
+        real, calls = _walkers._gen_pba_len, []
+
+        def drops_a_permuted_member(pairs, n):
+            calls.append(n)  # per n, the walk over A comes first, then A'
+            runs = list(real(pairs, n))
+            return runs[:-1] if len(calls) % 2 == 0 else runs
+
+        monkeypatch.setattr(_walkers, "_gen_pba_len", drops_a_permuted_member)
+        report = count_invariance_suite(self.A, self.B, 8)
+        assert (report.ok, report.detail) == (False, "n=0: permuting A changed the count 1 -> 0")
+        assert report.counts == (1,)
+
+    def test_replaced_count_failure(self, monkeypatch):
+        real = families._pba_length_counts
+
+        def counts_one_more_with_b_prime(a_seq, b_seq, bound, label):
+            counts, pairs = real(a_seq, b_seq, bound, label)
+            if b_seq == NAT:  # the default B'
+                counts[4] += 1
+            return counts, pairs
+
+        monkeypatch.setattr(families, "_pba_length_counts", counts_one_more_with_b_prime)
+        report = count_invariance_suite(self.A, self.B, 8)
+        assert (report.ok, report.detail) == (False, "n=4: replacing B changed the count 1 -> 2")
+        assert report.counts == (1, 0, 1, 1, 1) and report.sets_differ_at == 2
+
+    def test_restricted_count_failure(self, monkeypatch):
+        real = families._restricted_counts
+
+        def counts_one_more_at_1(a_seq, n, label):
+            counts = real(a_seq, n, label)
+            counts[1] += 1
+            return counts
+
+        monkeypatch.setattr(families, "_restricted_counts", counts_one_more_at_1)
+        report = count_invariance_suite(self.A, self.B, 8)
+        assert (report.ok, report.detail) == (
+            False, "n=1: family count 0 differs from the 1 partitions with parts in A",
+        )
+        assert report.counts == (1, 0)
+
 
 def test_restricted_count_examples():
     assert [restricted_count(SequenceSpec.table([2, 3]), n) for n in range(7)] == [

@@ -6,6 +6,7 @@ from seqcong import (
     EMPTY,
     ExtentExceeded,
     Partition,
+    SeqcongError,
     SequenceSpec,
     enumerate_family,
     has_distinct_parts,
@@ -16,6 +17,8 @@ from seqcong import (
     is_sequentially_congruent,
     is_step_bounded_seqcong,
     partitions_of,
+    scale_map,
+    scale_map_inverse,
     seqcong_largest,
     step_bounded_largest,
 )
@@ -169,3 +172,45 @@ def test_membership_survives_raising():
         t = rng.randint(1, 7)
         grown = Partition((phi.parts[0] + t,) + phi.parts[1:])
         assert is_sequentially_congruent(grown).ok
+
+
+# 10**5000 has 5,001 digits, past Python's 4,300-digit limit on integer text
+HUGE = Partition.from_parts([10**5000])
+TWO_HUGE = Partition.from_parts([10**5000 + 2, 10**5000 + 1])
+H = "1" + "0" * 39 + "... (5001 characters)"
+
+
+@pytest.mark.parametrize(
+    "call, detail",
+    [
+        (lambda: is_frequency_congruent(HUGE), f"part {H} has multiplicity 1, not divisible by {H}"),
+        (
+            lambda: is_member_pba(HUGE, NAT, NAT),
+            f"multiplicity 1 of part {H} is not divisible by {H} (A term at position {H})",
+        ),
+        (lambda: is_step_bounded_seqcong(HUGE), f"step {H} at index 1 is neither 0 nor 1"),
+        (lambda: is_sequentially_congruent(TWO_HUGE), f"smallest part {H} is not congruent to 0 modulo 2"),
+        (lambda: is_member_sna(TWO_HUGE, NAT), f"lambda_2={H} is not congruent to lambda_3=0 modulo 2"),
+        (
+            lambda: scale_map(HUGE, SequenceSpec.table([1, 2]), NAT),
+            f"part {H} is not a term of A (1,2)",
+        ),
+        (
+            lambda: scale_map_inverse(HUGE, NAT, NAT),
+            f"multiplicity 1 of part {H} is not divisible by {H} (A term at position {H})",
+        ),
+        (
+            lambda: Partition.from_parts([3]).delete_parts(10**5000, 1),
+            f"partition 3^1 has only 0 copies of {H}, cannot delete 1",
+        ),
+    ],
+    ids=["freqcong", "pba", "step", "seqcong", "sna", "scale", "scale-inverse", "delete"],
+)
+def test_a_number_too_long_to_print_is_quoted_by_its_leading_digits(call, detail):
+    # a failing report or a SeqcongError, never Python's ValueError from an f-string
+    try:
+        report = call()
+    except SeqcongError as e:
+        assert str(e) == detail
+    else:
+        assert (report.ok, report.detail) == (False, detail)

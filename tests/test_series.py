@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -326,6 +327,31 @@ class TestPartitionZeta:
             with pytest.raises(ResourceBound, match="cap of 10000 digits"):
                 partition_zeta([2, 3], 2, 40, dps=dps)
         assert time.perf_counter() - start < 0.1
+
+    def test_threads_at_mixed_precision_keep_their_digits(self):
+        # each call works in a decimal context of its own thread, so a call at
+        # 120 digits running beside one at 30 changes none of its digits
+        cases = [([2, 3, 5, 7], Fraction(3, 2), 60, dps) for dps in (30, 120, 30, 120)]
+        expected = [partition_zeta(*case) for case in cases]
+        start = threading.Barrier(len(cases), timeout=60)
+        got = [[] for _ in cases]
+
+        def calls(case, results):
+            start.wait()
+            results.extend(partition_zeta(*case) for _ in range(4))
+
+        threads = [threading.Thread(target=calls, args=pair) for pair in zip(cases, got)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that the calls interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[value] * 4 for value in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ ideal; also the family of check."""
 from __future__ import annotations
 
 import sys
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .cli import _FAMILIES, _LISTINGS, _record_json, _why, _write_lines, parse_sequence
@@ -80,15 +80,14 @@ def _cmd_enum(args) -> int:
                                 f"cap of {args.max_items} items")
         print(total)
         return 0
-    from ._clipartition import _partition_json
+    from ._clipartition import _json_array, _partition_json
 
     stream = families.enumerate_family(desc, max_items=args.max_items)
     if args.limit is not None:
         stream = islice(stream, min(args.limit, sys.maxsize))  # the most islice takes
     texts = map(_partition_json, stream)
     if args.json:  # one array, in chunks too: an error part way leaves it as far as it got
-        items = ("," + text if i else text for i, text in enumerate(texts))
-        texts = chain(("[",), items, ("]\n",))
+        texts = _json_array(texts, "", "\n")
     _write_lines(texts, end="" if args.json else "\n")
     return 0
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
-from .cli import _MAP_OPS, _dump, _record_json, _why, _write_lines, parse_sequence
-from .errors import DEFAULT_ITEM_CAP, InvalidPart, ParseError, ResourceBound, _shown
+from .cli import _CHUNK_CHARS, _MAP_OPS, _dump, _record_json, _why, _write_lines, parse_sequence
+from .errors import DEFAULT_ITEM_CAP, InvalidPart, ParseError, ResourceBound, SeqcongError, _shown
 from .partition import Partition
 
 
@@ -50,18 +52,46 @@ def parse_partition(text: str) -> Partition:
     return Partition.from_frequencies(freq)
 
 
-def _partition_json(p: Partition) -> str:
+def _partition_json(p: Partition) -> str | Iterator[str]:
     """The parts as a JSON array, byte for byte ``_dump(list(p.parts))``,
-    written one run at a time without expanding the parts.  A partition of
-    more than DEFAULT_ITEM_CAP parts, or whose largest part has more digits
-    than Python writes, raises :class:`ResourceBound` before any text is
-    built."""
-    if p.length > DEFAULT_ITEM_CAP:
-        raise ResourceBound(f"printing {_shown(p.length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
-    top, limit = p.runs[0][0] if p.runs else 0, sys.get_int_max_str_digits()
-    if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # 10**limit has ~3.3 limit bits
+    written one run at a time without expanding the parts: one str, or the
+    pieces of a text that may pass _CHUNK_CHARS characters, as
+    :func:`_write_lines` takes a line.  A partition of more than
+    DEFAULT_ITEM_CAP parts, or whose largest part has more digits than
+    Python writes, raises :class:`ResourceBound` before any text is built."""
+    runs, length = p.runs, p.length
+    if length > DEFAULT_ITEM_CAP:
+        raise ResourceBound(f"printing {_shown(length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
+    top, limit = runs[0][0] if runs else 0, sys.get_int_max_str_digits()
+    bits = top.bit_length()
+    if limit and bits > 3 * limit and top >= 10**limit:  # 10**limit has ~3.3 limit bits
         raise ResourceBound(f"printing part {_shown(top)} is past the limit of {limit} digits")
-    return "[" + ",".join([(f"{v}," * m)[:-1] for v, m in p.runs]) + "]"
+    if length * (bits // 3 + 2) < _CHUNK_CHARS:  # a part and its comma take at most that
+        text = "".join([f"{v}," * m for v, m in runs])
+        return f"[{text[:-1]}]"
+    return _json_pieces(runs)
+
+
+def _json_pieces(runs: tuple[tuple[int, int], ...]) -> Iterator[str]:
+    """The text of _partition_json in pieces of at most a sixteenth of a
+    chunk, or of one part and its comma: a run's pieces are one str,
+    repeated."""
+    yield "["
+    last = len(runs) - 1
+    for i, (v, m) in enumerate(runs):
+        unit = f"{v},"
+        k = _CHUNK_CHARS // 16 // len(unit) or 1  # parts per piece
+        whole, rest = divmod(m - (i == last), k)  # the last part ends in "]", not in a comma
+        yield from repeat(unit * k, whole)
+        yield unit * rest
+    yield f"{runs[-1][0]}]"
+
+
+def _json_array(texts: Iterable[str | Iterator[str]], head: str, tail: str) -> Iterator:
+    """`head`, a JSON array of partition texts and `tail`, as the lines of
+    one line: to be written with no end between them."""
+    commas = chain(("",), repeat(","))  # none before the first text
+    return chain((head + "[",), chain.from_iterable(zip(commas, texts)), ("]" + tail,))
 
 
 def _cmd_check(args) -> int:
@@ -70,25 +100,25 @@ def _cmd_check(args) -> int:
     fn = _parse_check(args.family)
     if args.partition is not None:
         texts = [args.partition]
-    else:
-        texts = [line for line in sys.stdin.read().splitlines() if line.strip()]
-    # parse everything first so bad input never yields partial output
-    inputs = [parse_partition(text) for text in texts]
-    worst = 0
-    encoded = {}  # report -> its JSON; a stream repeats its passing report
-
-    def lines():
-        nonlocal worst
-        for lam in inputs:
-            report = fn(lam)
-            text = encoded.get(report)
-            if text is None:
-                text = encoded[report] = _record_json(report)
-                if not report.ok:
-                    worst = 1
-            yield text
-
-    _write_lines(lines())
+    else:  # stdin ends a line only at "\n", where splitlines ends one too
+        texts = (line for raw in sys.stdin for line in raw.splitlines() if line.strip())
+    # every line is parsed before any report is written, so bad input never
+    # yields partial output; only the reports are kept
+    reports, failure = [], None
+    for text in texts:
+        lam = parse_partition(text)
+        if failure is None:
+            try:
+                reports.append(fn(lam))
+            except SeqcongError as e:  # raised after the reports before it, once every line parses
+                failure = e
+    # one encoding per report object, found by identity: a passing report is shared
+    distinct = {id(report): report for report in reports}
+    worst = int(not all(report.ok for report in distinct.values()))
+    encoded = {key: _record_json(report) for key, report in distinct.items()}
+    _write_lines(map(encoded.__getitem__, map(id, reports)))
+    if failure is not None:
+        raise failure
     return worst
 
 
@@ -106,7 +136,7 @@ def _cmd_map(args) -> int:
         from . import maps
 
         result = getattr(maps, name)(lam, *sequences)
-    print(_partition_json(result))
+    _write_lines((_partition_json(result),))
     return 0
 
 
@@ -115,6 +145,7 @@ def _cmd_orbit(args) -> int:
 
     lam = parse_partition(args.partition)
     trace = maps.orbit(lam, side=args.side)
-    states = ",".join([_partition_json(p) for p in trace.states])
-    print(f'{{"states":[{states}],"cycle_length":{trace.cycle_length},"closed":{_dump(trace.closed)}}}')
+    states = [_partition_json(p) for p in trace.states]  # each refusal before any text
+    tail = f',"cycle_length":{trace.cycle_length},"closed":{_dump(trace.closed)}}}\n'
+    _write_lines(_json_array(states, '{"states":', tail), end="")
     return 0

@@ -5,12 +5,15 @@ ones that have no default in ``_required``; the rest default to None.  One
 ``__init__`` binds them by position, then by keyword, and raises
 :class:`TypeError` where a dataclass would.  Equality holds only between
 records of the same class with equal fields; the hash is the hash of the
-field tuple; the repr is ``Cls(name=value, ...)``.  Assigning or deleting
+field tuple; the repr is ``Cls(name=value, ...)``, with an int field too
+long for Python to write shown by its leading digits.  Assigning or deleting
 an attribute raises :class:`AttributeError`.  Copies and pickles rebuild a
 record from its fields through ``__init__``.
 """
 
 from __future__ import annotations
+
+from .errors import _written
 
 
 class Value:
@@ -51,7 +54,7 @@ class Value:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        body = ", ".join([f"{name}={_repr(getattr(self, name))}" for name in self._fields])
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -62,3 +65,8 @@ class Value:
 
     def __reduce__(self):
         return self.__class__, self._astuple()
+
+
+def _repr(value) -> str:
+    """repr, but an int as _written writes it, which never raises."""
+    return _written(value) if isinstance(value, int) else repr(value)

@@ -70,16 +70,22 @@ def _record_json(record: Value) -> str:
 _CHUNK_CHARS = 1 << 16
 
 
-def _write_lines(lines: Iterable[str], end: str = "\n") -> None:
+def _write_lines(lines: Iterable[str | Iterable[str]], end: str = "\n") -> None:
     """Write each line and `end` to stdout, as print would, in writes of
-    about _CHUNK_CHARS characters.  A chunk is written as soon as it reaches
-    that size, so at most one chunk and one line are held however long the
-    lines are.  The lines taken before `lines` raises are written before the
-    error propagates, so partial output is unchanged."""
+    about _CHUNK_CHARS characters.  A line is a str, or the pieces of a line
+    too long to build whole, which are written the same way with no end
+    between them.  A chunk is written as soon as it reaches that size, so at
+    most one chunk is held however long the lines are.  The text taken
+    before `lines` raises is written before the error propagates, so partial
+    output is unchanged."""
     pending: list[str] = []
     size = 0
     try:
         for line in lines:
+            if line.__class__ is not str:  # in pieces: the lines before it go first
+                _write_chunk(pending, end)
+                _write_lines(line, "")
+                line, size = "", 0  # its end goes with the next chunk
             pending.append(line)
             size += len(line) + len(end)
             if size >= _CHUNK_CHARS:

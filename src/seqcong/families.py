@@ -24,7 +24,9 @@ from ._counters import (
     _require_members, _restricted_counts, sna_weight_sums, step_bounded_counts,
 )
 from ._values import Value
-from .errors import DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound, _shown
+from .errors import (
+    DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound, _shown, _written,
+)
 from .sequences import NATURALS, SequenceSpec
 
 if TYPE_CHECKING:
@@ -50,7 +52,7 @@ class FamilyDescriptor(Value):
     def describe(self) -> str:
         bits = [self.kind, _shown(self.n)]
         if self.part_set is not None:
-            bits.append("T=" + ",".join(map(str, self.part_set)))
+            bits.append("T=" + ",".join(map(_written, self.part_set)))
         if self.a_seq is not None:
             bits.append("A=" + self.a_seq.describe())
         if self.b_seq is not None:

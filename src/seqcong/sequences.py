@@ -15,7 +15,7 @@ from bisect import bisect_left
 from typing import Optional, Sequence
 
 from ._values import Value
-from .errors import ExtentExceeded, InvalidPart, _shown
+from .errors import ExtentExceeded, InvalidPart, _shown, _written
 
 # rule -> (a_1, step); ``constant:k`` is (k, 0)
 _PROGRESSIONS = {"naturals": (1, 1), "odds": (1, 2), "ones": (1, 0)}
@@ -144,9 +144,9 @@ class SequenceSpec(Value):
 
     def describe(self) -> str:
         if self.kind == "table":
-            return ",".join(str(v) for v in self.terms)
+            return ",".join(map(_written, self.terms))
         if self.kind == "constant":
-            return f"constant:{self.k}"
+            return f"constant:{_written(self.k)}"
         return self.kind
 
     def __repr__(self) -> str:

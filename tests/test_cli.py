@@ -263,6 +263,24 @@ class TestEnum:
             '{"ok":false,"index":2,"detail":"lambda_2=2 is not congruent to lambda_3=0 modulo 3"}\n'
         )
 
+    @pytest.mark.parametrize("stdin, out, err", [
+        ("[1]\n[2,2,2]\n[3]\n", '{"ok":true,"index":null,"detail":"all congruences modulo A hold"}\n',
+         "error: partition of length 3 needs A terms beyond extent 2\n"),
+        ("[1]\n[2,2,2]\n[3]\nbad\n", "", "error: bad token 'bad' at position 1\n"),
+    ])
+    def test_check_parses_every_line_before_it_reports(self, capsys, monkeypatch, stdin, out, err):
+        # the reports before a line the predicate refuses are written, then
+        # its error; a parse error on any later line still means no output
+        assert run(capsys, "check", "sna:A=1,2", stdin=stdin, monkeypatch=monkeypatch) == (2, out, err)
+
+    def test_check_splits_stdin_as_splitlines_does(self, capsys, monkeypatch):
+        stdin = "[3,1]\r[2]\x1c\n  \n[4]\u2028[6,3]\r\n[5]\x85[1]"
+        texts = [line for line in stdin.splitlines() if line.strip()]
+        assert len(texts) == 6
+        expected = [run(capsys, "check", "seqcong", text)[1] for text in texts]
+        code, out, err = run(capsys, "check", "seqcong", stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "".join(expected), "")
+
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "enum", "everything:4")
         assert code == 2

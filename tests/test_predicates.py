@@ -17,6 +17,7 @@ from seqcong import (
     is_sequentially_congruent,
     is_step_bounded_seqcong,
     partitions_of,
+    parts_in,
     scale_map,
     scale_map_inverse,
     seqcong_largest,
@@ -203,8 +204,17 @@ H = "1" + "0" * 39 + "... (5001 characters)"
             lambda: Partition.from_parts([3]).delete_parts(10**5000, 1),
             f"partition 3^1 has only 0 copies of {H}, cannot delete 1",
         ),
+        (
+            lambda: is_member_pba(Partition.from_parts([3]), NAT, SequenceSpec.table([10**5000])),
+            f"part 3 is not a term of B ({H})",
+        ),
+        (
+            lambda: is_member_pba(Partition.from_parts([3]), NAT, SequenceSpec.constant(10**5000)),
+            f"part 3 is not a term of B (constant:{H})",
+        ),
     ],
-    ids=["freqcong", "pba", "step", "seqcong", "sna", "scale", "scale-inverse", "delete"],
+    ids=["freqcong", "pba", "step", "seqcong", "sna", "scale", "scale-inverse", "delete", "pba-table",
+         "pba-constant"],
 )
 def test_a_number_too_long_to_print_is_quoted_by_its_leading_digits(call, detail):
     # a failing report or a SeqcongError, never Python's ValueError from an f-string
@@ -214,3 +224,15 @@ def test_a_number_too_long_to_print_is_quoted_by_its_leading_digits(call, detail
         assert str(e) == detail
     else:
         assert (report.ok, report.detail) == (False, detail)
+
+
+def test_a_record_holding_a_number_too_long_to_print_has_a_repr():
+    # an int field, a table's term and an allowed part are shown by their leading digits
+    report = is_frequency_congruent(HUGE)
+    detail = f"part {H} has multiplicity 1, not divisible by {H}"
+    assert repr(report) == f"ViolationReport(ok=False, index={H}, detail={detail!r})"
+    assert repr(SequenceSpec.table([1, 10**5000])) == f"SequenceSpec(1,{H})"
+    assert parts_in([2, 10**5000], 4).describe() == f"parts-in:4:T=2,{H}"
+    assert repr(is_frequency_congruent(Partition.from_parts([2, 1]))) == (
+        "ViolationReport(ok=False, index=2, detail='part 2 has multiplicity 1, not divisible by 2')"
+    )

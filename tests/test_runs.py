@@ -8,7 +8,12 @@ frequency maps, so long runs occur, and the empty partition is included.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +36,7 @@ from seqcong import (
     is_step_bounded_seqcong,
     orbit,
     partitions_of,
+    parts_in,
     pba_length,
     pi,
     pi_inverse,
@@ -42,6 +48,9 @@ from seqcong import (
 from seqcong import cli
 from seqcong._clipartition import _partition_json
 from seqcong.errors import DEFAULT_ITEM_CAP, ExtentExceeded
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 # ---------------------------------------------------------------------------
 # per-part references
@@ -363,7 +372,134 @@ def dumped(obj):
 @given(partitions())
 def test_writer_matches_json_dumps(pair):
     lam, t = pair
-    assert _partition_json(lam) == dumped(list(t))
+    assert _partition_json(lam) == dumped(list(t))  # short: one str
+
+
+CHUNK = cli._CHUNK_CHARS
+
+
+@st.composite
+def near_a_chunk(draw, top=10**40):
+    """A partition whose JSON text is a few parts below, at or above
+    _CHUNK_CHARS characters: a run of a drawn value up to `top`, sized to
+    the drawn length, beside a few short runs."""
+    freq = draw(st.dictionaries(st.integers(1, top), st.integers(1, 40), max_size=4))
+    v = draw(st.one_of(st.integers(1, 9), st.integers(1, top)).filter(lambda v: v not in freq))
+    unit = len(str(v)) + 1  # the part and its comma
+    rest = 1 + sum(m * (len(str(u)) + 1) for u, m in freq.items())
+    target = CHUNK + draw(st.integers(-3 * unit, 3 * unit))
+    freq[v] = max(1, (target - rest) // unit)
+    return Partition.from_frequencies(freq)
+
+
+def assert_pieces(lam):
+    """_partition_json's pieces join to json.dumps; a text past a chunk
+    comes in pieces, none longer than a sixteenth of a chunk or a part."""
+    text, expected = _partition_json(lam), dumped(list(lam.parts))
+    assert "".join(text) == expected
+    if len(expected) > CHUNK:
+        assert text.__class__ is not str
+        assert max(map(len, _partition_json(lam))) <= max(CHUNK // 16, len(str(lam.largest)) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_a_chunk())
+def test_pieces_join_to_json_dumps_around_a_chunk(lam):
+    assert_pieces(lam)
+
+
+@pytest.mark.parametrize("length", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 3 * CHUNK + 7])
+def test_pieces_at_exact_lengths(length):
+    # "[" and a 1 per 2 characters, closed by "]": odd lengths; a 10 makes them even
+    tens = 1 - length % 2
+    lam = Partition.from_frequencies({10: 1, 1: (length - 4) // 2} if tens else {1: (length - 1) // 2})
+    assert len(dumped(list(lam.parts))) == length
+    assert_pieces(lam)
+    conjugate = dumped(list(lam.conjugate().parts))
+    assert cli_stdout("map", "conjugate", conjugate) == (0, dumped(list(lam.parts)) + "\n")
+
+
+@settings(max_examples=15, deadline=None)
+@given(near_a_chunk(top=50))
+def test_orbit_output_around_a_chunk(lam):
+    trace = orbit(lam)
+    payload = {
+        "states": [list(p.parts) for p in trace.states],
+        "cycle_length": trace.cycle_length,
+        "closed": trace.closed,
+    }
+    assert cli_stdout("orbit", dumped(list(lam.parts))) == (0, dumped(payload) + "\n")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(CHUNK // 2 - 3, CHUNK // 2 + 3), st.integers(1, 3))
+def test_enum_output_around_a_chunk(n, limit):
+    # the first member of parts:T=1,2 is 1^n, whose text has 2n + 1 characters
+    members = [list(p.parts) for p in islice(enumerate_family(parts_in([1, 2], n)), limit)]
+    argv = ("enum", f"parts:T=1,2;n={n}", "--limit", str(limit))
+    assert cli_stdout(*argv) == (0, "".join(dumped(m) + "\n" for m in members))
+    assert cli_stdout(*argv, "--json") == (0, dumped(members) + "\n")
+
+
+@pytest.mark.parametrize("argv, part", [
+    (("map", "pi", "1^50000"), 50000),
+    (("enum", "parts:T=1;n=100000"), 1),
+    (("enum", "parts:T=1;n=100000", "--json"), 1),
+    (("orbit", "3^30000"), 90000),
+])
+def test_a_long_line_is_written_a_chunk_at_a_time(monkeypatch, argv, part):
+    # no write holds more than a chunk and a piece, a sixteenth of a chunk
+    # or a part, however long the line
+    code, expected = cli_stdout(*argv)
+    sizes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(list(argv)) == code == 0
+    assert sink.getvalue() == expected and len(expected) > 2 * CHUNK
+    assert max(sizes) <= CHUNK + max(CHUNK // 16, len(str(part)) + 1)
+
+
+def test_output_memory_does_not_grow_with_the_text(tmp_path):
+    # peak RSS of huge outputs and of a long check stream, each against a
+    # tiny map; children are started by a small launcher, since Linux
+    # counts the forking process's resident size in a child's ru_maxrss
+    stream = tmp_path / "stream.txt"
+    with open(stream, "w") as out:
+        subprocess.run([sys.executable, "-m", "seqcong.cli", "enum", "seqcong-lg:36"], env=_ENV,
+                       stdout=out, check=True, timeout=60)
+    launcher = (
+        "import os, sys\n"
+        "exe, stdin, *argv = sys.argv[1:]\n"
+        "peak = []\n"
+        "for _ in range(3):\n"
+        "    fds = [os.open(stdin, os.O_RDONLY), os.open(os.devnull, os.O_WRONLY)]\n"
+        "    dups = [(os.POSIX_SPAWN_DUP2, fd, i) for i, fd in enumerate(fds)]\n"
+        "    pid = os.posix_spawn(exe, [exe, '-m', 'seqcong.cli', *argv], os.environ, file_actions=dups)\n"
+        "    _, status, usage = os.wait4(pid, 0)\n"
+        "    peak.append(usage.ru_maxrss if os.waitstatus_to_exitcode(status) == 0 else -1)\n"
+        "    list(map(os.close, fds))\n"
+        "print(min(peak))\n"
+    )
+
+    def peak_kb(*argv, stdin=os.devnull):
+        proc = subprocess.run([sys.executable, "-S", "-c", launcher, sys.executable, stdin, *argv],
+                              env=_ENV, capture_output=True, text=True, check=True, timeout=120)
+        return int(proc.stdout)
+
+    floor = peak_kb("map", "pi", "[3,1]")
+    assert floor > 0
+    for argv, stdin in [
+        (("map", "pi", "1^500000"), os.devnull),
+        (("map", "conjugate", "[1000000]"), os.devnull),
+        (("check", "seqcong"), str(stream)),
+    ]:
+        assert 0 < peak_kb(*argv, stdin=stdin) <= floor + 2048, argv
 
 
 def cli_stdout(*argv):

@@ -7,7 +7,7 @@ import sys
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .cli import _FAMILIES, _LISTINGS, _record_json, _why, _write_lines, parse_sequence
+from .cli import _FAMILIES, _LISTINGS, _json_array, _record_json, _why, _write_lines, parse_sequence
 from .errors import ParseError, ResourceBound, _shown
 
 if TYPE_CHECKING:
@@ -80,7 +80,7 @@ def _cmd_enum(args) -> int:
                                 f"cap of {args.max_items} items")
         print(total)
         return 0
-    from ._clipartition import _json_array, _partition_json
+    from ._clipartition import _partition_json
 
     stream = families.enumerate_family(desc, max_items=args.max_items)
     if args.limit is not None:

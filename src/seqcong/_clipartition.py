@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import chain, repeat
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterator
 
-from .cli import _CHUNK_CHARS, _MAP_OPS, _dump, _record_json, _why, _write_lines, parse_sequence
+from .cli import _CHUNK_CHARS, _MAP_OPS, _dump, _json_array, _record_json, _why, _write_lines, parse_sequence
 from .errors import DEFAULT_ITEM_CAP, InvalidPart, ParseError, ResourceBound, SeqcongError, _shown
 from .partition import Partition
 
@@ -85,13 +85,6 @@ def _json_pieces(runs: tuple[tuple[int, int], ...]) -> Iterator[str]:
         yield from repeat(unit * k, whole)
         yield unit * rest
     yield f"{runs[-1][0]}]"
-
-
-def _json_array(texts: Iterable[str | Iterator[str]], head: str, tail: str) -> Iterator:
-    """`head`, a JSON array of partition texts and `tail`, as the lines of
-    one line: to be written with no end between them."""
-    commas = chain(("",), repeat(","))  # none before the first text
-    return chain((head + "[",), chain.from_iterable(zip(commas, texts)), ("]" + tail,))
 
 
 def _cmd_check(args) -> int:

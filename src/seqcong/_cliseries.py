@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cli import _IDENTITIES, _SIDES, _dump, _rational, _why, _write_lines, parse_sequence
+from .cli import _IDENTITIES, _SIDES, _json_array, _rational, _why, _write_lines, parse_sequence
 from .errors import ParseError, _shown
 
 if TYPE_CHECKING:
@@ -45,11 +45,11 @@ def parse_weights(text: str, extent: int) -> WeightSpec:
 _ZETA_PLACES = 12
 
 
-def _format_fixed(value: Fraction, places: int = _ZETA_PLACES) -> str:
-    scaled = round(abs(value) * 10**places)  # exact: a float's 53 bits lose places above 9000
+def _format_fixed(value: Fraction) -> str:
+    scaled = round(abs(value) * 10**_ZETA_PLACES)  # exact: a float's 53 bits lose places above 9000
     sign = "-" if scaled and value < 0 else ""
-    ip, fp = divmod(scaled, 10**places)
-    return f"{sign}{ip}.{fp:0{places}d}"
+    ip, fp = divmod(scaled, 10**_ZETA_PLACES)
+    return f"{sign}{ip}.{fp:0{_ZETA_PLACES}d}"
 
 
 def _expand_side(side: str, args) -> BivariateSeries:
@@ -85,9 +85,9 @@ def _cmd_series_verify(args) -> int:
 
 def _cmd_series_expand(args) -> int:
     s = _expand_side(args.side, args)
-    if args.json:
-        coefficients = [[a, b, str(c)] for (a, b), c in s.items()]
-        print(_dump({"xtrunc": s.xtrunc, "qtrunc": s.qtrunc, "coefficients": coefficients}))
+    if args.json:  # a coefficient's text, an int's or a Fraction's, never needs escaping
+        head = f'{{"xtrunc":{s.xtrunc},"qtrunc":{s.qtrunc},"coefficients":'
+        _write_lines(_json_array((f'[{a},{b},"{c}"]' for a, b, c in s._cells()), head, "}\n"), end="")
         return 0
     if s.xtrunc == 0:
         line = "q^{1}: {2}"
@@ -95,7 +95,7 @@ def _cmd_series_expand(args) -> int:
         line = "x^{0}: {2}"
     else:
         line = "x^{0} q^{1}: {2}"
-    _write_lines(line.format(a, b, c) for (a, b), c in s.items())
+    _write_lines(line.format(a, b, c) for a, b, c in s._cells())
     return 0
 
 

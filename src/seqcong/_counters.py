@@ -208,6 +208,13 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _fraction(*args):
+    """Fraction(*args), with fractions loaded by the first call that makes one."""
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
 def _zeros(xtrunc: int, qtrunc: int) -> list[list]:
     return [[0] * (qtrunc + 1) for _ in range(xtrunc + 1)]
 
@@ -318,12 +325,10 @@ def _dense_product(
                 for q in qs:
                     row[q] += c * src[q - b]
     if scales is not None:
-        from fractions import Fraction
-
         for row in grid:
             for q, s in enumerate(scales):
                 if s != 1:
-                    row[q] = _exact(Fraction(row[q], s))
+                    row[q] = _exact(_fraction(row[q], s))
     return grid
 
 

@@ -5,10 +5,10 @@ ones that have no default in ``_required``; the rest default to None.  One
 ``__init__`` binds them by position, then by keyword, and raises
 :class:`TypeError` where a dataclass would.  Equality holds only between
 records of the same class with equal fields; the hash is the hash of the
-field tuple; the repr is ``Cls(name=value, ...)``, with an int field too
-long for Python to write shown by its leading digits.  Assigning or deleting
-an attribute raises :class:`AttributeError`.  Copies and pickles rebuild a
-record from its fields through ``__init__``.
+field tuple; the repr is ``Cls(name=value, ...)``, with an int too long
+for Python to write, alone or in a tuple, shown by its leading digits.
+Assigning or deleting an attribute raises :class:`AttributeError`.  Copies
+and pickles rebuild a record from its fields through ``__init__``.
 """
 
 from __future__ import annotations
@@ -68,5 +68,5 @@ class Value:
 
 
 def _repr(value) -> str:
-    """repr, but an int as _written writes it, which never raises."""
-    return _written(value) if isinstance(value, int) else repr(value)
+    """repr, but an int or a tuple as _written writes it, which never raises."""
+    return _written(value) if isinstance(value, (int, tuple)) else repr(value)

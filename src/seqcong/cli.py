@@ -22,9 +22,9 @@ import os
 import sys
 from functools import cache
 from importlib import import_module
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, NoReturn
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 # every other module is imported by the calls that use it: the handler
 # modules, json by the calls that read a JSON partition or print a record,
@@ -93,6 +93,13 @@ def _write_lines(lines: Iterable[str | Iterable[str]], end: str = "\n") -> None:
                 size = 0
     finally:
         _write_chunk(pending, end)
+
+
+def _json_array(texts: Iterable[str | Iterator[str]], head: str, tail: str) -> Iterator:
+    """`head`, a JSON array of the texts and `tail`, as the lines of one
+    line: to be written with no end between them."""
+    commas = chain(("",), repeat(","))  # none before the first text
+    return chain((head + "[",), chain.from_iterable(zip(commas, texts)), ("]" + tail,))
 
 
 def _write_chunk(pending: list[str], end: str) -> None:

@@ -14,25 +14,31 @@ def _shown(value: object) -> str:
     it, anything else as its repr, whole up to _SHOWN characters, else its
     first _SHOWN and its length, so that the message stays short however
     long the value.  An int past Python's limit on integer text is shown
-    the same way, from its leading digits."""
+    the same way, from its leading digits, alone or in a tuple or list."""
     if isinstance(value, str):
         return _clipped(value, repr(value[:_SHOWN]))
     try:
         text = repr(value)
     except ValueError:
-        if not isinstance(value, int):
-            raise
-        return _leading_digits(value)
+        if isinstance(value, int):
+            return _leading_digits(value)
+        text = _written(value)
     return _clipped(text, text[:_SHOWN])
 
 
-def _written(value: int) -> str:
-    """An int as str writes it, whatever its length, or as _shown shows it
-    when it is past Python's limit on integer text."""
+def _written(value) -> str:
+    """str of a value, whatever its length, with an int past Python's limit
+    on integer text, alone or in a tuple or list, shown as _shown shows it."""
     try:
         return str(value)
     except ValueError:
-        return _leading_digits(value)
+        if isinstance(value, int):
+            return _leading_digits(value)
+        if not isinstance(value, (tuple, list)):
+            raise
+        texts = [_written(v) if isinstance(v, (int, tuple, list)) else repr(v) for v in value]
+        ends = "[]" if isinstance(value, list) else "(,)" if len(value) == 1 else "()"
+        return ends[0] + ", ".join(texts) + ends[1:]
 
 
 def _clipped(text: str, head: str) -> str:

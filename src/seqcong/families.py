@@ -67,7 +67,7 @@ def all_of_size(n: int) -> FamilyDescriptor:
 def parts_in(part_set: Iterable[int], n: int) -> FamilyDescriptor:
     t = tuple(sorted(set(int(v) for v in part_set)))
     if any(v < 1 for v in t):
-        raise InvalidPart(f"part set must contain positive integers, got {t}")
+        raise InvalidPart(f"part set must contain positive integers, got {_shown(t)}")
     return FamilyDescriptor("parts-in", _check_n(n), part_set=t)
 
 

@@ -16,7 +16,7 @@ import sys
 from itertools import chain, repeat, starmap
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DEFAULT_ITEM_CAP, InsufficientMultiplicity, InvalidPart, ResourceBound, _shown
+from .errors import DEFAULT_ITEM_CAP, InsufficientMultiplicity, InvalidPart, ResourceBound, _shown, _written
 
 
 def _runs_of(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -207,7 +207,7 @@ class Partition:
         return hash(self._runs)
 
     def __repr__(self) -> str:
-        return f"Partition({self.parts!r})"
+        return f"Partition({_written(self.parts)})"
 
 
 EMPTY = Partition()

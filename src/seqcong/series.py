@@ -12,12 +12,9 @@ truncation depth instead of asserting agreement.
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from itertools import accumulate
 import operator
-import random
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._values import Value
 from .errors import (
@@ -30,11 +27,14 @@ from .errors import (
     _shown,
 )
 from ._counters import (
-    _coin_change, _dense_product, _distinct_counts, _exact, _multipliers, _pba_value_pairs,
+    _coin_change, _dense_product, _distinct_counts, _exact, _fraction, _multipliers, _pba_value_pairs,
     _pentagonal_counts, _positions, _require_cells, _require_members, _restricted_counts, _scales,
     _sized_list, _zeros, sna_weight_sums, step_bounded_counts,
 )
 from .sequences import NATURALS, SequenceSpec
+
+if TYPE_CHECKING:  # fractions, decimal and random load in the calls that use them
+    from fractions import Fraction
 
 
 class BivariateSeries:
@@ -59,7 +59,7 @@ class BivariateSeries:
             if a < 0 or b < 0:
                 raise InvalidExponent(f"exponent pair ({a}, {b}) is negative")
             if a <= xtrunc and b <= qtrunc:
-                rows[a][b] = _exact(Fraction(c))
+                rows[a][b] = _exact(_fraction(c))
         self.xtrunc = xtrunc
         self.qtrunc = qtrunc
         self._rows = rows
@@ -77,12 +77,16 @@ class BivariateSeries:
                 f"coefficient ({xexp}, {qexp}) is outside the truncation "
                 f"bounds ({self.xtrunc}, {self.qtrunc})"
             )
-        return Fraction(self._rows[xexp][qexp])
+        return _fraction(self._rows[xexp][qexp])
 
     def items(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Nonzero coefficients by (q-exponent, x-exponent), column by column."""
+        return [((x, q), _fraction(c)) for x, q, c in self._cells()]
+
+    def _cells(self) -> Iterator[tuple[int, int, int | Fraction]]:
+        """(x, q, c) for each nonzero c, as stored (an int or a Fraction), in items' order."""
         columns = enumerate(zip(*self._rows))
-        return [((x, q), Fraction(c)) for q, col in columns for x, c in enumerate(col) if c]
+        return ((x, q, c) for q, col in columns for x, c in enumerate(col) if c)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Term by term over the nonzero coefficients, independent of the
@@ -141,7 +145,7 @@ class WeightSpec(Value):
 
     @classmethod
     def from_values(cls, values: Iterable) -> "WeightSpec":
-        return cls("table", table=tuple(Fraction(v) for v in values))
+        return cls("table", table=tuple(_fraction(v) for v in values))
 
     @classmethod
     def indicator(cls, members: Iterable[int]) -> "WeightSpec":
@@ -165,8 +169,10 @@ class WeightSpec(Value):
             return self.table
         drawn = self._drawn
         if drawn is None:
+            import random
+
             rng = random.Random(self.seed)
-            drawn = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(self.extent))
+            drawn = tuple(_fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(self.extent))
             object.__setattr__(self, "_drawn", drawn)
         return drawn
 
@@ -174,7 +180,7 @@ class WeightSpec(Value):
         if n < 1:
             raise ExtentExceeded(f"weight index {_shown(n)} must be >= 1")
         if self.kind == "one":
-            return Fraction(1)
+            return _fraction(1)
         if self.kind in ("table", "random"):
             extent = len(self.table) if self.kind == "table" else self.extent
             if n > extent:
@@ -183,7 +189,7 @@ class WeightSpec(Value):
                 )
             return self._values()[n - 1]
         if self.kind == "indicator":
-            return Fraction(1 if n in self.members else 0)
+            return _fraction(1 if n in self.members else 0)
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
 
@@ -249,7 +255,7 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     # Parts of weight 0 are left out, as every partition holding one adds 0.
     label = f"partition sum side q^{_shown(qtrunc)}"
     _require_members(label, _pentagonal_counts(label, qtrunc))
-    weights = [_exact(Fraction(f.value(v))) for v in range(1, qtrunc + 1)]
+    weights = [_exact(_fraction(f.value(v))) for v in range(1, qtrunc + 1)]
     live = [(w, 0, v) for v, w in enumerate(weights, start=1) if w]
     scales, ratios = _scales(label, live, qtrunc)
     if scales is None:  # integral weights: every S_n is 1
@@ -261,7 +267,7 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
         for n in range(qtrunc + 1)
     ]
     totals, _ = _size_totals(values, factors, qtrunc, 1)
-    return BivariateSeries._of_rows([[_exact(Fraction(t, s)) for t, s in zip(totals, scales)]])
+    return BivariateSeries._of_rows([[_exact(_fraction(t, s)) for t, s in zip(totals, scales)]])
 
 
 def seqcong_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
@@ -361,7 +367,7 @@ def compare(lhs: BivariateSeries, rhs: BivariateSeries) -> SeriesComparison:
         for q, (left, right) in enumerate(zip(zip(*lhs._rows), zip(*rhs._rows))):
             for x, (lc, rc) in enumerate(zip(left, right)):
                 if lc != rc:
-                    return SeriesComparison(False, x, q, Fraction(lc), Fraction(rc))
+                    return SeriesComparison(False, x, q, _fraction(lc), _fraction(rc))
     return SeriesComparison(True)
 
 
@@ -395,12 +401,14 @@ def partition_zeta(
     No equality is asserted here; callers decide what agreement to demand
     at which depth.
     """
+    from decimal import Context, Decimal, localcontext
+
     values = sorted(set(int(v) for v in part_set))
     if not values:
         raise DivergentParameters("the part set must not be empty")
     if any(v < 2 for v in values):
         raise DivergentParameters(f"every part must be >= 2, got {values}")
-    s = Fraction(s)
+    s = _fraction(s)
     if s <= 1:
         raise DivergentParameters(f"exponent s must exceed 1, got {s}")
     if qdepth < 0:
@@ -428,4 +436,4 @@ def partition_zeta(
         factors = [runs] * (qdepth + 1)
         totals, terms = _size_totals(values, factors, qdepth, Decimal(1))
         total = sum(filter(None, totals), Decimal(0))  # skip the sizes no partition has
-    return ZetaEvaluation(Fraction(total), Fraction(prod), qdepth, terms)
+    return ZetaEvaluation(_fraction(total), _fraction(prod), qdepth, terms)

@@ -4,11 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from seqcong import cli
 from seqcong._clipartition import parse_partition
-from seqcong._cliseries import _format_fixed
+from seqcong._cliseries import _expand_side, _format_fixed
 from seqcong.cli import main
 from seqcong.errors import ParseError
 from seqcong.series import partition_zeta
+
+
+def _expanded(argv):
+    """The lines and the JSON document that `series expand` writes, built
+    from the public items() of the side and from json.dumps, and the items."""
+    args = cli._parse(argv)
+    s = _expand_side(args.side, args)
+    items = s.items()
+    line = "q^{1}: {2}" if s.xtrunc == 0 else "x^{0}: {2}" if s.qtrunc == 0 else "x^{0} q^{1}: {2}"
+    lines = "".join(line.format(x, q, c) + "\n" for (x, q), c in items)
+    coefficients = [[x, q, str(c)] for (x, q), c in items]
+    doc = {"xtrunc": s.xtrunc, "qtrunc": s.qtrunc, "coefficients": coefficients}
+    return lines, json.dumps(doc, separators=(",", ":")) + "\n", items
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -246,6 +260,16 @@ class TestEnum:
         code, out, err = run(capsys, "enum", "all:30", "--max-items", "5000", "--json")
         assert code == 3 and out == "[" + ",".join(lines)
         assert err == "error: enumeration of all:30 exceeded the cap of 5000 items\n"
+        # series expand --json writes its one document through the same writer
+        argv = ["series", "expand", "two-variable", "--A", "ones", "--B", "naturals",
+                "--xtrunc", "150", "--qtrunc", "150", "--json"]
+        expected = _expanded(argv)[1]
+        sizes.clear()
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(argv) == 0
+        assert sink.getvalue() == expected and len(expected) > 2 * cli._CHUNK_CHARS
+        assert len(sizes) > 2 and max(sizes) <= cli._CHUNK_CHARS + 40
 
     def test_extent_error_after_output(self, capsys, monkeypatch):
         # sna-lg reads the deepest A term it needs before its first member,
@@ -408,6 +432,19 @@ class TestSeries:
         )
         assert code == 0
         assert out == "x^0: 1\nx^2: 1\nx^3: 1\nx^4: 1\n"
+
+    @pytest.mark.parametrize("side", list(cli._SIDES))
+    @pytest.mark.parametrize("xtrunc, qtrunc", [(4, 9), (0, 9), (4, 0), (0, 0)])
+    def test_expand_writes_the_items_of_the_series(self, capsys, side, xtrunc, qtrunc):
+        # the lines and the JSON written from the grid's cells are those of
+        # items() and json.dumps, rational coefficients (random weights) included
+        argv = ["series", "expand", side, "--A", "naturals", "--B", "naturals",
+                "--xtrunc", str(xtrunc), "--qtrunc", str(qtrunc), "--f", "random:5"]
+        lines, doc, items = _expanded([*argv, "--json"])
+        assert run(capsys, *argv) == (0, lines, "")
+        assert run(capsys, *argv, "--json") == (0, doc, "")
+        if side == "product" and qtrunc:
+            assert any(c.denominator > 1 for _, c in items)
 
     def test_expand_json(self, capsys):
         code, out, _ = run(

@@ -9,6 +9,7 @@ from seqcong import (
     ResourceBound,
     SequenceSpec,
     partitions_of,
+    parts_in,
 )
 
 
@@ -74,6 +75,13 @@ PAST_LIMIT = -(10**5000)  # past Python's 4,300-digit limit on integer text
                      id="part-past-the-digit-limit"),
         pytest.param(lambda: SequenceSpec.constant(PAST_LIMIT), "got -1000",
                      id="constant-past-the-digit-limit"),
+        # a tuple holding an int past the limit is quoted element by element
+        pytest.param(lambda: SequenceSpec.table([0, -PAST_LIMIT]), "got (0, 1000",
+                     id="table-past-the-digit-limit"),
+        pytest.param(lambda: parts_in([0, -PAST_LIMIT], 3), "got (0, 1000",
+                     id="part-set-past-the-digit-limit"),
+        pytest.param(lambda: Partition((3, -PAST_LIMIT)), "parts (3, 1000",
+                     id="parts-past-the-digit-limit"),
     ],
 )
 def test_refused_values_are_quoted_short(build, message):

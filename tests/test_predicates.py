@@ -233,6 +233,12 @@ def test_a_record_holding_a_number_too_long_to_print_has_a_repr():
     assert repr(report) == f"ViolationReport(ok=False, index={H}, detail={detail!r})"
     assert repr(SequenceSpec.table([1, 10**5000])) == f"SequenceSpec(1,{H})"
     assert parts_in([2, 10**5000], 4).describe() == f"parts-in:4:T=2,{H}"
+    # a tuple holding such an int, as a Partition's parts or a field, is written element by element
+    assert repr(Partition.from_parts([10**5000])) == f"Partition(({H},))"
+    assert repr(Partition([10**5000, 3])) == f"Partition(({H}, 3))"
+    assert repr(parts_in([10**5000], 3)) == (
+        f"FamilyDescriptor(kind='parts-in', n=3, part_set=({H},), a_seq=None, b_seq=None)"
+    )
     assert repr(is_frequency_congruent(Partition.from_parts([2, 1]))) == (
         "ViolationReport(ok=False, index=2, detail='part 2 has multiplicity 1, not divisible by 2')"
     )

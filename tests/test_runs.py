@@ -465,6 +465,10 @@ def test_a_long_line_is_written_a_chunk_at_a_time(monkeypatch, argv, part):
     assert max(sizes) <= CHUNK + max(CHUNK // 16, len(str(part)) + 1)
 
 
+SERIES_200 = ("series", "expand", "two-variable", "--A", "ones", "--B", "naturals", "--xtrunc", "200",
+              "--qtrunc", "200")
+
+
 def test_output_memory_does_not_grow_with_the_text(tmp_path):
     # peak RSS of huge outputs and of a long check stream, each against a
     # tiny map; children are started by a small launcher, since Linux
@@ -498,6 +502,9 @@ def test_output_memory_does_not_grow_with_the_text(tmp_path):
         (("map", "pi", "1^500000"), os.devnull),
         (("map", "conjugate", "[1000000]"), os.devnull),
         (("check", "seqcong"), str(stream)),
+        # 20,101 coefficients, written from the grid without a list of them
+        (SERIES_200, os.devnull),
+        ((*SERIES_200, "--json"), os.devnull),
     ]:
         assert 0 < peak_kb(*argv, stdin=stdin) <= floor + 2048, argv
 

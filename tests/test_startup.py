@@ -103,9 +103,12 @@ def test_submodules_are_attributes_right_after_import():
 # and orbit, predicates only by the calls that check membership, json only
 # by the calls that read a JSON partition or print a record, and the run
 # walkers only by the calls that build members: a count builds none, and
-# of the series commands only the pba sum side does.
+# of the series commands only the pba sum side does.  fractions (which
+# loads decimal) is loaded only by the series calls that make a Fraction: a
+# weight, a rational coefficient or zeta's sides; an integer side writes its
+# ints as they are, even under --json.
 WATCHED = (
-    "argparse", "dataclasses", "fractions", "gettext", "inspect", "json", "mpmath",
+    "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json", "mpmath",
     "seqcong._clifamily", "seqcong._clipartition", "seqcong._cliseries", "seqcong._walkers",
     "seqcong.families", "seqcong.maps", "seqcong.partition", "seqcong.predicates",
     "seqcong.sequences", "seqcong.series",
@@ -119,7 +122,8 @@ PROBE = (
     f"print(repr([rc, [m for m in {WATCHED!r} if m in sys.modules]]))\n"
 )
 COUNT_MODULES = ["seqcong._clifamily", "seqcong.families", "seqcong.sequences"]
-SERIES_MODULES = ["fractions", "seqcong._cliseries", "seqcong.sequences", "seqcong.series"]
+SERIES_MODULES = ["seqcong._cliseries", "seqcong.sequences", "seqcong.series"]
+RATIONAL_MODULES = ["decimal", "fractions", *SERIES_MODULES]
 MEMBER_MODULES = ["seqcong._walkers", "seqcong.families", "seqcong.partition", "seqcong.sequences"]
 CHECK_MODULES = [
     "json", "seqcong._clifamily", "seqcong._clipartition", "seqcong.partition", "seqcong.predicates",
@@ -142,15 +146,12 @@ def _loaded(argv, stdin: str | None = None) -> list:
         (("check", "seqcong", "[3,1]"), 1, CHECK_MODULES),
         (("orbit", "[3,1]"), 0, [*MAP_MODULES, "seqcong.predicates"]),
         (("enum", "all:5", "--count-only"), 0, COUNT_MODULES),
-        (("series", "expand", "product", "--qtrunc", "10"), 0, SERIES_MODULES),
+        (("series", "expand", "product", "--qtrunc", "10"), 0, RATIONAL_MODULES),
         (("series", "expand", "distinct-product", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "euler", "--A", "2,3", "--xtrunc", "10"), 0, SERIES_MODULES),
-        (
-            ("series", "expand", "product", "--qtrunc", "3", "--json"), 0,
-            ["fractions", "json", "seqcong._cliseries", "seqcong.sequences", "seqcong.series"],
-        ),
+        (("series", "expand", "product", "--qtrunc", "3", "--json"), 0, RATIONAL_MODULES),
         (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
-        (("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0, SERIES_MODULES),
+        (("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0, RATIONAL_MODULES),
         (("--help",), 0, []),
         (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, [*MAP_MODULES, "seqcong.sequences"]),
         (("check", "sna:A=2,3,1", "[9,5,2]"), 0, [*CHECK_MODULES, "seqcong.sequences"]),
@@ -163,12 +164,12 @@ def _loaded(argv, stdin: str | None = None) -> list:
             ("ideal", "invariance", "--A", "3,1,2", "--B", "naturals", "--max-size", "6"), 0,
             ["json", "seqcong._clifamily", "seqcong._walkers", "seqcong.families", "seqcong.sequences"],
         ),
-        (("series", "verify", "product-sum", "--qtrunc", "10", "--f", "random:3"), 0, SERIES_MODULES),
-        (("series", "verify", "product-seqcong", "--qtrunc", "10", "--f", "random:3"), 0, SERIES_MODULES),
+        (("series", "verify", "product-sum", "--qtrunc", "10", "--f", "random:3"), 0, RATIONAL_MODULES),
+        (("series", "verify", "product-seqcong", "--qtrunc", "10", "--f", "random:3"), 0, RATIONAL_MODULES),
         (
             ("series", "verify", "two-variable", "--qtrunc", "5", "--xtrunc", "5", "--A", "naturals",
              "--B", "naturals"), 0,
-            ["fractions", "seqcong._cliseries", "seqcong._walkers", "seqcong.sequences", "seqcong.series"],
+            ["seqcong._cliseries", "seqcong._walkers", "seqcong.sequences", "seqcong.series"],
         ),
         # series-expand
         (
@@ -185,6 +186,9 @@ def _loaded(argv, stdin: str | None = None) -> list:
         (("map", "conjugate", "[3,1]"), 0, ["json", "seqcong._clipartition", "seqcong.partition"]),
         (("check", "freqcong", "1^2"), 0, CHECK_MODULES),
         (("check", "selfconj", "[2,1]"), 0, CHECK_MODULES),
+        # an integer side writes --json without json or fractions; a random table loads fractions
+        (("series", "expand", "distinct-product", "--qtrunc", "3", "--json"), 0, SERIES_MODULES),
+        (("series", "expand", "product", "--qtrunc", "150", "--f", "random:3"), 0, RATIONAL_MODULES),
     ],
 )
 def test_each_subcommand_loads_only_what_it_runs(argv, rc, loaded):

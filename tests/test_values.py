@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import series
 from seqcong.families import EquivalenceReport, FamilyDescriptor, InvarianceReport
 from seqcong.maps import OrbitTrace
 from seqcong.predicates import ViolationReport
@@ -147,7 +146,7 @@ def test_random_weights_are_drawn_once_and_survive_copies(seed, extent):
     rng = random.Random(seed)
     expected = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(extent)]
     spec = WeightSpec.random_table(seed, extent)
-    with mock.patch.object(series.random, "Random", wraps=random.Random) as drawn:
+    with mock.patch.object(random, "Random", wraps=random.Random) as drawn:  # series imports it on the draw
         assert [spec.value(n) for n in range(1, extent + 1)] == expected
         assert [spec.value(n) for n in range(extent, 0, -1)] == expected[::-1]
         assert drawn.call_count == 1

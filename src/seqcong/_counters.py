@@ -1,13 +1,14 @@
 """The exact counters that families and series share: the size guards,
-the walk over the positions of P_B(A), the row dynamic programs and the
-dense product kernel.  None enumerates, and each refuses, before it
-allocates anything, a table of more than ``DEFAULT_ITEM_CAP`` cells.
+the walk over the positions of P_B(A), the row dynamic programs, the rows
+of the multiplicity rules and the dense product kernel.  None enumerates,
+and each refuses, before it allocates anything, a table of more than
+``DEFAULT_ITEM_CAP`` cells.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import DEFAULT_ITEM_CAP, InternalContradiction, InvalidExponent, ResourceBound, _shown
@@ -277,7 +278,7 @@ def _dense_product(
     """Rows x = 0..xtrunc of coefficients q^0..q^qtrunc of the product of
     `nfactors` factors (c, a, b), (a, b) != (0, 0), each 1 / (1 - c x^a q^b),
     or 1 + c x^a q^b when `linear`: the one kernel of every product side and
-    of the coin-change and knapsack counters.
+    of the rows of the multiplicity rules (:func:`_rule_row`).
 
     The size is checked before the grid is allocated or a factor is read.
     One pass per factor updates the grid g in place, g[x][q] += c g[x-a][q-b],
@@ -332,29 +333,31 @@ def _dense_product(
     return grid
 
 
-def _coin_change(label: str, coins: Iterable[int], n: int) -> list[int]:
-    """Entry v (0 <= v <= n) counts the ways to write v as a sum of one
-    multiple of each coin; equal coins count as different coins."""
-    coins = [c for c in coins if c <= n]
-    return _dense_product(label, len(coins), ((1, 0, c) for c in coins), 0, n)[0]
+def _allowed(rule, bound: int, length: bool, label: str) -> tuple:
+    """The values of a multiplicity rule (``_values.MultiplicityRule``) one
+    block of whose step's copies fits `bound`, ascending, and the steps,
+    None when all are 1.  P_B(A) gives the pairs of :func:`_pba_value_pairs`
+    sized under `label`, a block bounded on length when `length`, else on
+    size; any other rule is bounded on size, (None, None) for 1, 2, ...."""
+    values, step = rule.values, rule.step
+    if isinstance(step, SequenceSpec):
+        weight = (lambda a, b: a) if length else (lambda a, b: a * b)
+        pairs = _pba_value_pairs(step, values, bound, weight, label)[::-1]
+        return [b for b, _ in pairs], [a for _, a in pairs]
+    if values.__class__ is int:
+        return None, None  # all and distinct
+    if isinstance(values, SequenceSpec):
+        return values.values_upto(bound), None
+    return sorted(v for v in values if v <= bound), None
 
 
-def _distinct_counts(label: str, n: int) -> list[int]:
-    """Entry v (0 <= v <= n) counts the partitions of v into distinct parts:
-    the 0/1 knapsack over the parts 1..n, the kernel's product of 1 + q^k."""
-    parts = ((1, 0, k) for k in range(1, n + 1))
-    return _dense_product(label, n, parts, 0, n, linear=True)[0]
-
-
-def _pba_length_counts(a_seq: SequenceSpec, b_seq: SequenceSpec, n: int, label: str) -> tuple:
-    """Entry v (0 <= v <= n) counts the members of P_B(A) of length v: coin
-    change over the A-terms of the pairs, which are returned beside them."""
-    pairs = _pba_value_pairs(a_seq, b_seq, n, lambda a, b: a, label)
-    return _coin_change(label, [a for _, a in pairs], n), pairs
-
-
-def _restricted_counts(a_seq: SequenceSpec, n: int, label: str) -> list[int]:
-    """Entry v (0 <= v <= n) counts the partitions of v into terms of A,
-    sized by the length of A's values up to n before any is read."""
-    values = a_seq.values_upto(n)
-    return _dense_product(label, len(values), ((1, 0, v) for v in values), 0, n)[0]
+def _rule_row(rule, n: int, label: str, length: bool = False, table: Optional[tuple] = None) -> list:
+    """Entry v (0 <= v <= n) counts the members of a multiplicity rule of
+    size v, or of length v when `length`: the product over the values j of
+    :func:`_allowed` (or `table`), with step a, of 1 / (1 - q^e), or of
+    1 + q^e under the cap, e the size a j or the length a of one block."""
+    values, steps = table or _allowed(rule, n, length, label)
+    count = n if values is None else len(values)
+    values = range(1, n + 1) if values is None else values
+    factors = ((1, 0, a if length else a * j) for j, a in zip(values, steps or repeat(1)))
+    return _dense_product(label, count, factors, 0, n, linear=rule.cap)[0]

@@ -8,7 +8,8 @@ records of the same class with equal fields; the hash is the hash of the
 field tuple; the repr is ``Cls(name=value, ...)``, with an int too long
 for Python to write, alone or in a tuple, shown by its leading digits.
 Assigning or deleting an attribute raises :class:`AttributeError`.  Copies
-and pickles rebuild a record from its fields through ``__init__``.
+and pickles rebuild a record from its fields through ``__init__``.  Here
+too is the multiplicity rule, which the predicates and the counters share.
 """
 
 from __future__ import annotations
@@ -70,3 +71,28 @@ class Value:
 def _repr(value) -> str:
     """repr, but an int or a tuple as _written writes it, which never raises."""
     return _written(value) if isinstance(value, (int, tuple)) else repr(value)
+
+
+class MultiplicityRule(Value):
+    """The partitions in which each part j occurs m_j times, m_j in M_j
+    (Andrews, *The Theory of Partitions*, ch. 8); all three fields required.
+    `values` are the allowed j, given lazily: an int g for 1, 1 + g, 1 + 2g,
+    ..., a frozenset, or a SequenceSpec's terms.  `step` makes each M_j
+    a·ℕ = {0, a, 2a, ...}: an int a, None for a = j, or A, a SequenceSpec,
+    for A's term at j's first position in `values` (B of P_B(A); a j past
+    A's table is not allowed).  `cap` makes every M_j {0, 1}."""
+
+    __slots__ = _fields = __match_args__ = ("values", "step", "cap")
+    _required = 3
+
+
+# CLI family name -> its rule, given the values of the keys of its text
+_RULES = {
+    "all": lambda: MultiplicityRule(1, 1, False),
+    "empty": lambda: MultiplicityRule(frozenset(), 1, False),
+    "oddparts": lambda: MultiplicityRule(2, 1, False),
+    "distinct": lambda: MultiplicityRule(1, 1, True),
+    "parts": lambda t: MultiplicityRule(frozenset(t), 1, False),
+    "freqcong": lambda: MultiplicityRule(1, None, False),
+    "pba": lambda a, b: MultiplicityRule(b, a, False),
+}

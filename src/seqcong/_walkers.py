@@ -12,10 +12,12 @@ so that counting agreement with the plain enumerator is a genuine check.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Optional
 
 from ._counters import _require_strictly_increasing
+from .errors import DEFAULT_ITEM_CAP
 from .sequences import SequenceSpec
 
 
@@ -41,14 +43,15 @@ def _walk_runs(n: int, top: Level, empty: bool = False) -> Iterator[tuple[Run, .
     runs: list[Run] = []  # the run each open level below the top was opened by
     stops = [empty]  # whether the prefix each open level extends is a member
     stack = [top]
+    push_run, push_stop, push_level = runs.append, stops.append, stack.append
     while stack:
         for run, below, stop in stack[-1]:
             if below is None:
                 yield (*runs, run)
                 continue
-            runs.append(run)
-            stops.append(stop)
-            stack.append(below)
+            push_run(run)
+            push_stop(stop)
+            push_level(below)
             break
         else:  # choices exhausted: close the level and the prefix it extends
             stack.pop()
@@ -58,49 +61,71 @@ def _walk_runs(n: int, top: Level, empty: bool = False) -> Iterator[tuple[Run, .
                 runs.pop()
 
 
-def _gen_by_size(n: int, distinct: bool) -> Iterator[tuple[Run, ...]]:
-    """Every partition of n, or those into distinct parts.  Only choices
-    that lead to a member are offered: 1s can fill any remainder, and
-    distinct parts up to v sum to at most v (v + 1) / 2."""
+def _gen_rule(
+    values, steps, n: int, cap: bool = False, length: bool = False
+) -> Iterator[tuple[Run, ...]]:
+    """The members of a multiplicity rule that place exactly n (their size,
+    or their length when `length`) over the values and steps of
+    ``_counters._allowed``: a value takes a positive multiple of its step
+    (1 when None) copies.  A level takes the next value down and its copies
+    from the most down, so members are strictly decreasing, and offers a
+    choice only when the values below can place what it leaves.  1, 2, ...
+    (values None, on size) place any rest, and under the cap, one copy
+    each (`distinct`), at most v (v + 1) / 2; a table's reach is read from
+    the rows of :func:`_reach`, and the smallest value takes the rest or
+    nothing."""
+    if values is None:
 
-    def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
-        for v in range(min(top, rem), 0, -1):
-            if distinct and 2 * rem > v * (v + 1):
+        def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
+            for v in range(min(top, rem), 0, -1):
+                if cap and 2 * rem > v * (v + 1):
+                    return
+                for m in (1,) if cap else (rem,) if v == 1 else range(rem // v, 0, -1):
+                    left = rem - v * m
+                    yield ((v, m), level(v - 1, left), False) if left else ((v, m), None, True)
+
+        return _walk_runs(n, level(n, n))
+    rows, mods = _reach(values, steps, n, length)
+
+    def level(k: int, rem: int) -> Level:  # runs of values[:k] placing rem
+        for idx in range((k if length else bisect_right(values, rem, 0, k)) - 1, -1, -1):
+            if not rows[idx + 1] >> rem % mods[idx + 1] & 1:  # nor can fewer values
                 return
-            copies = (1,) if distinct else (rem,) if v == 1 else range(rem // v, 0, -1)
-            for m in copies:
-                left = rem - v * m
-                if left:
-                    yield (v, m), level(v - 1, left), False
-                else:
-                    yield (v, m), None, True
-
-    return _walk_runs(n, level(n, n))
-
-
-def _gen_parts_in(part_set: tuple[int, ...], n: int) -> Iterator[tuple[Run, ...]]:
-    allowed = sorted(part_set, reverse=True)
-    gcds = [*accumulate(reversed(allowed), math.gcd, initial=0)][::-1]  # of allowed[k:]; 0 past
-
-    def level(k: int, rem: int) -> Level:  # runs of allowed[k:] summing to rem
-        if math.gcd(rem, gcds[k]) != gcds[k]:  # no sum of allowed[k:] is rem
-            return
-        for idx in range(k, len(allowed)):
-            v = allowed[idx]
-            if v > rem:
-                continue
-            if idx + 1 == len(allowed):  # the smallest part takes the rest or nothing
-                if rem % v == 0:
-                    yield (v, rem // v), None, True
+            v, a = values[idx], 1 if steps is None else steps[idx]
+            cost = 1 if length else v
+            if not idx:  # the smallest value takes the rest or nothing
+                if rem % cost == 0 and rem // cost % a == 0:
+                    yield (v, rem // cost), None, True
                 return
-            for m in range(rem // v, 0, -1):
-                left = rem - v * m
-                if left:
-                    yield (v, m), level(idx + 1, left), False
-                else:
+            for m in range(rem // (a * cost) * a, 0, -a):
+                left = rem - m * cost
+                if not left:
                     yield (v, m), None, True
+                elif rows[idx] >> left % mods[idx] & 1:
+                    yield (v, m), level(idx, left), False
 
-    return _walk_runs(n, level(0, n))
+    return _walk_runs(n, level(len(values), n))
+
+
+def _reach(values: list[int], steps, n: int, length: bool) -> tuple[list[int], list]:
+    """(rows, mods): bit rem % mods[k] of rows[k] says whether the first k
+    values of :func:`_gen_rule` can place exactly rem.  A row holds n + 1
+    bits, one per rem, while the rows fit DEFAULT_ITEM_CAP cells; past it
+    row k is 1 and mods[k] the gcd of the first k blocks, which divides
+    every rem they place: an odd n of any size lists nothing over even
+    values, at once."""
+    blocks = [a if length else a * v for v, a in zip(values, steps or repeat(1))]
+    if (len(blocks) + 1) * (n + 1) > DEFAULT_ITEM_CAP:  # the rows would pass the cell cap
+        gcds = [*accumulate(blocks, math.gcd, initial=0)]
+        return [1] * len(gcds), gcds
+    rows, full = [1], (1 << (n + 1)) - 1
+    for block in blocks:
+        row = rows[-1]
+        while block <= n:  # row |= row << k*block for every k >= 1, by doubling
+            row |= (row << block) & full
+            block *= 2
+        rows.append(row)
+    return rows, [n + 1] * len(rows)
 
 
 # The largest-part walkers below choose, for a run of c that starts at index
@@ -175,50 +200,20 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
     return _walk_runs(n, level(1, (n,)))
 
 
-def _gen_pba_len(pairs: list[tuple[int, int]], n: int) -> Iterator[tuple[Run, ...]]:
-    # A level takes the next pair, by B-value descending, that gets copies,
-    # and a positive multiple of its A-term copies (none past n), from the
-    # most down.  Larger values and more copies of them come first, so
-    # members are strictly decreasing.  Bit r of reach[i] says whether
-    # pairs[i:] can place r copies, so only choices that lead to a member
-    # are taken and the work before each member is at most one per pair.
-    mask = (1 << (n + 1)) - 1
-    reach = [0] * len(pairs) + [1]
-    for i in range(len(pairs) - 1, -1, -1):
-        row, a = reach[i + 1], pairs[i][1]
-        while a <= n:  # row |= row << k*a for every k >= 1, by doubling
-            row |= (row << a) & mask
-            a *= 2
-        reach[i] = row
-
-    def level(k: int, rem: int) -> Level:  # runs of pairs[k:] placing rem copies
-        for idx in range(k, len(pairs)):
-            if not reach[idx] >> rem & 1:
-                return
-            (b, a), after = pairs[idx], reach[idx + 1]
-            for m in range(rem - rem % a, 0, -a):
-                left = rem - m
-                if not left:
-                    yield (b, m), None, True
-                elif after >> left & 1:
-                    yield (b, m), level(idx + 1, left), False
-
-    return _walk_runs(n, level(0, n))
-
-
 def _gen_pba_by_size(
-    pairs: list[tuple[int, int]], max_size: int, max_length: int
+    values: list[int], steps: list[int], max_size: int, max_length: int
 ) -> Iterator[tuple[Run, ...]]:
-    # A level takes the next pair, by B-value descending, that gets copies,
-    # and a positive multiple of its A-term copies within both budgets, from
-    # the most down.  Every prefix is a member, and the last pair opens no
-    # level below it.  B-values are >= 1, so max_size also bounds the length.
+    # The pairs of _counters._allowed, B-values ascending.  Unlike
+    # _gen_rule, both budgets are upper bounds and every prefix is a member:
+    # a level takes the next pair down that gets copies, and a positive
+    # multiple of its A-term copies within both budgets, from the most
+    # down.  B-values are >= 1, so max_size also bounds the length.
     def level(k: int, size_left: int, len_left: int) -> Level:
-        for idx in range(k, len(pairs)):
-            (b, a), leaf = pairs[idx], idx + 1 == len(pairs)
+        for idx in range(k - 1, -1, -1):
+            b, a = values[idx], steps[idx]
             most = min(size_left // b, len_left)
             for m in range(most - most % a, 0, -a):
-                below = None if leaf else level(idx + 1, size_left - m * b, len_left - m)
+                below = level(idx, size_left - m * b, len_left - m) if idx else None
                 yield (b, m), below, True
 
-    return _walk_runs(max_size, level(0, max_size, max_length), empty=True)
+    return _walk_runs(max_size, level(len(values), max_size, max_length), empty=True)

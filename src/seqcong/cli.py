@@ -151,22 +151,26 @@ def _bool_check(predicate, yes: str, no: str):
     return lambda p: passed if predicate(p) else failed
 
 
+def _by_rule(name: str, yes: str, no: str = ""):
+    """The check of a multiplicity family by its rule, `yes` for a member."""
+    return lambda pr, *keys: pr._rule_check(pr._RULES[name](*keys), yes, no)
+
+
 # The families, each named once: name -> (the keys its text takes, its
 # enum listings as suffix -> families constructor by name, which takes n
 # after the keys, and the ViolationReport check built from the predicates
 # module and the keys' values).  A text is `name` or `name:key=value;...`;
 # the first key may be written bare, as in `parts:2,3` or `all:5`.
+# freqcong and pba, multiplicity families too, name their failing part.
 _FAMILIES = {
-    "all": ((), {"": "all_of_size"}, lambda _: _bool_check(lambda p: True, "every partition", "")),
-    "empty": ((), {}, lambda _: _bool_check(lambda p: p.length == 0, "empty", "not empty")),
-    "oddparts": ((), {}, lambda _: _bool_check(
-        lambda p: all(v % 2 for v, _ in p.runs), "all parts odd", "a part is even")),
-    "distinct": ((), {"": "distinct_of_size"}, lambda pr: _bool_check(
-        pr.has_distinct_parts, "all parts distinct", "a part repeats")),
+    "all": ((), {"": "all_of_size"}, _by_rule("all", "every partition")),
+    "empty": ((), {}, _by_rule("empty", "empty", "not empty")),
+    "oddparts": ((), {}, _by_rule("oddparts", "all parts odd", "a part is even")),
+    "distinct": ((), {"": "distinct_of_size"}, _by_rule(
+        "distinct", "all parts distinct", "a part repeats")),
     "selfconj": ((), {}, lambda pr: _bool_check(
         pr.is_self_conjugate, "self-conjugate", "not self-conjugate")),
-    "parts": (("T",), {"": "parts_in"}, lambda _, t: _bool_check(
-        lambda p: all(v in t for v, _ in p.runs), "all parts allowed", "a part is not allowed")),
+    "parts": (("T",), {"": "parts_in"}, _by_rule("parts", "all parts allowed", "a part is not allowed")),
     "seqcong": ((), {"-lg": "seqcong_largest"}, lambda pr: pr.is_sequentially_congruent),
     "freqcong": ((), {}, lambda pr: pr.is_frequency_congruent),
     "step": ((), {"-lg": "step_bounded_largest"}, lambda pr: pr.is_step_bounded_seqcong),

@@ -1,18 +1,35 @@
 """Descriptors, enumeration and exact counts for every partition family
 in the package, plus the finite-truncation ideal checks.
 
-Enumeration order for every family is strictly decreasing lexicographic on
-the parts sequence, and two runs produce identical streams.  A configurable
-item cap (default 10**7) turns runaway requests into a clean
-:class:`ResourceBound` error.  Members come from the run walkers of
-``_walkers`` and become :class:`Partition` values as the runs they were
-built from.
+Seven families are fixed by one condition per part value j: j occurs m_j
+times, m_j in M_j (``_values.MultiplicityRule``, Andrews, *The Theory of
+Partitions*, ch. 8).  The x^m q^n coefficient of the product over j of
+the sum over m in M_j of x^m q^(j m) counts their members of length m
+and size n:
 
-Counts never enumerate: :func:`count` runs a dynamic program of
-``_counters`` for each kind (row recursions, Euler's pentagonal numbers, the
-product kernel), and the walkers stay as the oracles the tests hold them to.
-The walkers, ``partition`` and ``predicates`` are imported by the calls
-that build members or reports, so a count compiles none of them.
+    all       M_j = ℕ                      Π_j 1 / (1 - x q^j)
+    empty     M_j = {0}                    1
+    oddparts  M_j = ℕ for odd j, else {0}  Π_{j odd} 1 / (1 - x q^j)
+    distinct  M_j = {0, 1}                 Π_j (1 + x q^j)
+    parts:T   M_j = ℕ for j in T, else {0} Π_{j in T} 1 / (1 - x q^j)
+    freqcong  M_j = j·ℕ                    Π_j 1 / (1 - x^j q^(j^2))
+    pba       M_{b_i} = a_i·ℕ              Π_i 1 / (1 - x^(a_i) q^(a_i b_i))
+
+(for pba over each B-value at its first position).  The first five are
+partition ideals of order 1, each M_j closed under removing one copy;
+freqcong and pba are only quasi-ideals, closed under removing a_j copies,
+so ``ideal closure freqcong`` exits 1.  One rule checks (``predicates``),
+counts (``_counters._rule_row``, a geometric or linear factor per value)
+and walks (``_walkers._gen_rule``) them; ``all`` is counted by Euler's
+pentagonal numbers, the independent side of the ``seqcong-lg`` checks.
+
+Enumeration order is strictly decreasing lexicographic on the parts, and
+two runs produce identical streams; an item cap (default 10**7) turns
+runaway requests into :class:`ResourceBound`.  Members are built as the
+runs the walkers of ``_walkers`` give.  Counts never enumerate, and the
+walkers stay as the oracles the tests hold them to.  The walkers,
+``partition`` and ``predicates`` are imported by the calls that build
+members or reports, so a count compiles none of them.
 """
 
 from __future__ import annotations
@@ -20,10 +37,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ._counters import (
-    _coin_change, _distinct_counts, _pba_length_counts, _pba_value_pairs, _pentagonal_counts,
-    _require_members, _restricted_counts, sna_weight_sums, step_bounded_counts,
+    _allowed, _pentagonal_counts, _require_members, _rule_row, sna_weight_sums, step_bounded_counts,
 )
-from ._values import Value
+from ._values import _RULES, MultiplicityRule, Value
 from .errors import (
     DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound, _shown, _written,
 )
@@ -40,10 +56,13 @@ class FamilyDescriptor(Value):
     """A named finite family of partitions: `kind` and `n`, required, and
     `part_set`, `a_seq` and `b_seq`, None unless the kind reads them.
 
-    kinds: ``all`` (size n), ``parts-in`` (size n, parts from a set),
-    ``distinct`` (size n), ``seqcong-lg`` (largest part n), ``pba-len``
-    (length n, divisibility family), ``sna-lg`` (largest part n, congruences
-    modulo A), ``step-lg`` (largest part n, steps 0 or the index).
+    kinds, with M_j and the (x, q) product of the module docstring for the
+    multiplicity families: ``all`` (size n; ℕ; Π_j 1 / (1 - x q^j)),
+    ``parts-in`` (size n; ℕ for j in the set, else {0}; Π_{j in T}
+    1 / (1 - x q^j)), ``distinct`` (size n; {0, 1}; Π_j (1 + x q^j)),
+    ``pba-len`` (length n; a_i·ℕ at b_i; Π_i 1 / (1 - x^(a_i) q^(a_i b_i))),
+    ``seqcong-lg`` (largest part n), ``sna-lg`` (largest part n,
+    congruences modulo A), ``step-lg`` (largest part n, steps 0 or the index).
     """
 
     __slots__ = _fields = __match_args__ = ("kind", "n", "part_set", "a_seq", "b_seq")
@@ -104,15 +123,11 @@ def iter_pba_by_size(
     max_length: int | None = None,
 ) -> Iterator[Partition]:
     """All members of the (A, B) divisibility family with size <= max_size
-    (and, optionally, length <= max_length), including the empty partition,
-    in strictly decreasing lexicographic order: the empty one comes last.
-    A negative max_size or max_length raises :class:`InvalidPart`.
-
-    A part b with A-term a occurs in multiples of a copies, so it only
-    contributes when a*b <= max_size; that keeps the candidate value set
-    finite for every sequence kind.  The pairs are sized as they arrive
-    (:func:`_sized_list`), each one pass over max_size + 1 cells.
-    """
+    (and, optionally, length <= max_length), in strictly decreasing
+    lexicographic order, the empty one last.  A negative max_size or
+    max_length raises :class:`InvalidPart`.  Only a part b whose A-term a
+    has a b <= max_size can occur, and the pairs are sized as they arrive,
+    each one pass over max_size + 1 cells."""
     from ._walkers import _gen_pba_by_size
     from .partition import Partition
 
@@ -120,8 +135,8 @@ def iter_pba_by_size(
     if max_length is not None:
         _check_n(max_length, "max_length")
     label = f"P_B(A) members to size {_shown(max_size)}"
-    pairs = _pba_value_pairs(a_seq, b_seq, max_size, lambda a, b: a * b, label)
-    runs = _gen_pba_by_size(pairs, max_size, max_size if max_length is None else max_length)
+    values, steps = _allowed(_RULES["pba"](a_seq, b_seq), max_size, False, label)
+    runs = _gen_pba_by_size(values, steps, max_size, max_size if max_length is None else max_length)
     yield from map(Partition._from_runs, runs)
 
 
@@ -129,18 +144,25 @@ def iter_pba_by_size(
 # public enumeration and counting API
 
 
+def _by_rule(rule, length: bool = False) -> tuple:
+    """The walker and counter of a kind whose members follow the rule that
+    `rule` builds from the descriptor, with n their length or size."""
+
+    def walk(w, d):
+        r = rule(d)
+        return w._gen_rule(*_allowed(r, d.n, length, d.describe()), d.n, r.cap, length)
+
+    return walk, lambda d: _rule_row(rule(d), d.n, d.describe(), length)
+
+
 # kind -> (run walker, given the _walkers module and the descriptor, and
-# exact counter, given the descriptor: the counts for n = 0..d.n)
+# exact counter, given the descriptor: the counts for n = 0..d.n).  `all`
+# is counted by Euler's pentagonal numbers, which reach sizes whose
+# product of n factors over n + 1 cells would pass the cell cap.
 _KINDS = {
-    "all": (
-        lambda w, d: w._gen_by_size(d.n, False),
-        lambda d: _pentagonal_counts(d.describe(), d.n),
-    ),
-    "parts-in": (
-        lambda w, d: w._gen_parts_in(d.part_set, d.n),
-        lambda d: _coin_change(d.describe(), d.part_set, d.n),
-    ),
-    "distinct": (lambda w, d: w._gen_by_size(d.n, True), lambda d: _distinct_counts(d.describe(), d.n)),
+    "all": (_by_rule(lambda d: _RULES["all"]())[0], lambda d: _pentagonal_counts(d.describe(), d.n)),
+    "parts-in": _by_rule(lambda d: _RULES["parts"](d.part_set)),
+    "distinct": _by_rule(lambda d: _RULES["distinct"]()),
     "seqcong-lg": (
         lambda w, d: w._gen_seqcong_lg(d.n),
         lambda d: sna_weight_sums(NATURALS, d.n, lambda i: 1, d.describe()),
@@ -150,11 +172,7 @@ _KINDS = {
         lambda w, d: w._gen_sna_lg(d.a_seq, d.n),
         lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe()),
     ),
-    "pba-len": (
-        lambda w, d: w._gen_pba_len(
-            _pba_value_pairs(d.a_seq, d.b_seq, d.n, lambda a, b: a, d.describe()), d.n),
-        lambda d: _pba_length_counts(d.a_seq, d.b_seq, d.n, d.describe())[0],
-    ),
+    "pba-len": _by_rule(lambda d: _RULES["pba"](d.a_seq, d.b_seq), length=True),
 }
 
 
@@ -187,13 +205,9 @@ def enumerate_family(
 
 def count(desc: FamilyDescriptor) -> int:
     """Number of members; by contract the length of :func:`enumerate_family`.
-
-    Computed by the kind's dynamic program, never by enumerating; the
-    enumerators are the oracles the tests hold these counts to.  Nothing is
-    built per member, so no count is capped; a count whose table would
-    exceed DEFAULT_ITEM_CAP cells raises :class:`ResourceBound` before the
-    table is allocated.
-    """
+    Computed by the kind's dynamic program, never by enumerating, so no
+    count is capped; a count whose table would exceed DEFAULT_ITEM_CAP
+    cells raises :class:`ResourceBound` before the table is allocated."""
     return _kind(desc)[1](desc)[desc.n]
 
 
@@ -311,19 +325,20 @@ def check_quasi_ideal(
     <= bound.  Every member of size <= bound is walked, so deleting one
     block of a copies (a the part's A-term) from each gives every multiple
     by induction, and the check is complete.  More than DEFAULT_ITEM_CAP
-    members, totalled first by coin change over the products a b of the
-    pairs they are walked on, raise :class:`ResourceBound` before any is
-    built.  A bound below 0 raises :class:`InvalidPart`."""
+    members, totalled first by the rule's row over the pairs they are walked
+    on, raise :class:`ResourceBound` before any is built.  A bound below 0
+    raises :class:`InvalidPart`."""
     from ._walkers import _gen_pba_by_size
     from .partition import Partition
     from .predicates import ViolationReport, is_member_pba
 
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {_shown(bound)}"
-    pairs = _pba_value_pairs(a_seq, b_seq, bound, lambda a, b: a * b, label)
-    _require_members(label, _coin_change(label, [a * b for b, a in pairs], bound))
-    a_term = dict(pairs)
-    for p in map(Partition._from_runs, _gen_pba_by_size(pairs, bound, bound)):
+    rule = _RULES["pba"](a_seq, b_seq)
+    values, steps = table = _allowed(rule, bound, False, label)
+    _require_members(label, _rule_row(rule, bound, label, table=table))
+    a_term = dict(zip(values, steps))
+    for p in map(Partition._from_runs, _gen_pba_by_size(values, steps, bound, bound)):
         for value, _ in reversed(p.runs):  # a member holds a positive multiple of its A-term
             reduced = p.delete_parts(value, a_term[value])
             if not is_member_pba(reduced, a_seq, b_seq).ok:
@@ -340,7 +355,8 @@ def restricted_count(a_seq: SequenceSpec, n: int) -> int:
     """Number of partitions of n with all parts among the terms of A."""
     if n < 0:  # no partition has a negative size
         return 0
-    return _restricted_counts(a_seq, n, f"parts-in:{_shown(n)}:A={a_seq.describe()}")[n]
+    label = f"parts-in:{_shown(n)}:A={a_seq.describe()}"
+    return _rule_row(MultiplicityRule(a_seq, 1, False), n, label)[n]
 
 
 class InvarianceReport(Value):
@@ -370,13 +386,13 @@ def count_invariance_suite(
     as a set, which it must somewhere when the permutation is nontrivial.
 
     The families with A and with `a_prime` are walked member by member, the
-    independent side of every comparison.  Their members, totalled first by
-    coin change over their pairs' A-terms, raise :class:`ResourceBound`
-    past DEFAULT_ITEM_CAP before any is built.  The counts with `b_prime`,
-    and of the partitions with parts in A, are one coin change each.  A
-    bound below 0 raises :class:`InvalidPart`.
+    independent side of every comparison; their members, totalled first by
+    their rows by length, raise :class:`ResourceBound` past DEFAULT_ITEM_CAP
+    before any is built.  The counts with `b_prime`, and of the partitions
+    with parts in A, are one rule row each.  A bound below 0 raises
+    :class:`InvalidPart`.
     """
-    from ._walkers import _gen_pba_len
+    from ._walkers import _gen_rule
 
     _check_n(bound, "bound")
     probe = max(bound, a_seq.extent or 0)
@@ -398,17 +414,22 @@ def count_invariance_suite(
         if not seq.is_distinct_through(max(bound, seq.extent or 0)):
             raise NonDistinctA(f"{name} ({seq.describe()}) must have distinct terms")
     label = f"count invariance to size {_shown(bound)}"
-    walked, pairs = _pba_length_counts(a_seq, b_seq, bound, label)
-    walked_prime, pairs_prime = _pba_length_counts(a_prime, b_seq, bound, label)
+
+    def by_length(a: SequenceSpec, b: SequenceSpec) -> tuple:  # the pair table and its row
+        rule = _RULES["pba"](a, b)
+        table = _allowed(rule, bound, True, label)
+        return table, _rule_row(rule, bound, label, True, table)
+
+    (table, walked), (table_prime, walked_prime) = by_length(a_seq, b_seq), by_length(a_prime, b_seq)
     _require_members(label, walked + walked_prime)
-    replaced, _ = _pba_length_counts(a_seq, b_prime, bound, label)
-    expected = _restricted_counts(a_seq, bound, label)
+    replaced = by_length(a_seq, b_prime)[1]
+    expected = _rule_row(MultiplicityRule(a_seq, 1, False), bound, label)
 
     counts: list[int] = []
     differs_at: Optional[int] = None
     for n in range(bound + 1):  # each list strictly decreasing, so equal lists are equal sets
-        base = list(_gen_pba_len(pairs, n))
-        permuted = list(_gen_pba_len(pairs_prime, n))
+        base = list(_gen_rule(*table, n, length=True))
+        permuted = list(_gen_rule(*table_prime, n, length=True))
         counts.append(len(base))
         if len(base) != len(permuted):
             failure = f"permuting A changed the count {len(base)} -> {len(permuted)}"

@@ -5,18 +5,21 @@ bare boolean so that callers (and the CLI) can point at the first broken
 condition.  Every predicate reads the partition's runs: a condition on the
 difference lambda_i - lambda_{i+1} holds trivially inside a run, where the
 difference is 0, so it is checked at the last index of each run only, and
-the index reported is the one the definition numbers.
+the index reported is the one the definition numbers.  The families fixed
+by one condition per part value are checked by their multiplicity rule.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._values import Value
+from ._values import _RULES, MultiplicityRule, Value
 from .errors import ExtentExceeded, _shown, _written
 from .partition import Partition, _run_ends
 
 if TYPE_CHECKING:
+    from typing import Optional
+
     from .sequences import SequenceSpec
 
 
@@ -62,37 +65,67 @@ def is_sequentially_congruent(lam: Partition) -> ViolationReport:
     return _SEQCONG_OK
 
 
+def _first_break(lam: Partition, rule: MultiplicityRule) -> Optional[tuple]:
+    """The first run, smallest part first, that breaks `rule`, as (part,
+    mult, a) with a the step of M_part, None where the part is not allowed;
+    None when every run keeps the rule.  Values given as a SequenceSpec are
+    B of P_B(A), with A as the step."""
+    values, step = rule.values, rule.step
+    for part, mult in reversed(lam.runs):
+        if values.__class__ is int:  # 1, 1 + values, 1 + 2 values, ...
+            a = None if (part - 1) % values else step or part  # a step of None is the part
+        elif values.__class__ is frozenset:
+            a = step or part if part in values else None
+        else:  # A's term at the part's first position in B, if A has one
+            pos = values.index_of(part)
+            a = None if pos is None or step.extent is not None and pos > step.extent else step.at(pos)
+        if a is None or mult % a or (rule.cap and mult > 1):
+            return part, mult, a
+    return None
+
+
+def _rule_check(rule: MultiplicityRule, yes: str, no: str):
+    """`rule` as a Partition -> ViolationReport callable, `yes` for a member
+    and `no` otherwise, each built once and shared."""
+    passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)
+    return lambda lam: failed if _first_break(lam, rule) else passed
+
+
+_DISTINCT, _FREQCONG = _RULES["distinct"](), _RULES["freqcong"]()
+
+
 def is_frequency_congruent(lam: Partition) -> ViolationReport:
-    """Each part divides its own multiplicity; the failing part is the index."""
-    for part, mult in reversed(lam.runs):  # smallest part first
-        if mult % part:
-            return _failed(part, "part {} has multiplicity {}, not divisible by {}", part, mult, part)
-    return _FREQCONG_OK
+    """Each part divides its own multiplicity (M_j = j·ℕ); the failing part
+    is the index."""
+    broken = _first_break(lam, _FREQCONG)
+    if broken is None:
+        return _FREQCONG_OK
+    part, mult, _ = broken
+    return _failed(part, "part {} has multiplicity {}, not divisible by {}", part, mult, part)
 
 
 def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> ViolationReport:
     """Parts drawn from the terms of B, with the multiplicity of the i-th
-    B-term divisible by the i-th A-term.
+    B-term divisible by the i-th A-term (M_{b_i} = a_i·ℕ).
 
     As in every P_B(A) walker, the parts are the B-terms whose first position
     has an A-term: a part that B lacks, or whose first B-position lies past a
     table A, fails at that part.  With A = B = naturals this reduces exactly
     to :func:`is_frequency_congruent`.
     """
-    ext = a_seq.extent
-    for part, mult in reversed(lam.runs):  # smallest part first
-        pos = b_seq.index_of(part)
-        if pos is None:
-            return _failed(part, "part {} is not a term of B ({})", part, b_seq.describe())
-        if ext is not None and pos > ext:
-            return _failed(part, "part {} is at B position {}, past the {} terms of A", part, pos, ext)
-        a = a_seq.at(pos)
-        if mult % a:
-            return _failed(
-                part, "multiplicity {} of part {} is not divisible by {} (A term at position {})",
-                mult, part, a, pos,
-            )
-    return _PBA_OK
+    broken = _first_break(lam, _RULES["pba"](a_seq, b_seq))
+    if broken is None:
+        return _PBA_OK
+    part, mult, a = broken
+    pos = b_seq.index_of(part)
+    if pos is None:
+        return _failed(part, "part {} is not a term of B ({})", part, b_seq.describe())
+    if a is None:
+        return _failed(part, "part {} is at B position {}, past the {} terms of A", part, pos, a_seq.extent)
+    return _failed(
+        part, "multiplicity {} of part {} is not divisible by {} (A term at position {})",
+        mult, part, a, pos,
+    )
 
 
 def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
@@ -113,8 +146,8 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
 
 
 def has_distinct_parts(lam: Partition) -> bool:
-    """True when every multiplicity equals 1."""
-    return all(m == 1 for _, m in lam.runs)
+    """True when every multiplicity is at most 1 (M_j = {0, 1})."""
+    return _first_break(lam, _DISTINCT) is None
 
 
 def is_step_bounded_seqcong(lam: Partition) -> ViolationReport:

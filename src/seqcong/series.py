@@ -16,7 +16,7 @@ from itertools import accumulate
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from ._values import Value
+from ._values import _RULES, MultiplicityRule, Value
 from .errors import (
     BoundsMismatch,
     DivergentParameters,
@@ -27,9 +27,9 @@ from .errors import (
     _shown,
 )
 from ._counters import (
-    _coin_change, _dense_product, _distinct_counts, _exact, _fraction, _multipliers, _pba_value_pairs,
-    _pentagonal_counts, _positions, _require_cells, _require_members, _restricted_counts, _scales,
-    _sized_list, _zeros, sna_weight_sums, step_bounded_counts,
+    _allowed, _dense_product, _exact, _fraction, _multipliers, _pentagonal_counts, _positions,
+    _require_cells, _require_members, _rule_row, _scales, _sized_list, _zeros, sna_weight_sums,
+    step_bounded_counts,
 )
 from .sequences import NATURALS, SequenceSpec
 
@@ -128,7 +128,9 @@ class WeightSpec(Value):
 
     kinds: ``one`` (constant 1), ``table`` (explicit values for 1..extent,
     hard error beyond), ``random`` (a seeded table, drawn on first lookup),
-    ``indicator`` (1 on a finite set, else 0).
+    ``indicator`` (1 on a finite set, else 0).  :meth:`value` gives an int
+    for ``one`` and ``indicator`` and a Fraction for the tables, so an
+    integral weight makes no Fraction.
     """
 
     _fields = __match_args__ = ("kind", "table", "members", "seed", "extent")
@@ -176,11 +178,11 @@ class WeightSpec(Value):
             object.__setattr__(self, "_drawn", drawn)
         return drawn
 
-    def value(self, n: int) -> Fraction:
+    def value(self, n: int) -> int | Fraction:
         if n < 1:
             raise ExtentExceeded(f"weight index {_shown(n)} must be >= 1")
         if self.kind == "one":
-            return _fraction(1)
+            return 1
         if self.kind in ("table", "random"):
             extent = len(self.table) if self.kind == "table" else self.extent
             if n > extent:
@@ -189,7 +191,7 @@ class WeightSpec(Value):
                 )
             return self._values()[n - 1]
         if self.kind == "indicator":
-            return _fraction(1 if n in self.members else 0)
+            return int(n in self.members)
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
 
@@ -255,7 +257,7 @@ def partition_sum_side(f: WeightSpec, qtrunc: int) -> BivariateSeries:
     # Parts of weight 0 are left out, as every partition holding one adds 0.
     label = f"partition sum side q^{_shown(qtrunc)}"
     _require_members(label, _pentagonal_counts(label, qtrunc))
-    weights = [_exact(_fraction(f.value(v))) for v in range(1, qtrunc + 1)]
+    weights = [_exact(f.value(v)) for v in range(1, qtrunc + 1)]
     live = [(w, 0, v) for v, w in enumerate(weights, start=1) if w]
     scales, ratios = _scales(label, live, qtrunc)
     if scales is None:  # integral weights: every S_n is 1
@@ -311,12 +313,12 @@ def pba_sum_side(
 
     label = f"pba sum side x^{_shown(xtrunc)} q^{_shown(qtrunc)}"
     _require_cells(label, 1, qtrunc, xtrunc)  # the grid of counts
-    pairs = _pba_value_pairs(a_seq, b_seq, qtrunc, lambda a, b: a * b, label)
-    sizing = ((1, a, a * b) for b, a in pairs)
-    counts = _dense_product(label, len(pairs), sizing, min(xtrunc, qtrunc), qtrunc)
+    values, steps = _allowed(_RULES["pba"](a_seq, b_seq), qtrunc, False, label)
+    sizing = ((1, a, a * b) for b, a in zip(values, steps))
+    counts = _dense_product(label, len(values), sizing, min(xtrunc, qtrunc), qtrunc)
     _require_members(label, map(sum, counts))
     rows = _zeros(xtrunc, qtrunc)
-    for runs in _gen_pba_by_size(pairs, qtrunc, xtrunc):
+    for runs in _gen_pba_by_size(values, steps, qtrunc, xtrunc):
         rows[sum(m for _, m in runs)][sum(v * m for v, m in runs)] += 1
     return BivariateSeries._of_rows(rows)
 
@@ -331,14 +333,15 @@ def euler_limit_side(a_seq: SequenceSpec, xtrunc: int) -> BivariateSeries:
         raise NonDistinctA(f"A ({a_seq.describe()}) must have distinct terms")
     label = f"euler side x^{_shown(xtrunc)}"
     _require_cells(label, 1, 0, xtrunc)  # before a range too long for len() is sized
-    return BivariateSeries._of_rows([[c] for c in _restricted_counts(a_seq, xtrunc, label)])
+    row = _rule_row(MultiplicityRule(a_seq, 1, False), xtrunc, label)
+    return BivariateSeries._of_rows([[c] for c in row])
 
 
 def distinct_product_side(qtrunc: int) -> BivariateSeries:
     """Product over n of (1 + q^n), truncated; the q^n coefficient counts
     partitions of n into distinct parts."""
     label = f"distinct product side q^{_shown(qtrunc)}"
-    return BivariateSeries._of_rows([_distinct_counts(label, qtrunc)])
+    return BivariateSeries._of_rows([_rule_row(_RULES["distinct"](), qtrunc, label)])
 
 
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
@@ -393,8 +396,8 @@ def partition_zeta(
     Requires every set element >= 2 and s > 1 for convergence, qdepth >= 0
     and dps >= 1 (decimal digits of working precision); anything else
     raises :class:`DivergentParameters`.  A dps above MAX_DPS, or more than
-    DEFAULT_ITEM_CAP partitions of size <= qdepth, totalled by coin change
-    before any is built, raise :class:`ResourceBound` before any power is
+    DEFAULT_ITEM_CAP partitions of size <= qdepth, totalled by the row of
+    their rule before any is built, raise :class:`ResourceBound` before any power is
     taken; the sum is one walk with one step per partition, so this bounds
     its work too.  Each call computes in a decimal context of its own, so
     concurrent calls at any precisions leave one another's digits alone.
@@ -418,7 +421,7 @@ def partition_zeta(
     if dps > MAX_DPS:
         raise ResourceBound(f"dps {dps} is more than the cap of {MAX_DPS} digits")
     label = f"zeta sum over parts in {values} to depth {_shown(qdepth)}"
-    _require_members(label, _coin_change(label, values, qdepth))
+    _require_members(label, _rule_row(_RULES["parts"](values), qdepth, label))
     with localcontext(Context(prec=dps)):
         # the terms past the empty partition's 1 are fewer than 2^24 (the item
         # cap) and each below 2^-s: past s = 4 dps + 32 they sum to less than

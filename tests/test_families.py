@@ -384,7 +384,7 @@ class _WalkStarted(Exception):
         # partitions into squares of size <= 290, as for pba_sum_side
         (lambda m: check_quasi_ideal(NAT, NAT, m), "_gen_pba_by_size", 290),
         # both walked families of A = (1, 2) have n // 2 + 1 members of length n
-        (lambda m: count_invariance_suite(SequenceSpec.table([1, 2]), NAT, m), "_gen_pba_len", 4470),
+        (lambda m: count_invariance_suite(SequenceSpec.table([1, 2]), NAT, m), "_gen_rule", 4470),
     ],
 )
 def test_ideal_checks_total_their_members_first(monkeypatch, check, walker, fits):
@@ -577,41 +577,42 @@ class TestCountInvariance:
     # rows agree on every input, as the paper proves they must
 
     def test_permuted_count_failure(self, monkeypatch):
-        real, calls = _walkers._gen_pba_len, []
+        real, calls = _walkers._gen_rule, []
 
-        def drops_a_permuted_member(pairs, n):
+        def drops_a_permuted_member(values, steps, n, cap=False, length=False):
             calls.append(n)  # per n, the walk over A comes first, then A'
-            runs = list(real(pairs, n))
+            runs = list(real(values, steps, n, cap, length))
             return runs[:-1] if len(calls) % 2 == 0 else runs
 
-        monkeypatch.setattr(_walkers, "_gen_pba_len", drops_a_permuted_member)
+        monkeypatch.setattr(_walkers, "_gen_rule", drops_a_permuted_member)
         report = count_invariance_suite(self.A, self.B, 8)
         assert (report.ok, report.detail) == (False, "n=0: permuting A changed the count 1 -> 0")
         assert report.counts == (1,)
 
     def test_replaced_count_failure(self, monkeypatch):
-        real = families._pba_length_counts
+        real = families._rule_row
 
-        def counts_one_more_with_b_prime(a_seq, b_seq, bound, label):
-            counts, pairs = real(a_seq, b_seq, bound, label)
-            if b_seq == NAT:  # the default B'
+        def counts_one_more_with_b_prime(rule, n, label, length=False, table=None):
+            counts = real(rule, n, label, length, table)
+            if rule.values == NAT:  # the default B'
                 counts[4] += 1
-            return counts, pairs
+            return counts
 
-        monkeypatch.setattr(families, "_pba_length_counts", counts_one_more_with_b_prime)
+        monkeypatch.setattr(families, "_rule_row", counts_one_more_with_b_prime)
         report = count_invariance_suite(self.A, self.B, 8)
         assert (report.ok, report.detail) == (False, "n=4: replacing B changed the count 1 -> 2")
         assert report.counts == (1, 0, 1, 1, 1) and report.sets_differ_at == 2
 
     def test_restricted_count_failure(self, monkeypatch):
-        real = families._restricted_counts
+        real = families._rule_row
 
-        def counts_one_more_at_1(a_seq, n, label):
-            counts = real(a_seq, n, label)
-            counts[1] += 1
+        def counts_one_more_at_1(rule, n, label, length=False, table=None):
+            counts = real(rule, n, label, length, table)
+            if not length:  # the partitions with parts in A, by size
+                counts[1] += 1
             return counts
 
-        monkeypatch.setattr(families, "_restricted_counts", counts_one_more_at_1)
+        monkeypatch.setattr(families, "_rule_row", counts_one_more_at_1)
         report = count_invariance_suite(self.A, self.B, 8)
         assert (report.ok, report.detail) == (
             False, "n=1: family count 0 differs from the 1 partitions with parts in A",

@@ -106,7 +106,7 @@ def test_submodules_are_attributes_right_after_import():
 # of the series commands only the pba sum side does.  fractions (which
 # loads decimal) is loaded only by the series calls that make a Fraction: a
 # weight, a rational coefficient or zeta's sides; an integer side writes its
-# ints as they are, even under --json.
+# ints as they are, even under --json, and an integral weight is an int.
 WATCHED = (
     "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json", "mpmath",
     "seqcong._clifamily", "seqcong._clipartition", "seqcong._cliseries", "seqcong._walkers",
@@ -146,10 +146,11 @@ def _loaded(argv, stdin: str | None = None) -> list:
         (("check", "seqcong", "[3,1]"), 1, CHECK_MODULES),
         (("orbit", "[3,1]"), 0, [*MAP_MODULES, "seqcong.predicates"]),
         (("enum", "all:5", "--count-only"), 0, COUNT_MODULES),
-        (("series", "expand", "product", "--qtrunc", "10"), 0, RATIONAL_MODULES),
+        # an integral weight makes no Fraction, so --f one loads neither fractions nor decimal
+        (("series", "expand", "product", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "distinct-product", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "euler", "--A", "2,3", "--xtrunc", "10"), 0, SERIES_MODULES),
-        (("series", "expand", "product", "--qtrunc", "3", "--json"), 0, RATIONAL_MODULES),
+        (("series", "expand", "product", "--qtrunc", "3", "--json"), 0, SERIES_MODULES),
         (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0, RATIONAL_MODULES),
         (("--help",), 0, []),

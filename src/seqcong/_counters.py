@@ -1,6 +1,7 @@
 """The exact counters that families and series share: the size guards,
-the walk over the positions of P_B(A), the row dynamic programs, the rows
-of the multiplicity rules and the dense product kernel.  None enumerates,
+the walk over the positions of P_B(A), the one row of the largest-part
+families (S_N(A), with or without the cap), Euler's pentagonal numbers,
+the rows of the multiplicity rules and the dense product kernel.  None enumerates,
 and each refuses, before it allocates anything, a table of more than
 ``DEFAULT_ITEM_CAP`` cells.
 """
@@ -121,25 +122,26 @@ def _pba_value_pairs(
 
 
 def sna_weight_sums(
-    a_seq: SequenceSpec, n: int, weight: Callable[[int], Any], label: str
+    a_seq: SequenceSpec, n: int, weight: Callable[[int], Any], label: str, cap: bool = False
 ) -> list:
-    """Entry v (0 <= v <= n) sums, over the partitions with largest part v
-    whose successive parts are congruent modulo A (the members of S_N(A);
-    A = naturals gives the sequentially congruent ones), the product over
-    i of weight(i) raised to (lambda_i - lambda_{i+1}) / a_i.  With weight
-    1 it counts them.
+    """Entry v (0 <= v <= n) sums, over the members of S_N(A) with largest
+    part v, the product over i of weight(i) ** e_i, where lambda_i -
+    lambda_{i+1} = a_i e_i (lambda_{r+1} = 0, e_r >= 1) and e_i is in ℕ, or
+    in {0, 1} under the cap.  With weight 1 it counts them.
 
     With f = weight, W(i, v) weighs the completions at depth i with current
-    part v: stop when a_i | v, with weight f(i)^(v/a_i), or go on to a part
-    c = v (mod a_i) with a_{i+1} <= c <= v, with weight f(i)^((v-c)/a_i).
-    So W(i, v) = [a_i | v] f(i)^(v/a_i) + T(i, v), where T(i, v) =
-    W(i+1, v) + f(i) T(i, v - a_i) for v >= a_{i+1} and T(i, v) = 0 below.
-    Rows roll from D, the first index with a_D >= n (no continuation
-    there), down to 1 in O(n) memory, and row 1 answers every largest part
-    at once.  `weight` is called once per i, from D down to 1, so a weight
-    table shorter than D raises from its own lookup.  A must increase
-    strictly; a table that never reaches n raises :class:`ExtentExceeded`.
-    A table of more than DEFAULT_ITEM_CAP cells is refused under `label`.
+    part v: stop at v = a_i e, or go on to v - a_i e >= a_{i+1}, each with
+    weight f(i)^e.  So W(i, v) is T(i, v) plus the stops, where T(i, v) =
+    W(i+1, v) + f(i) T(i, v - a_i), or W(i+1, v) + f(i) W(i+1, v - a_i)
+    under the cap, the second term for v - a_i >= a_{i+1} only.  One row is
+    updated in place, ascending, or descending under the cap, as the
+    kernel's geometric and linear factors are.  Rows roll from D, the first
+    index with a_D >= n, down to 1, and row 1 answers every largest part at
+    once.  `weight` is called once per i, from D down to 1, so a weight
+    table shorter than D raises from its own lookup; a weight of 1
+    multiplies nothing.  A must increase strictly; a table that never
+    reaches n raises :class:`ExtentExceeded`.  A table of more than
+    DEFAULT_ITEM_CAP cells is refused under `label`.
     """
     _require_strictly_increasing(a_seq)
     _require_cells(label, 1, n)
@@ -148,35 +150,21 @@ def sna_weight_sums(
     depth = a_seq.first_at_least(n)
     _require_cells(label, depth, n)
     w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v < a_{i+1}
-    t = [0] * (n + 1)  # T(i, v); zero below a_{i+1}
     floor = n + 1  # a_{D+1} > n
     for i in range(depth, 0, -1):
         a, f = a_seq.at(i), weight(i)
-        for v in range(floor, n + 1):
-            t[v] = w[v] + f * t[v - a]
-            w[v] = t[v]
-        stop = 1
-        for v in range(a, n + 1, a):
+        ends = range(n, a + floor - 1, -1) if cap else range(a + floor, n + 1)
+        if f == 1:
+            for v in ends:
+                w[v] += w[v - a]
+        else:
+            for v in ends:
+                w[v] += f * w[v - a]
+        stops, stop = range(a, n + 1, a), 1
+        for v in stops[:1] if cap else stops:
             stop *= f
             w[v] += stop
         floor = a
-    return w
-
-
-def step_bounded_counts(n: int) -> list[int]:
-    """Entry v (0 <= v <= n) counts the sequentially congruent partitions
-    with largest part v whose steps lambda_i - lambda_{i+1} are all 0 or i.
-
-    The rows of :func:`sna_weight_sums` for A = naturals, with transitions only to
-    c in {v, v-i} and a stop only at v = i:
-    W(i, v) = [v = i] + [v > i] W(i+1, v) + [v-i > i] W(i+1, v-i).
-    """
-    _require_cells(f"step-lg:{_shown(n)}", n, n)
-    w = [1] + [0] * n  # W(i+1, v) before row i, W(i, v) after; zero for 0 < v <= i
-    for i in range(n, 0, -1):
-        for v in range(n, 2 * i, -1):  # descending, so w[v - i] is still row i+1
-            w[v] += w[v - i]
-        w[i] = 1
     return w
 
 
@@ -347,6 +335,7 @@ def _allowed(rule, bound: int, length: bool, label: str) -> tuple:
     if values.__class__ is int:
         return None, None  # all and distinct
     if isinstance(values, SequenceSpec):
+        _require_cells(label, 1, bound)  # before a range too long for len() is sized
         return values.values_upto(bound), None
     return sorted(v for v in values if v <= bound), None
 

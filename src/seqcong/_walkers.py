@@ -3,10 +3,15 @@ multiplicity) runs, in strictly decreasing lexicographic order on the parts.
 A level of every walker picks one run, so a member costs time in its
 distinct parts, not its parts.
 
-The sequentially congruent walker builds members directly from the
-congruence conditions (right-to-left residue choices, realized as a DFS
-from the fixed largest part); it deliberately does not reuse the dual map,
-so that counting agreement with the plain enumerator is a genuine check.
+Three walkers own every walk over a family's positions: the multiplicity
+rules by size or length (``_gen_rule``), P_B(A) by size
+(``_gen_pba_by_size``), and the largest-part families by the rule (A, cap)
+of their successive differences (``_gen_sna_lg``): ``seqcong-lg`` is
+(naturals, no cap), ``step-lg`` (naturals, cap) and ``sna-lg`` (A, no
+cap).  The last builds members directly from the congruence conditions,
+as a DFS from the fixed largest part; it deliberately does not reuse the
+dual map, so that counting agreement with the plain enumerator is a
+genuine check.
 """
 
 from __future__ import annotations
@@ -128,76 +133,48 @@ def _reach(values: list[int], steps, n: int, length: bool) -> tuple[list[int], l
     return rows, [n + 1] * len(rows)
 
 
-# The largest-part walkers below choose, for a run of c that starts at index
-# i, the index j at which it ends.  Only the congruence at j can fail (the
-# steps inside a run are 0), so a run ending at j is a member if c meets the
-# last-part condition at j, and continues with a smaller part c' that meets
-# the congruence at j.  More copies of c come first, then the continuations
-# by c' descending, then the stop.
-
-
-def _gen_seqcong_lg(n: int) -> Iterator[tuple[Run, ...]]:
-    # A member's last part is a positive multiple of its index, so a part
-    # at index r is at least r, and a continuation at j is c' = c - k j > j;
-    # a run of c from index i <= c can always run on to index c and stop.
-    # An end j >= c/2 admits no continuation and stops only at j = c or
-    # j = c/2; every end j < c/2 has the continuation c - j, and stops
-    # where j | c.
-    def level(i: int, values: Iterable[int]) -> Level:
-        for c in values:
-            yield (c, c - i + 1), None, True
-            if c % 2 == 0 and 2 * i <= c:
-                yield (c, c // 2 - i + 1), None, True
-            for j in range((c - 1) // 2, i - 1, -1):
-                yield (c, j - i + 1), level(j + 1, range(c - j, j, -j)), c % j == 0
-
-    return _walk_runs(n, level(1, (n,)))
-
-
-def _gen_step_lg(n: int) -> Iterator[tuple[Run, ...]]:
-    # Steps of 0 or j: a run of c stops only at j = c and continues only
-    # with c - j, which must exceed j, as every later stop needs a part
-    # equal to its index.
-    def level(i: int, c: int) -> Level:
-        yield (c, c - i + 1), None, True
-        for j in range((c - 1) // 2, i - 1, -1):
-            yield (c, j - i + 1), level(j + 1, c - j), False
-
-    return _walk_runs(n, level(1, n))
-
-
-def _gen_sna_lg(a_seq: SequenceSpec, n: int) -> Iterator[tuple[Run, ...]]:
-    # Stops at index r need a_r | part_r, so part_r >= a_r; strictly
-    # increasing terms bound the length.  Constant-like rules admit members
-    # of every length and the family is infinite.  A run of c from index i
-    # runs on while c > a_j and c >= a_{j+1}, so its last possible end is
-    # k = max(i, first index with a_k >= c), a stop when a_k = c.  Below k,
-    # an end j with a_j >= c/2 admits no continuation (c - a_j < a_{j+1}),
-    # so only the first such j can stop, when a_j = c/2.  Every end j with
-    # a_j < c/2 may continue with a c' = c (mod a_j), a_{j+1} <= c' < c.
-    # A table that never reaches c raises from first_at_least, before any
-    # member of the run is offered, where the per-part walk did.
+def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tuple[Run, ...]]:
+    # S_N(A) with largest part n: a level picks the index j at which a run
+    # of c from index i ends; only the step at j can break the rule, so the
+    # run stops there if c = a_j e and goes on with c - a_j e >= a_{j+1}.
+    # More copies of c come first, then the continuations descending, then
+    # the stop.  Part r is at least a_r, so strictly increasing terms bound
+    # the length.  As c >= a_i, the last end is k, the first with a_k >= c,
+    # a stop if a_k = c.  Of the ends with a_j >= c/2, which cannot go on,
+    # only the first, half, can stop, at e = 2.  Each end j < half goes on
+    # with c - a_j, and without the cap also with every smaller c' = c (mod
+    # a_j) down to a_{j+1}, and stops where a_j | c.
     _require_strictly_increasing(a_seq)
-    at, first_at_least = a_seq.at, a_seq.first_at_least
+    first_at_least = a_seq.first_at_least
+    terms = a_seq.values_upto(a_seq.at(first_at_least(n))) if n else ()  # a_j is terms[j - 1]
 
-    def level(i: int, values: Iterable[int]) -> Level:
+    def level(i: int, a_i: int, values: Iterable[int]) -> Level:
         for c in values:
-            k = max(i, first_at_least(c))
-            if at(k) == c:
+            k = first_at_least(c)
+            if terms[k - 1] == c:
                 yield (c, k - i + 1), None, True
-            half = max(i, first_at_least((c + 1) // 2))
-            if half < k and 2 * at(half) == c:
+            if 2 * a_i >= c:  # half is i: no end continues
+                if not cap and 2 * a_i == c:
+                    yield (c, 1), None, True
+                continue
+            half = first_at_least((c + 1) // 2)
+            a_next = terms[half - 1]
+            if not cap and 2 * a_next == c:
                 yield (c, half - i + 1), None, True
             for j in range(half - 1, i - 1, -1):
-                a_j = at(j)
-                nxt = range(c - a_j, at(j + 1) - 1, -a_j)
-                stop = c % a_j == 0
-                if nxt:
-                    yield (c, j - i + 1), level(j + 1, nxt), stop
-                elif stop:
-                    yield (c, j - i + 1), None, True
+                a_j = terms[j - 1]
+                if cap:
+                    if c - a_j >= a_next:
+                        yield (c, j - i + 1), level(j + 1, a_next, (c - a_j,)), False
+                else:
+                    nxt = range(c - a_j, a_next - 1, -a_j)
+                    if nxt:
+                        yield (c, j - i + 1), level(j + 1, a_next, nxt), c % a_j == 0
+                    elif c % a_j == 0:
+                        yield (c, j - i + 1), None, True
+                a_next = a_j
 
-    return _walk_runs(n, level(1, (n,)))
+    return _walk_runs(n, level(1, terms[0], (n,)) if n else None)
 
 
 def _gen_pba_by_size(

@@ -23,6 +23,22 @@ counts (``_counters._rule_row``, a geometric or linear factor per value)
 and walks (``_walkers._gen_rule``) them; ``all`` is counted by Euler's
 pentagonal numbers, the independent side of the ``seqcong-lg`` checks.
 
+Three families are fixed by their successive differences, the paper's
+S_N(A): lambda_i - lambda_{i+1} = a_i e_i, with lambda_{r+1} = 0, e_r >= 1
+and e_i in E_i.  So lambda_1 is the sum of a_k e_k, and the x^n
+coefficient of the product over k of the sum over e in E_k of x^(a_k e)
+counts their members of largest part n:
+
+    seqcong-lg  a_i = i             E_i = ℕ       Π_k 1 / (1 - x^k)
+    step-lg     a_i = i             E_i = {0, 1}  Π_k (1 + x^k)
+    sna-lg:A    a_i the i-th of A   E_i = ℕ       Π_k 1 / (1 - x^(a_k))
+
+So they have p(n), q(n) and as many members as the partitions of n into
+terms of A.  One rule (A, cap), the cap making each E_i {0, 1}, checks
+(``predicates._first_step_break``), counts (``_counters.sna_weight_sums``,
+a geometric or linear row per index) and walks (``_walkers._gen_sna_lg``)
+them; A must increase strictly.
+
 Enumeration order is strictly decreasing lexicographic on the parts, and
 two runs produce identical streams; an item cap (default 10**7) turns
 runaway requests into :class:`ResourceBound`.  Members are built as the
@@ -37,7 +53,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ._counters import (
-    _allowed, _pentagonal_counts, _require_members, _rule_row, sna_weight_sums, step_bounded_counts,
+    _allowed, _pentagonal_counts, _require_members, _rule_row, sna_weight_sums,
 )
 from ._values import _RULES, MultiplicityRule, Value
 from .errors import (
@@ -61,8 +77,11 @@ class FamilyDescriptor(Value):
     ``parts-in`` (size n; ℕ for j in the set, else {0}; Π_{j in T}
     1 / (1 - x q^j)), ``distinct`` (size n; {0, 1}; Π_j (1 + x q^j)),
     ``pba-len`` (length n; a_i·ℕ at b_i; Π_i 1 / (1 - x^(a_i) q^(a_i b_i))),
-    ``seqcong-lg`` (largest part n), ``sna-lg`` (largest part n,
-    congruences modulo A), ``step-lg`` (largest part n, steps 0 or the index).
+    and, with a_i, E_i and the x product of the second table there, the
+    largest-part families: ``seqcong-lg`` (largest part n; i, ℕ;
+    Π_k 1 / (1 - x^k)), ``step-lg`` (largest part n; i, {0, 1};
+    Π_k (1 + x^k)) and ``sna-lg`` (largest part n; the i-th term of A, ℕ;
+    Π_k 1 / (1 - x^(a_k))).
     """
 
     __slots__ = _fields = __match_args__ = ("kind", "n", "part_set", "a_seq", "b_seq")
@@ -155,6 +174,16 @@ def _by_rule(rule, length: bool = False) -> tuple:
     return walk, lambda d: _rule_row(rule(d), d.n, d.describe(), length)
 
 
+def _by_terms(terms, cap: bool = False) -> tuple:
+    """The walker and counter of a largest-part kind, the members of S_N(A)
+    for the A that `terms` reads from the descriptor, under the cap or not."""
+
+    def walk(w, d):
+        return w._gen_sna_lg(terms(d), d.n, cap)
+
+    return walk, lambda d: sna_weight_sums(terms(d), d.n, lambda i: 1, d.describe(), cap)
+
+
 # kind -> (run walker, given the _walkers module and the descriptor, and
 # exact counter, given the descriptor: the counts for n = 0..d.n).  `all`
 # is counted by Euler's pentagonal numbers, which reach sizes whose
@@ -163,15 +192,9 @@ _KINDS = {
     "all": (_by_rule(lambda d: _RULES["all"]())[0], lambda d: _pentagonal_counts(d.describe(), d.n)),
     "parts-in": _by_rule(lambda d: _RULES["parts"](d.part_set)),
     "distinct": _by_rule(lambda d: _RULES["distinct"]()),
-    "seqcong-lg": (
-        lambda w, d: w._gen_seqcong_lg(d.n),
-        lambda d: sna_weight_sums(NATURALS, d.n, lambda i: 1, d.describe()),
-    ),
-    "step-lg": (lambda w, d: w._gen_step_lg(d.n), lambda d: step_bounded_counts(d.n)),
-    "sna-lg": (
-        lambda w, d: w._gen_sna_lg(d.a_seq, d.n),
-        lambda d: sna_weight_sums(d.a_seq, d.n, lambda i: 1, d.describe()),
-    ),
+    "seqcong-lg": _by_terms(lambda d: NATURALS),
+    "step-lg": _by_terms(lambda d: NATURALS, cap=True),
+    "sna-lg": _by_terms(lambda d: d.a_seq),
     "pba-len": _by_rule(lambda d: _RULES["pba"](d.a_seq, d.b_seq), length=True),
 }
 

@@ -6,7 +6,8 @@ condition.  Every predicate reads the partition's runs: a condition on the
 difference lambda_i - lambda_{i+1} holds trivially inside a run, where the
 difference is 0, so it is checked at the last index of each run only, and
 the index reported is the one the definition numbers.  The families fixed
-by one condition per part value are checked by their multiplicity rule.
+by one condition per part value are checked by their multiplicity rule,
+and the largest-part ones (S_N(A)) by one walk over the run ends.
 """
 
 from __future__ import annotations
@@ -50,6 +51,17 @@ _SNA_OK = ViolationReport(True, None, "all congruences modulo A hold")
 _STEP_OK = ViolationReport(True, None, "all steps are 0 or the index")
 
 
+def _first_step_break(lam: Partition, term=None, cap: bool = False) -> Optional[tuple]:
+    """(i, lambda_i, lambda_{i+1}, a_i) at the first run end i whose step,
+    positive there, is not a_i e with e in ℕ (e = 1 under the cap); a_i is
+    term(i), or i when term is None.  None when every step keeps the rule."""
+    for i, a, b in _run_ends(lam.runs):
+        m = i if term is None else term(i)
+        if a - b != m if cap else (a - b) % m:
+            return i, a, b, m
+    return None
+
+
 def is_sequentially_congruent(lam: Partition) -> ViolationReport:
     """Successive parts congruent modulo their index; smallest part divisible
     by the length.  The empty partition passes vacuously.
@@ -57,12 +69,12 @@ def is_sequentially_congruent(lam: Partition) -> ViolationReport:
     Index i < length reports a broken congruence between parts i and i+1;
     index == length reports the divisibility condition on the smallest part.
     """
-    for i, a, b in _run_ends(lam.runs):
-        if (a - b) % i:
-            if not b:
-                return _failed(i, "smallest part {} is not congruent to 0 modulo {}", a, i)
-            return _failed(i, "lambda_{}={} is not congruent to lambda_{}={} modulo {}", i, a, i + 1, b, i)
-    return _SEQCONG_OK
+    if (broken := _first_step_break(lam)) is None:
+        return _SEQCONG_OK
+    i, a, b, _ = broken
+    if not b:
+        return _failed(i, "smallest part {} is not congruent to 0 modulo {}", a, i)
+    return _failed(i, "lambda_{}={} is not congruent to lambda_{}={} modulo {}", i, a, i + 1, b, i)
 
 
 def _first_break(lam: Partition, rule: MultiplicityRule) -> Optional[tuple]:
@@ -138,11 +150,10 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
         raise ExtentExceeded(
             f"partition of length {_shown(r)} needs A terms beyond extent {ext}"
         )
-    for i, a, b in _run_ends(lam.runs):
-        m = a_seq.at(i)
-        if (a - b) % m:
-            return _failed(i, "lambda_{}={} is not congruent to lambda_{}={} modulo {}", i, a, i + 1, b, m)
-    return _SNA_OK
+    if (broken := _first_step_break(lam, a_seq.at)) is None:
+        return _SNA_OK
+    i, a, b, m = broken
+    return _failed(i, "lambda_{}={} is not congruent to lambda_{}={} modulo {}", i, a, i + 1, b, m)
 
 
 def has_distinct_parts(lam: Partition) -> bool:
@@ -155,11 +166,10 @@ def is_step_bounded_seqcong(lam: Partition) -> ViolationReport:
 
     Partitions passing this are automatically sequentially congruent.
     """
-    for i, a, b in _run_ends(lam.runs):
-        step = a - b
-        if step != i:
-            return _failed(i, "step {} at index {} is neither 0 nor {}", step, i, i)
-    return _STEP_OK
+    if (broken := _first_step_break(lam, cap=True)) is None:
+        return _STEP_OK
+    i, a, b, _ = broken
+    return _failed(i, "step {} at index {} is neither 0 nor {}", a - b, i, i)
 
 
 def is_self_conjugate(lam: Partition) -> bool:

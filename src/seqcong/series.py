@@ -29,7 +29,6 @@ from .errors import (
 from ._counters import (
     _allowed, _dense_product, _exact, _fraction, _multipliers, _pentagonal_counts, _positions,
     _require_cells, _require_members, _rule_row, _scales, _sized_list, _zeros, sna_weight_sums,
-    step_bounded_counts,
 )
 from .sequences import NATURALS, SequenceSpec
 
@@ -347,9 +346,10 @@ def distinct_product_side(qtrunc: int) -> BivariateSeries:
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
     """Sum of q^(largest part) over sequentially congruent partitions whose
     steps are all 0 or the index, read off one row table of
-    :func:`_counters.step_bounded_counts`; the enumerator is its oracle in
-    the tests."""
-    return BivariateSeries._of_rows([step_bounded_counts(qtrunc)])
+    :func:`_counters.sna_weight_sums` with A = naturals under the cap; the
+    enumerator is its oracle in the tests."""
+    sums = sna_weight_sums(NATURALS, qtrunc, lambda i: 1, f"step-lg:{_shown(qtrunc)}", cap=True)
+    return BivariateSeries._of_rows([sums])
 
 
 class SeriesComparison(Value):

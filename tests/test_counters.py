@@ -263,6 +263,7 @@ PAST_LIMIT = 10**5000
         lambda: count(all_of_size(PAST_LIMIT)),
         lambda: count(pba_length(NATURALS, NATURALS, PAST_LIMIT)),
         lambda: restricted_count(SequenceSpec.table([2, 3]), PAST_LIMIT),
+        lambda: restricted_count(NATURALS, PAST_LIMIT),
         lambda: product_side(WeightSpec.one(), PAST_LIMIT),
         lambda: step_bounded_sum_side(PAST_LIMIT),
         lambda: BivariateSeries(PAST_LIMIT, PAST_LIMIT),

@@ -32,6 +32,7 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
+from seqcong import _walkers
 from seqcong._counters import _pba_value_pairs
 from test_families import PBA_SPECS
 from test_series import weights
@@ -216,9 +217,12 @@ HUGE = 10**8
 @pytest.mark.parametrize(
     "desc, runs",
     [
-        (seqcong_largest(HUGE), ((HUGE, HUGE),)),
-        (sna_largest(SequenceSpec.naturals(), HUGE), ((HUGE, HUGE),)),
-        (step_bounded_largest(HUGE), ((HUGE, HUGE),)),
+        *(
+            (family(n), ((n, n),))  # A is read lazily, as a range, at any n
+            for family in (seqcong_largest, step_bounded_largest,
+                           lambda n: sna_largest(SequenceSpec.naturals(), n))
+            for n in (HUGE, 10**30)
+        ),
         (parts_in([1], HUGE), ((1, HUGE),)),
         (all_of_size(HUGE), ((HUGE, 1),)),
     ],
@@ -235,6 +239,29 @@ def test_the_sna_walker_computes_its_run_ends():
     next(members)
     assert next(members).runs == ((HUGE, HUGE // 2),)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "desc, shape",
+    [
+        # (levels opened, members yielded): a walker that opens more levels
+        # per member than these pinned counts shows here
+        (seqcong_largest(36), (10144, 17977)),
+        (sna_largest(SequenceSpec.naturals(), 36), (10144, 17977)),
+        (step_bounded_largest(72), (36352, 36352)),
+    ],
+)
+def test_the_largest_part_walks_keep_their_shape(desc, shape, monkeypatch):
+    real, opened = _walkers._walk_runs, [0]
+
+    def counted(level):  # a level counts once, when the walk starts reading it
+        opened[0] += 1
+        for run, below, stop in level:
+            yield run, None if below is None else counted(below), stop
+
+    monkeypatch.setattr(_walkers, "_walk_runs", lambda n, top, empty=False: real(n, counted(top), empty))
+    members = sum(1 for _ in enumerate_family(desc))
+    assert (opened[0], members) == shape
 
 
 # ---------------------------------------------------------------------------

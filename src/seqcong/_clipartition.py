@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import repeat
+from functools import cache
+from itertools import chain, repeat
 from typing import Iterator
 
 from .cli import _CHUNK_CHARS, _MAP_OPS, _dump, _json_array, _record_json, _why, _write_lines, parse_sequence
@@ -19,17 +20,17 @@ def parse_partition(text: str) -> Partition:
     if not text:
         raise ParseError("empty partition text")
     if text.startswith("["):
-        import json
-
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON at position {e.pos}: {e.msg}")
-        except ValueError as e:  # an integer past the digit limit
-            raise ParseError(f"partition JSON: {_why(e)}")
-        if not isinstance(data, list):
-            raise ParseError("partition JSON must be an array of integers")
-        try:
+        try:  # what json.loads runs, without its checks per call
+            data, end = _decoder().scan_once(text, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(text):  # not one array: json.loads says why
+            try:
+                data = _decoder().decode(text)
+            except ValueError as e:  # a JSONDecodeError, or an integer past the digit limit
+                raise ParseError(f"bad JSON at position {e.pos}: {e.msg}" if hasattr(e, "pos")
+                                 else f"partition JSON: {_why(e)}")
+        try:  # data is a list: the text starts with "["
             return Partition.from_parts(data)
         except InvalidPart as e:
             # a non-integer anywhere outranks a negative one before it
@@ -52,6 +53,13 @@ def parse_partition(text: str) -> Partition:
     return Partition.from_frequencies(freq)
 
 
+@cache
+def _decoder():
+    import json
+
+    return json.JSONDecoder()
+
+
 def _partition_json(p: Partition) -> str | Iterator[str]:
     """The parts as a JSON array, byte for byte ``_dump(list(p.parts))``,
     written one run at a time without expanding the parts: one str, or the
@@ -62,14 +70,22 @@ def _partition_json(p: Partition) -> str | Iterator[str]:
     runs, length = p.runs, p.length
     if length > DEFAULT_ITEM_CAP:
         raise ResourceBound(f"printing {_shown(length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
-    top, limit = runs[0][0] if runs else 0, sys.get_int_max_str_digits()
-    bits = top.bit_length()
-    if limit and bits > 3 * limit and top >= 10**limit:  # 10**limit has ~3.3 limit bits
+    top = runs[0][0] if runs else 0
+    most, limit = _one_str_parts(top), sys.get_int_max_str_digits()
+    if not most:
         raise ResourceBound(f"printing part {_shown(top)} is past the limit of {limit} digits")
-    if length * (bits // 3 + 2) < _CHUNK_CHARS:  # a part and its comma take at most that
+    if length <= most:
         text = "".join([f"{v}," * m for v, m in runs])
         return f"[{text[:-1]}]"
     return _json_pieces(runs)
+
+
+def _one_str_parts(top: int) -> int:
+    """The most parts _partition_json writes as one str under a largest part `top` (0: past the digit limit)."""
+    limit, bits = sys.get_int_max_str_digits(), top.bit_length()
+    if limit and bits > 3 * limit and top >= 10**limit:  # 10**limit has ~3.3 limit bits
+        return 0
+    return (_CHUNK_CHARS - 1) // (bits // 3 + 2)  # a part and its comma take at most bits // 3 + 2
 
 
 def _json_pieces(runs: tuple[tuple[int, int], ...]) -> Iterator[str]:
@@ -94,7 +110,7 @@ def _cmd_check(args) -> int:
     if args.partition is not None:
         texts = [args.partition]
     else:  # stdin ends a line only at "\n", where splitlines ends one too
-        texts = (line for raw in sys.stdin for line in raw.splitlines() if line.strip())
+        texts = filter(str.strip, chain.from_iterable(map(str.splitlines, sys.stdin)))
     # every line is parsed before any report is written, so bad input never
     # yields partial output; only the reports are kept
     reports, failure = [], None

@@ -22,7 +22,14 @@ class Value:
     _fields: tuple[str, ...] = ()
     _required = 0  # the leading fields without a default
 
+    def __init_subclass__(cls):  # each field's slot setter, which binds it past __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
     def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == len(self._setters):  # every field by position
+            for set_field, value in zip(self._setters, args):
+                set_field(self, value)
+            return
         fields = self._fields
         if len(args) > len(fields):
             raise TypeError(

@@ -120,7 +120,7 @@ def _reach(values: list[int], steps, n: int, length: bool) -> tuple[list[int], l
     every rem they place: an odd n of any size lists nothing over even
     values, at once."""
     blocks = [a if length else a * v for v, a in zip(values, steps or repeat(1))]
-    if (len(blocks) + 1) * (n + 1) > DEFAULT_ITEM_CAP:  # the rows would pass the cell cap
+    if blocks[:1] == [1] or (len(blocks) + 1) * (n + 1) > DEFAULT_ITEM_CAP:  # a block of 1 places any rem
         gcds = [*accumulate(blocks, math.gcd, initial=0)]
         return [1] * len(gcds), gcds
     rows, full = [1], (1 << (n + 1)) - 1

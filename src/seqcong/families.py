@@ -50,6 +50,8 @@ members or reports, so a count compiles none of them.
 
 from __future__ import annotations
 
+import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ._counters import (
@@ -215,15 +217,10 @@ def enumerate_family(
     from .partition import Partition
 
     cap = DEFAULT_ITEM_CAP if max_items is None else max_items
-    produced = 0
-    generate, _ = _kind(desc)
-    for runs in generate(_walkers, desc):
-        produced += 1
-        if produced > cap:
-            raise ResourceBound(
-                f"enumeration of {desc.describe()} exceeded the cap of {cap} items"
-            )
-        yield Partition._from_runs(runs)
+    members = _kind(desc)[0](_walkers, desc)
+    yield from map(Partition._from_runs, islice(members, max(min(cap, sys.maxsize), 0)))  # islice takes 0..maxsize
+    if next(members, None) is not None:  # one member past the cap
+        raise ResourceBound(f"enumeration of {desc.describe()} exceeded the cap of {cap} items")
 
 
 def count(desc: FamilyDescriptor) -> int:

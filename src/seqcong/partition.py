@@ -19,22 +19,6 @@ from typing import Iterable, Iterator, Mapping
 from .errors import DEFAULT_ITEM_CAP, InsufficientMultiplicity, InvalidPart, ResourceBound, _shown, _written
 
 
-def _runs_of(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The runs of a weakly decreasing tuple of positive parts."""
-    runs = []
-    prev = count = 0
-    for v in parts:
-        if v == prev:
-            count += 1
-        else:
-            if count:
-                runs.append((prev, count))
-            prev, count = v, 1
-    if count:
-        runs.append((prev, count))
-    return tuple(runs)
-
-
 def _run_ends(runs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int, int]]:
     """(e, a, b) for each run in order: its last index e (1-based), its
     value a, and the value b of the next run (0 after the last one).  A
@@ -57,12 +41,19 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         t = tuple(parts)
-        for i, v in enumerate(t):
+        runs, prev, count = [], None, 0  # prev: the first part of the run being counted
+        for v in t:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise InvalidPart(f"part {_shown(v)} is not a positive integer")
-            if i and t[i - 1] < v:
-                raise InvalidPart(f"parts {_shown(t)} are not weakly decreasing")
-        self._runs = _runs_of(t)
+            if v == prev:
+                count += 1
+                continue
+            if count:
+                if prev < v:
+                    raise InvalidPart(f"parts {_shown(t)} are not weakly decreasing")
+                runs.append((prev, count))
+            prev, count = v, 1
+        self._runs = (*runs, (prev, count)) if count else ()
         self._parts = t
 
     @classmethod
@@ -78,16 +69,26 @@ class Partition:
     def from_parts(cls, raw: Iterable[int]) -> "Partition":
         """Canonicalize an arbitrary finite sequence: drop zeros, sort descending.
 
-        Negative entries are rejected with :class:`InvalidPart`.
-        """
-        vals = []
+        Negative entries are rejected with :class:`InvalidPart`.  One pass
+        checks the entries and gathers the runs; only runs out of order are sorted."""
+        runs, prev, count, ordered = [], None, 0, True  # no zero is ever prev
         for v in raw:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if v.__class__ is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < 0:
                 raise InvalidPart(f"part {_shown(v)} is not a nonnegative integer")
-            if v:
-                vals.append(v)
-        vals.sort(reverse=True)
-        return cls._from_runs(_runs_of(tuple(vals)))
+            if v == prev:
+                count += 1
+            elif v:
+                if count:
+                    runs.append((prev, count))
+                    ordered = ordered and v < prev
+                prev, count = v, 1
+        runs = (*runs, (prev, count)) if count else ()
+        if not ordered:  # a value's first entry names its run, as a stable sort keeps it
+            merged: dict[int, int] = {}
+            for v, m in runs:
+                merged[v] = merged.get(v, 0) + m
+            runs = sorted(merged.items(), reverse=True)
+        return cls._from_runs(tuple(runs))
 
     @classmethod
     def from_frequencies(cls, fv: Mapping[int, int]) -> "Partition":

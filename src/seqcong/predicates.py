@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from ._values import _RULES, MultiplicityRule, Value
 from .errors import ExtentExceeded, _shown, _written
-from .partition import Partition, _run_ends
+from .partition import Partition
 
 if TYPE_CHECKING:
     from typing import Optional
@@ -54,11 +54,14 @@ _STEP_OK = ViolationReport(True, None, "all steps are 0 or the index")
 def _first_step_break(lam: Partition, term=None, cap: bool = False) -> Optional[tuple]:
     """(i, lambda_i, lambda_{i+1}, a_i) at the first run end i whose step,
     positive there, is not a_i e with e in ℕ (e = 1 under the cap); a_i is
-    term(i), or i when term is None.  None when every step keeps the rule."""
-    for i, a, b in _run_ends(lam.runs):
-        m = i if term is None else term(i)
-        if a - b != m if cap else (a - b) % m:
-            return i, a, b, m
+    term(i), or i when term is None; None when every step keeps the rule."""
+    runs, i = lam.runs, 0
+    for j, (a, m) in enumerate(runs, 1):
+        i += m
+        b = runs[j][0] if j < len(runs) else 0
+        d = i if term is None else term(i)
+        if a - b != d if cap else (a - b) % d:
+            return i, a, b, d
     return None
 
 

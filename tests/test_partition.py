@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqcong import (
     EMPTY,
@@ -11,6 +11,7 @@ from seqcong import (
     partitions_of,
     parts_in,
 )
+from seqcong.errors import _shown
 
 
 def transpose(lam):
@@ -53,6 +54,61 @@ class TestFromParts:
             Partition((1, 3))
         with pytest.raises(InvalidPart):
             Partition((3, 0))
+
+
+def old_from_parts(raw):
+    """The runs of from_parts as it was built: check every entry, drop the
+    zeros, sort the rest descending, then read the runs off the parts."""
+    vals = []
+    for v in raw:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise InvalidPart(f"part {_shown(v)} is not a nonnegative integer")
+        if v:
+            vals.append(v)
+    vals.sort(reverse=True)
+    runs, prev, count = [], 0, 0
+    for v in vals:
+        if v == prev:
+            count += 1
+        else:
+            if count:
+                runs.append((prev, count))
+            prev, count = v, 1
+    if count:
+        runs.append((prev, count))
+    return tuple(runs)
+
+
+class Sub(int):
+    """An int subclass, which from_parts takes as an int."""
+
+
+def built(fn, raw):
+    """The runs, with the class of each value, or the refusal's class and text."""
+    try:
+        runs = fn(raw)
+    except Exception as e:
+        return type(e), str(e)
+    return runs, [v.__class__ for v, _ in runs]
+
+
+entries = st.one_of(
+    st.integers(-2, 9),
+    st.integers(-2, 9).map(Sub),  # equal to the plain ints beside them
+    st.just(0),
+    st.booleans(),
+    st.floats(allow_nan=False, min_value=-3, max_value=9),
+    st.integers(10**29, 10**30 - 1),  # 30 digits
+    st.sampled_from([10**5000, -(10**5000), "3", None]),  # past the digit limit; no numbers
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(entries, max_size=12), st.booleans())
+def test_from_parts_matches_the_sorting_loop(raw, descending):
+    if descending:  # the common input, already in order, where no sort is needed
+        raw = sorted((v for v in raw if type(v) in (int, Sub)), reverse=True) + raw[:1]
+    assert built(lambda r: Partition.from_parts(iter(r)).runs, raw) == built(old_from_parts, raw)
 
 
 HUGE = -(10**4000)

@@ -443,6 +443,31 @@ def test_largest_part_predicates_match_the_references(lam, a_seq):
     assert typed(is_member_sna, lam, a_seq) == typed(ref_sna, t, a_seq)
 
 
+def ref_first_step_break(t, term, cap):
+    """The first break of S_N(A) read part by part: each index whose step
+    lambda_i - lambda_{i+1} is positive, in order, with a_i = term(i), or i
+    when term is None."""
+    for i in range(1, len(t) + 1):
+        a, b = t[i - 1], t[i] if i < len(t) else 0
+        if a != b:
+            m = i if term is None else term(i)
+            if a - b != m if cap else (a - b) % m:
+                return i, a, b, m
+    return None
+
+
+long_runs = st.dictionaries(st.one_of(st.integers(1, 12), HUGE), st.integers(1, 30), max_size=5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lam=st.one_of(small_partitions, long_runs.map(Partition.from_frequencies)),
+       a_seq=st.one_of(st.none(), sequences), cap=st.booleans())
+def test_the_run_end_walk_matches_the_part_walk(lam, a_seq, cap):
+    term = None if a_seq is None else a_seq.at  # a table's term past its extent raises
+    got = outcome(predicates._first_step_break, lam, term, cap)
+    assert got == outcome(ref_first_step_break, lam.parts, term, cap)
+
+
 def test_walks_of_huge_sizes_start_at_once():
     for desc in (all_of_size(10**30), distinct_of_size(10**30), parts_in([4, 6], 10**30)):
         start = time.perf_counter()

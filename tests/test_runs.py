@@ -11,9 +11,10 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,6 +24,7 @@ from seqcong import (
     NotSequentiallyCongruent,
     Partition,
     ResourceBound,
+    SeqcongError,
     SequenceSpec,
     ViolationReport,
     all_of_size,
@@ -46,6 +48,7 @@ from seqcong import (
     step_bounded_largest,
 )
 from seqcong import cli
+from seqcong._clifamily import _listing_texts, parse_family
 from seqcong._clipartition import _partition_json
 from seqcong.errors import DEFAULT_ITEM_CAP, ExtentExceeded
 
@@ -539,6 +542,112 @@ def test_enum_output_matches_json_dumps(family, desc):
     members = [list(p.parts) for p in enumerate_family(desc)]
     assert cli_stdout("enum", family) == (0, "".join(dumped(m) + "\n" for m in members))
     assert cli_stdout("enum", family, "--json") == (0, dumped(members) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the listing renderer, which joins each text from the kept texts of its runs
+
+
+@st.composite
+def shared_streams(draw):
+    """Runs that share leading runs as a walk's members do: each keeps a
+    drawn number of the runs of the one before it and adds runs of smaller
+    values.  Long runs make texts past a chunk, beside and after short
+    ones; a largest part may be past the digit limit."""
+    stack, members = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        del stack[draw(st.integers(0, len(stack))):]
+        below = stack[-1][0] if stack else 10 ** draw(st.sampled_from([1, 2, 30, 40, 5000])) + 1
+        for _ in range(draw(st.integers(0, 4))):
+            if below <= 1:
+                break
+            if below > 10**40:  # only the largest part goes past 40 digits
+                v = below - 1
+            else:
+                v = draw(st.one_of(st.integers(1, min(below - 1, 9)), st.integers(1, below - 1)))
+            unit = v.bit_length() // 3 + 2  # about the characters of a part and its comma
+            m = draw(st.one_of(st.integers(1, 4), st.integers(CHUNK // unit // 2, 2 * CHUNK // unit)))
+            stack.append((v, m))
+            below = v
+        members.append(tuple(stack))
+    return members  # runs, which show shorter than their partitions
+
+
+def listed(texts, members):
+    """The joined texts, up to a refusal's text, each with whether it came
+    as one str."""
+    out = []
+    try:
+        for text in texts(members):
+            out.append((text.__class__ is str, "".join(text)))
+    except ResourceBound as e:
+        out.append((None, str(e)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_streams())
+def test_listing_texts_match_each_member_alone(runs):
+    members = [Partition._from_runs(r) for r in runs]
+    expected = listed(lambda ps: map(_partition_json, ps), members)
+    assert listed(_listing_texts, members) == expected
+    texts = [text for whole, text in expected if whole is not None]  # up to a refusal
+    assert texts == [dumped(list(p.parts)) for p in members[:len(texts)]]
+
+
+def test_listing_texts_past_the_kept_runs():
+    # more distinct runs than are kept, then the same runs again
+    members = [Partition._from_runs(((v, 1 + v % 3), (1, 2))) for v in range(6000, 1, -1)] * 2
+    assert list(_listing_texts(members)) == [dumped(list(p.parts)) for p in members]
+
+
+families_listed = st.one_of(
+    st.integers(0, 14).map("all:{}".format),
+    st.integers(0, 30).map("distinct:{}".format),
+    st.builds("parts:T={};n={}".format, st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
+              .map(lambda t: ",".join(map(str, t))), st.integers(0, 30)),
+    st.integers(0, 16).map("seqcong-lg:{}".format),
+    st.integers(0, 30).map("step-lg:{}".format),
+    st.builds("pba:A={};B={};n={}".format, *[st.sampled_from(["naturals", "odds", "ones", "2,3", "1,2,3"])] * 2,
+              st.integers(0, 10)),
+    st.builds("sna-lg:A={};n={}".format, st.sampled_from(["naturals", "odds", "2,3,5,7,11,13"]),
+              st.integers(0, 20)),
+    # members past a chunk after a short one: [40000,1,1,1], then 1^40003;
+    # [40000,40000,1], then [40000,1,...,1] and 1^80001
+    st.sampled_from(["parts:T=1,40000;n=40003", "parts:T=1,40000;n=80001"]),
+)
+
+
+def enum_run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["enum", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=families_listed, options=st.lists(st.sampled_from(["--json", "--limit", "--max-items"]),
+                                               unique=True), cap=st.integers(0, 40))
+def test_enum_output_matches_the_member_by_member_writer(family, options, cap):
+    argv = [family]
+    for option in options:
+        argv += [option] if option == "--json" else [option, str(cap)]
+    got = enum_run(*argv)
+    # every text built alone, as _partition_json builds it
+    with mock.patch("seqcong._clifamily._listing_texts", lambda ps: map(_partition_json, ps)):
+        assert got == enum_run(*argv)
+    code, out, err = got
+    members = []  # json.dumps of each member, up to a refusal (a table A too short, exit 2)
+    try:
+        members.extend(dumped(list(p.parts)) for p in enumerate_family(parse_family(family)))
+    except SeqcongError:
+        pass
+    shown = members[:cap] if "--limit" in options or code == 3 else members
+    if "--json" in options:
+        assert out == "[" + ",".join(shown) + ("]\n" if code == 0 else "")
+    else:
+        assert out == "".join(text + "\n" for text in shown)
+    assert bool(err) is (code != 0) and code in (0, 2, 3)
 
 
 def test_writer_refuses_more_parts_than_the_cap():

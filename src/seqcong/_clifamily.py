@@ -1,5 +1,5 @@
-"""Family texts read against ``cli._FAMILIES``, with the commands enum and
-ideal; also the family of check."""
+"""Family texts read against the family table, ``_values.FAMILIES``, with
+the commands enum and ideal; also the family of check."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .cli import _FAMILIES, _LISTINGS, _json_array, _record_json, _why, _write_lines, parse_sequence
+from ._values import _LISTINGS, FAMILIES
+from .cli import _json_array, _record_json, _why, _write_lines, parse_sequence
 from .errors import ParseError, ResourceBound, _shown
 
 if TYPE_CHECKING:
@@ -26,14 +27,14 @@ def _part_set(text: str) -> frozenset[int]:
 _VALUES = {"T": _part_set, "A": parse_sequence, "B": parse_sequence, "n": int}
 
 
-def _parse_family_text(text: str, table: dict) -> tuple[str, list]:
-    """The name of a family text, which must be in `table`, and the parsed
-    values of the keys its entry takes, in the entry's order.  Keys the
-    entry does not take are ignored."""
+def _parse_family_text(text: str, table: dict) -> tuple:
+    """The entry of `table` that a family text names, and the parsed values
+    of the keys the entry takes, in the entry's order.  Keys the entry does
+    not take are ignored."""
     name, colon, rest = text.partition(":")
     if name not in table:
         raise ParseError(f"unknown family {_shown(name)}")
-    keys = table[name][0]
+    keys, *_ = table[name]
     given = {}
     for pos, piece in enumerate(rest.split(";") if colon else ()):
         key, eq, value = piece.partition("=")
@@ -46,25 +47,24 @@ def _parse_family_text(text: str, table: dict) -> tuple[str, list]:
     if missing:
         raise ParseError(f"family {name} needs {' and '.join(missing)}")
     try:
-        return name, [_VALUES[key](given[key]) for key in keys]
+        return table[name], [_VALUES[key](given[key]) for key in keys]
     except ValueError as e:
         raise ParseError(f"bad value in family {_shown(text)}: {_why(e)}")
 
 
 def _parse_check(text: str):
     """A family text as a Partition -> ViolationReport callable."""
-    from . import predicates
+    from .predicates import _family_check
 
-    name, values = _parse_family_text(text, _FAMILIES)
-    return _FAMILIES[name][2](predicates, *values)
+    return _family_check(*_parse_family_text(text, FAMILIES))
 
 
 def parse_family(text: str) -> FamilyDescriptor:
     """An enum family text as the descriptor its listing constructor builds."""
     from . import families
 
-    name, values = _parse_family_text(text, _LISTINGS)
-    return getattr(families, _LISTINGS[name][1])(*values)
+    (_, ctor), values = _parse_family_text(text, _LISTINGS)
+    return getattr(families, ctor)(*values)
 
 
 def _cmd_enum(args) -> int:

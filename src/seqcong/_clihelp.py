@@ -1,11 +1,13 @@
 """The help that ``seqcong -h`` and ``seqcong <command> --help`` print.
 
-The usage line and the choices come from the CLI's command table; this
-module adds the prose.  It is loaded only when help is asked for, so no
-other call compiles it.
+The usage line and the choices come from the CLI's command table, and the
+family texts from the family table; this module adds the prose.  It is
+loaded only when help is asked for, so no other call compiles it.
 """
 
 from __future__ import annotations
+
+from ._values import _LISTINGS, FAMILIES
 
 # command path -> what it does
 _ABOUT = {
@@ -56,9 +58,9 @@ def _forms(table: dict, example: str) -> str:
     return " | ".join(forms) + f"; the first key may be written bare, as in {example}"
 
 
-def describe(path: str, entry, families: dict, listings: dict) -> str:
+def describe(path: str, entry) -> str:
     """The help of a command path, whose entry in the command table is
-    `entry`; `families` and `listings` are the CLI's family tables."""
+    `entry`."""
     if isinstance(entry, dict):
         rows = [(word, _ABOUT.get(f"{path} {word}", "")) for word in entry]
         return f"usage: {path} {{{','.join(entry)}}} ...\n\n{_ABOUT[path]}\n" + "".join(
@@ -69,10 +71,10 @@ def describe(path: str, entry, families: dict, listings: dict) -> str:
         name, optional = name.rstrip("?"), name.endswith("?")
         usage.append(f"[{name}]" if optional else name)
         if name == "family" and path == "seqcong enum":
-            unlisted = ", ".join(family for family, spec in families.items() if not spec[1])
-            text = _forms(listings, "all:5") + f"; no listing for {unlisted}"
+            unlisted = ", ".join(family for family, row in FAMILIES.items() if not row.listings)
+            text = _forms(_LISTINGS, "all:5") + f"; no listing for {unlisted}"
         elif name == "family":
-            text = _forms(families, "parts:2,3")
+            text = _forms(FAMILIES, "parts:2,3")
         else:
             text = " | ".join(convert) if isinstance(convert, tuple) else _ARGS[name]
         if optional:

@@ -9,10 +9,13 @@ field tuple; the repr is ``Cls(name=value, ...)``, with an int too long
 for Python to write, alone or in a tuple, shown by its leading digits.
 Assigning or deleting an attribute raises :class:`AttributeError`.  Copies
 and pickles rebuild a record from its fields through ``__init__``.  Here
-too is the multiplicity rule, which the predicates and the counters share.
+too are the two rules and the one table of families, which the
+predicates, the counters and the CLI share.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import _written
 
@@ -93,13 +96,47 @@ class MultiplicityRule(Value):
     _required = 3
 
 
-# CLI family name -> its rule, given the values of the keys of its text
-_RULES = {
-    "all": lambda: MultiplicityRule(1, 1, False),
-    "empty": lambda: MultiplicityRule(frozenset(), 1, False),
-    "oddparts": lambda: MultiplicityRule(2, 1, False),
-    "distinct": lambda: MultiplicityRule(1, 1, True),
-    "parts": lambda t: MultiplicityRule(frozenset(t), 1, False),
-    "freqcong": lambda: MultiplicityRule(1, None, False),
-    "pba": lambda a, b: MultiplicityRule(b, a, False),
+class StepRule(Value):
+    """The paper's S_N(A): lambda_i - lambda_{i+1} = a_i e_i, with
+    lambda_{r+1} = 0, e_r >= 1 and e_i in ℕ, or in {0, 1} under `cap`; a_i
+    is the i-th of `terms`, a SequenceSpec, or i when `terms` is None.
+    Both fields required."""
+
+    __slots__ = _fields = __match_args__ = ("terms", "cap")
+    _required = 2
+
+
+# A row of FAMILIES: the `keys` a family's text takes; its `rule`, given
+# their values, None for selfconj, which no rule fixes; its enum
+# `listings`, text suffix -> (families constructor by name, which takes n
+# after the keys, and the descriptor kind it builds); and its `check`, the
+# name of a predicates function that takes the keys' values after the
+# partition, or the details of a member and a non-member.
+Family = namedtuple("Family", ("keys", "rule", "listings", "check"))
+
+# The families, each named once.  A text is `name` or `name:key=value;...`;
+# the first key may be written bare, as in `parts:2,3` or `all:5`.  A
+# listing's n is the members' largest part under a StepRule, their length
+# for a kind ending in -len and their size otherwise.
+FAMILIES = {
+    "all": Family((), lambda: MultiplicityRule(1, 1, False), {"": ("all_of_size", "all")},
+                  ("every partition", "")),
+    "empty": Family((), lambda: MultiplicityRule(frozenset(), 1, False), {}, ("empty", "not empty")),
+    "oddparts": Family((), lambda: MultiplicityRule(2, 1, False), {}, ("all parts odd", "a part is even")),
+    "distinct": Family((), lambda: MultiplicityRule(1, 1, True), {"": ("distinct_of_size", "distinct")},
+                       ("all parts distinct", "a part repeats")),
+    "selfconj": Family((), None, {}, ("self-conjugate", "not self-conjugate")),
+    "parts": Family(("T",), lambda t: MultiplicityRule(frozenset(t), 1, False),
+                    {"": ("parts_in", "parts-in")}, ("all parts allowed", "a part is not allowed")),
+    "seqcong": Family((), lambda: StepRule(None, False), {"-lg": ("seqcong_largest", "seqcong-lg")},
+                      "is_sequentially_congruent"),
+    "freqcong": Family((), lambda: MultiplicityRule(1, None, False), {}, "is_frequency_congruent"),
+    "step": Family((), lambda: StepRule(None, True), {"-lg": ("step_bounded_largest", "step-lg")},
+                   "is_step_bounded_seqcong"),
+    "pba": Family(("A", "B"), lambda a, b: MultiplicityRule(b, a, False), {"": ("pba_length", "pba-len")},
+                  "is_member_pba"),
+    "sna": Family(("A",), lambda a: StepRule(a, False), {"-lg": ("sna_largest", "sna-lg")}, "is_member_sna"),
 }
+# enum name -> (the keys its text takes, families constructor by name)
+_LISTINGS = {name + suffix: ((*keys, "n"), ctor)
+             for name, (keys, _, listings, _) in FAMILIES.items() for suffix, (ctor, _) in listings.items()}

@@ -143,10 +143,16 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
     # a stop if a_k = c.  Of the ends with a_j >= c/2, which cannot go on,
     # only the first, half, can stop, at e = 2.  Each end j < half goes on
     # with c - a_j, and without the cap also with every smaller c' = c (mod
-    # a_j) down to a_{j+1}, and stops where a_j | c.
+    # a_j) down to a_{j+1}, and stops where a_j | c.  An end j with
+    # c - 2 a_j < a_{j+1} goes on only with c - a_j < 2 a_{j+1}, which must
+    # then be a term.  Over a progression of step d > 1 in which no two
+    # terms sum to c (d does not divide c - 2 a_1) none is, so those ends,
+    # a_j > (c - d)/3, only stop, at a_j = c/q with q >= 3, and are found by
+    # q: over the odds they are about c/12 ends that offer nothing.
     _require_strictly_increasing(a_seq)
     first_at_least = a_seq.first_at_least
     terms = a_seq.values_upto(a_seq.at(first_at_least(n))) if n else ()  # a_j is terms[j - 1]
+    first, step = (terms.start, terms.step) if terms.__class__ is range else (0, 0)  # a table is (0, 0)
 
     def level(i: int, a_i: int, values: Iterable[int]) -> Level:
         for c in values:
@@ -161,7 +167,16 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
             a_next = terms[half - 1]
             if not cap and 2 * a_next == c:
                 yield (c, half - i + 1), None, True
-            for j in range(half - 1, i - 1, -1):
+            top = half - 1
+            if step > 1 and (c - 2 * first) % step:  # no two terms sum to c
+                low = max(first_at_least((c - step) // 3 + 1), i)
+                for q in range(3, 0 if cap else c // terms[low - 1] + 1):
+                    j = first_at_least(c // q)
+                    if c % q == 0 and terms[j - 1] == c // q:
+                        yield (c, j - i + 1), None, True
+                top = min(top, low - 1)
+                a_next = terms[top]
+            for j in range(top, i - 1, -1):
                 a_j = terms[j - 1]
                 if cap:
                     if c - a_j >= a_next:

@@ -10,7 +10,8 @@ of more than 10**7 parts to print).  ``python -m seqcong.cli`` and the
 ``seqcong`` script run :func:`run`, which ends the process without
 interpreter teardown; :func:`main` returns the code.
 
-This module holds the grammar and the tables its choices come from; main
+This module holds the grammar and the tables its choices come from, but
+for the family table (``_values.FAMILIES``), which the handlers read; main
 imports the handler of the command it runs when it runs it, from
 ``_clipartition`` (check, map, orbit), ``_clifamily`` (enum, ideal) or
 ``_cliseries`` (series, zeta).
@@ -141,50 +142,15 @@ def parse_sequence(text: str) -> SequenceSpec:
         raise ParseError(f"bad sequence {_shown(text)}: {_why(e)}")
 
 
-def _bool_check(predicate, yes: str, no: str):
-    """A boolean predicate as a ViolationReport callable, evaluated once per
-    input; the two reports are built once and shared, as records are
-    immutable."""
-    from .predicates import ViolationReport
+def __getattr__(name: str):
+    """cli._SIMPLE_FAMILIES, enum name -> constructor name, a view the
+    benchmark's tracer reads, derived from the family table when read, so
+    that no command loads that table for it."""
+    if name != "_SIMPLE_FAMILIES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from ._values import _LISTINGS
 
-    passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)
-    return lambda p: passed if predicate(p) else failed
-
-
-def _by_rule(name: str, yes: str, no: str = ""):
-    """The check of a multiplicity family by its rule, `yes` for a member."""
-    return lambda pr, *keys: pr._rule_check(pr._RULES[name](*keys), yes, no)
-
-
-# The families, each named once: name -> (the keys its text takes, its
-# enum listings as suffix -> families constructor by name, which takes n
-# after the keys, and the ViolationReport check built from the predicates
-# module and the keys' values).  A text is `name` or `name:key=value;...`;
-# the first key may be written bare, as in `parts:2,3` or `all:5`.
-# freqcong and pba, multiplicity families too, name their failing part.
-_FAMILIES = {
-    "all": ((), {"": "all_of_size"}, _by_rule("all", "every partition")),
-    "empty": ((), {}, _by_rule("empty", "empty", "not empty")),
-    "oddparts": ((), {}, _by_rule("oddparts", "all parts odd", "a part is even")),
-    "distinct": ((), {"": "distinct_of_size"}, _by_rule(
-        "distinct", "all parts distinct", "a part repeats")),
-    "selfconj": ((), {}, lambda pr: _bool_check(
-        pr.is_self_conjugate, "self-conjugate", "not self-conjugate")),
-    "parts": (("T",), {"": "parts_in"}, _by_rule("parts", "all parts allowed", "a part is not allowed")),
-    "seqcong": ((), {"-lg": "seqcong_largest"}, lambda pr: pr.is_sequentially_congruent),
-    "freqcong": ((), {}, lambda pr: pr.is_frequency_congruent),
-    "step": ((), {"-lg": "step_bounded_largest"}, lambda pr: pr.is_step_bounded_seqcong),
-    "pba": (("A", "B"), {"": "pba_length"}, lambda pr, a, b: lambda p: pr.is_member_pba(p, a, b)),
-    "sna": (("A",), {"-lg": "sna_largest"}, lambda pr, a: lambda p: pr.is_member_sna(p, a)),
-}
-# enum name -> (the keys its text takes, families constructor by name)
-_LISTINGS = {
-    name + suffix: ((*keys, "n"), ctor)
-    for name, (keys, listings, _) in _FAMILIES.items()
-    for suffix, ctor in listings.items()
-}
-# enum name -> constructor name, a view the benchmark's tracer reads
-_SIMPLE_FAMILIES = {name: ctor for name, (_, ctor) in _LISTINGS.items()}
+    return {name: ctor for name, (_, ctor) in _LISTINGS.items()}
 
 
 def _rational(text: str):
@@ -335,7 +301,7 @@ def _parse(argv: list[str]):
             if name == "help":
                 from ._clihelp import describe
 
-                print(describe(path, entry, _FAMILIES, _LISTINGS))
+                print(describe(path, entry))
                 return None
             convert = options[name][0]
             if convert is None and eq:

@@ -34,10 +34,15 @@ counts their members of largest part n:
     sna-lg:A    a_i the i-th of A   E_i = ℕ       Π_k 1 / (1 - x^(a_k))
 
 So they have p(n), q(n) and as many members as the partitions of n into
-terms of A.  One rule (A, cap), the cap making each E_i {0, 1}, checks
+terms of A.  One rule (A, cap) (``_values.StepRule``), the cap making
+each E_i {0, 1}, checks
 (``predicates._first_step_break``), counts (``_counters.sna_weight_sums``,
 a geometric or linear row per index) and walks (``_walkers._gen_sna_lg``)
 them; A must increase strictly.
+
+``_values.FAMILIES`` names each family once: the keys of its text, its
+rule, its listings and its check.  :func:`enumerate_family` and
+:func:`count` take a descriptor's rule from there and branch on its class.
 
 Enumeration order is strictly decreasing lexicographic on the parts, and
 two runs produce identical streams; an item cap (default 10**7) turns
@@ -57,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 from ._counters import (
     _allowed, _pentagonal_counts, _require_members, _rule_row, sna_weight_sums,
 )
-from ._values import _RULES, MultiplicityRule, Value
+from ._values import FAMILIES, MultiplicityRule, StepRule, Value
 from .errors import (
     DEFAULT_ITEM_CAP, InvalidDeletion, InvalidPart, NonDistinctA, ResourceBound, _shown, _written,
 )
@@ -74,16 +79,10 @@ class FamilyDescriptor(Value):
     """A named finite family of partitions: `kind` and `n`, required, and
     `part_set`, `a_seq` and `b_seq`, None unless the kind reads them.
 
-    kinds, with M_j and the (x, q) product of the module docstring for the
-    multiplicity families: ``all`` (size n; ℕ; Π_j 1 / (1 - x q^j)),
-    ``parts-in`` (size n; ℕ for j in the set, else {0}; Π_{j in T}
-    1 / (1 - x q^j)), ``distinct`` (size n; {0, 1}; Π_j (1 + x q^j)),
-    ``pba-len`` (length n; a_i·ℕ at b_i; Π_i 1 / (1 - x^(a_i) q^(a_i b_i))),
-    and, with a_i, E_i and the x product of the second table there, the
-    largest-part families: ``seqcong-lg`` (largest part n; i, ℕ;
-    Π_k 1 / (1 - x^k)), ``step-lg`` (largest part n; i, {0, 1};
-    Π_k (1 + x^k)) and ``sna-lg`` (largest part n; the i-th term of A, ℕ;
-    Π_k 1 / (1 - x^(a_k))).
+    The kinds are the listings of ``_values.FAMILIES``: ``all``,
+    ``parts-in`` and ``distinct`` (size n), ``pba-len`` (length n), and
+    ``seqcong-lg``, ``step-lg`` and ``sna-lg`` (largest part n); the module
+    docstring gives each one's rule and generating function.
     """
 
     __slots__ = _fields = __match_args__ = ("kind", "n", "part_set", "a_seq", "b_seq")
@@ -156,7 +155,7 @@ def iter_pba_by_size(
     if max_length is not None:
         _check_n(max_length, "max_length")
     label = f"P_B(A) members to size {_shown(max_size)}"
-    values, steps = _allowed(_RULES["pba"](a_seq, b_seq), max_size, False, label)
+    values, steps = _allowed(FAMILIES["pba"].rule(a_seq, b_seq), max_size, False, label)
     runs = _gen_pba_by_size(values, steps, max_size, max_size if max_length is None else max_length)
     yield from map(Partition._from_runs, runs)
 
@@ -165,47 +164,20 @@ def iter_pba_by_size(
 # public enumeration and counting API
 
 
-def _by_rule(rule, length: bool = False) -> tuple:
-    """The walker and counter of a kind whose members follow the rule that
-    `rule` builds from the descriptor, with n their length or size."""
-
-    def walk(w, d):
-        r = rule(d)
-        return w._gen_rule(*_allowed(r, d.n, length, d.describe()), d.n, r.cap, length)
-
-    return walk, lambda d: _rule_row(rule(d), d.n, d.describe(), length)
+# descriptor kind -> the keys of its family's text and its rule, one per listing
+_LISTED = {kind: (keys, rule) for keys, rule, listings, _ in FAMILIES.values() for _, kind in listings.values()}
 
 
-def _by_terms(terms, cap: bool = False) -> tuple:
-    """The walker and counter of a largest-part kind, the members of S_N(A)
-    for the A that `terms` reads from the descriptor, under the cap or not."""
-
-    def walk(w, d):
-        return w._gen_sna_lg(terms(d), d.n, cap)
-
-    return walk, lambda d: sna_weight_sums(terms(d), d.n, lambda i: 1, d.describe(), cap)
-
-
-# kind -> (run walker, given the _walkers module and the descriptor, and
-# exact counter, given the descriptor: the counts for n = 0..d.n).  `all`
-# is counted by Euler's pentagonal numbers, which reach sizes whose
-# product of n factors over n + 1 cells would pass the cell cap.
-_KINDS = {
-    "all": (_by_rule(lambda d: _RULES["all"]())[0], lambda d: _pentagonal_counts(d.describe(), d.n)),
-    "parts-in": _by_rule(lambda d: _RULES["parts"](d.part_set)),
-    "distinct": _by_rule(lambda d: _RULES["distinct"]()),
-    "seqcong-lg": _by_terms(lambda d: NATURALS),
-    "step-lg": _by_terms(lambda d: NATURALS, cap=True),
-    "sna-lg": _by_terms(lambda d: d.a_seq),
-    "pba-len": _by_rule(lambda d: _RULES["pba"](d.a_seq, d.b_seq), length=True),
-}
-
-
-def _kind(desc: FamilyDescriptor):
-    try:
-        return _KINDS[desc.kind]
-    except KeyError:
-        raise ValueError(f"unknown family kind {desc.kind!r}") from None
+def _rule_of(desc: FamilyDescriptor) -> tuple:
+    """The rule of the descriptor's family, from the fields its keys name,
+    and whether n is the members' length (a kind ending in -len)."""
+    if desc.kind not in _LISTED:
+        raise ValueError(f"unknown family kind {desc.kind!r}")
+    keys, rule = _LISTED[desc.kind]
+    fields = {"T": desc.part_set, "A": desc.a_seq, "B": desc.b_seq}
+    if any(fields[key] is None for key in keys):  # a StepRule's terms of None would read as 1, 2, ...
+        raise ValueError(f"family kind {desc.kind!r} needs {' and '.join(keys)}")
+    return rule(*[fields[key] for key in keys]), desc.kind.endswith("-len")
 
 
 def enumerate_family(
@@ -213,11 +185,15 @@ def enumerate_family(
 ) -> Iterator[Partition]:
     """Yield every member of the family once, in strictly decreasing
     lexicographic order on the parts sequence, built from runs."""
-    from . import _walkers
+    from ._walkers import _gen_rule, _gen_sna_lg
     from .partition import Partition
 
     cap = DEFAULT_ITEM_CAP if max_items is None else max_items
-    members = _kind(desc)[0](_walkers, desc)
+    (rule, length), n = _rule_of(desc), desc.n
+    if rule.__class__ is StepRule:
+        members = _gen_sna_lg(rule.terms or NATURALS, n, rule.cap)
+    else:
+        members = _gen_rule(*_allowed(rule, n, length, desc.describe()), n, rule.cap, length)
     yield from map(Partition._from_runs, islice(members, max(min(cap, sys.maxsize), 0)))  # islice takes 0..maxsize
     if next(members, None) is not None:  # one member past the cap
         raise ResourceBound(f"enumeration of {desc.describe()} exceeded the cap of {cap} items")
@@ -227,8 +203,15 @@ def count(desc: FamilyDescriptor) -> int:
     """Number of members; by contract the length of :func:`enumerate_family`.
     Computed by the kind's dynamic program, never by enumerating, so no
     count is capped; a count whose table would exceed DEFAULT_ITEM_CAP
-    cells raises :class:`ResourceBound` before the table is allocated."""
-    return _kind(desc)[1](desc)[desc.n]
+    cells raises :class:`ResourceBound` before the table is allocated.
+    ``all`` is counted by Euler's pentagonal numbers, which reach sizes
+    whose product of n factors over n + 1 cells would pass the cell cap."""
+    (rule, length), n, label = _rule_of(desc), desc.n, desc.describe()
+    if rule.__class__ is StepRule:
+        return sna_weight_sums(rule.terms or NATURALS, n, lambda i: 1, label, rule.cap)[n]
+    if rule == FAMILIES["all"].rule():
+        return _pentagonal_counts(label, n)[n]
+    return _rule_row(rule, n, label, length)[n]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -272,12 +255,9 @@ def ideal_equivalent_upto(
     first: Membership, second: Membership, bound: int
 ) -> EquivalenceReport:
     """Compare size-n member counts of two families for all n <= bound."""
-    c1 = counts_by_size(first, bound)
-    c2 = counts_by_size(second, bound)
-    for n, (x, y) in enumerate(zip(c1, c2)):
-        if x != y:
-            return EquivalenceReport(False, n, tuple(c1), tuple(c2))
-    return EquivalenceReport(True, None, tuple(c1), tuple(c2))
+    c1, c2 = counts_by_size(first, bound), counts_by_size(second, bound)
+    differ = next((n for n, (x, y) in enumerate(zip(c1, c2)) if x != y), None)
+    return EquivalenceReport(differ is None, differ, tuple(c1), tuple(c2))
 
 
 def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
@@ -289,25 +269,31 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
     the witness member.  Partitions are totalled first, as in
     :func:`counts_by_size`.  A bound below 0 raises :class:`InvalidPart`.
     """
-    from .predicates import ViolationReport
-
     _check_n(bound, "bound")
     label = f"ideal closure to size {_shown(bound)}"
     _require_members(label, _pentagonal_counts(label, bound)[1:])
-    for n in range(1, bound + 1):
-        for p in partitions_of(n):
-            if not membership(p):
-                continue
-            for value, _ in reversed(p.runs):
-                reduced = p.delete_parts(value, 1)
-                if not membership(reduced):
-                    return ViolationReport(
-                        False,
-                        value,
-                        f"deleting one copy of {value} from {list(p.parts)} "
-                        f"leaves {list(reduced.parts)}, which is outside the family",
-                    )
-    return ViolationReport(True, None, "closed under single-part deletion")
+    members = (p for n in range(1, bound + 1) for p in partitions_of(n) if membership(p))
+    return _first_bad_deletion(members, membership, None, "closed under single-part deletion")
+
+
+def _first_bad_deletion(members: Iterable[Partition], membership: Membership, copies: Optional[dict],
+                        passed: str) -> ViolationReport:
+    """The first of `members`, in order, from which deleting one block of
+    a part, the smallest part first, leaves a partition outside the family,
+    as a failing report indexed by that part; a block is copies[part]
+    copies, or one when `copies` is None.  A passing report of `passed`
+    when there is none."""
+    from .predicates import ViolationReport
+
+    for p in members:
+        for value, _ in reversed(p.runs):
+            block = 1 if copies is None else copies[value]
+            reduced = p.delete_parts(value, block)
+            if not membership(reduced):
+                deleted = "one copy" if copies is None else f"{block} copies"
+                return ViolationReport(False, value, f"deleting {deleted} of {value} from {list(p.parts)} "
+                                       f"leaves {list(reduced.parts)}, which is outside the family")
+    return ViolationReport(True, None, passed)
 
 
 def scaled_deletion(
@@ -350,25 +336,17 @@ def check_quasi_ideal(
     raises :class:`InvalidPart`."""
     from ._walkers import _gen_pba_by_size
     from .partition import Partition
-    from .predicates import ViolationReport, is_member_pba
+    from .predicates import is_member_pba
 
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {_shown(bound)}"
-    rule = _RULES["pba"](a_seq, b_seq)
+    rule = FAMILIES["pba"].rule(a_seq, b_seq)
     values, steps = table = _allowed(rule, bound, False, label)
     _require_members(label, _rule_row(rule, bound, label, table=table))
-    a_term = dict(zip(values, steps))
-    for p in map(Partition._from_runs, _gen_pba_by_size(values, steps, bound, bound)):
-        for value, _ in reversed(p.runs):  # a member holds a positive multiple of its A-term
-            reduced = p.delete_parts(value, a_term[value])
-            if not is_member_pba(reduced, a_seq, b_seq).ok:
-                return ViolationReport(
-                    False,
-                    value,
-                    f"deleting {a_term[value]} copies of {value} from {list(p.parts)} "
-                    f"leaves {list(reduced.parts)}, which is outside the family",
-                )
-    return ViolationReport(True, None, "closed under scaled deletions")
+    # a member holds a positive multiple of each part's A-term
+    members = map(Partition._from_runs, _gen_pba_by_size(values, steps, bound, bound))
+    return _first_bad_deletion(members, lambda p: is_member_pba(p, a_seq, b_seq), dict(zip(values, steps)),
+                               "closed under scaled deletions")
 
 
 def restricted_count(a_seq: SequenceSpec, n: int) -> int:
@@ -436,7 +414,7 @@ def count_invariance_suite(
     label = f"count invariance to size {_shown(bound)}"
 
     def by_length(a: SequenceSpec, b: SequenceSpec) -> tuple:  # the pair table and its row
-        rule = _RULES["pba"](a, b)
+        rule = FAMILIES["pba"].rule(a, b)
         table = _allowed(rule, bound, True, label)
         return table, _rule_row(rule, bound, label, True, table)
 

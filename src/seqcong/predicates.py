@@ -7,14 +7,15 @@ difference lambda_i - lambda_{i+1} holds trivially inside a run, where the
 difference is 0, so it is checked at the last index of each run only, and
 the index reported is the one the definition numbers.  The families fixed
 by one condition per part value are checked by their multiplicity rule,
-and the largest-part ones (S_N(A)) by one walk over the run ends.
+and the largest-part ones (S_N(A)) by one walk over the run ends.  The
+CLI checks a family by its row of the family table (``_family_check``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._values import _RULES, MultiplicityRule, Value
+from ._values import FAMILIES, Family, MultiplicityRule, Value
 from .errors import ExtentExceeded, _shown, _written
 from .partition import Partition
 
@@ -99,14 +100,7 @@ def _first_break(lam: Partition, rule: MultiplicityRule) -> Optional[tuple]:
     return None
 
 
-def _rule_check(rule: MultiplicityRule, yes: str, no: str):
-    """`rule` as a Partition -> ViolationReport callable, `yes` for a member
-    and `no` otherwise, each built once and shared."""
-    passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)
-    return lambda lam: failed if _first_break(lam, rule) else passed
-
-
-_DISTINCT, _FREQCONG = _RULES["distinct"](), _RULES["freqcong"]()
+_DISTINCT, _FREQCONG = FAMILIES["distinct"].rule(), FAMILIES["freqcong"].rule()
 
 
 def is_frequency_congruent(lam: Partition) -> ViolationReport:
@@ -128,7 +122,7 @@ def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> V
     table A, fails at that part.  With A = B = naturals this reduces exactly
     to :func:`is_frequency_congruent`.
     """
-    broken = _first_break(lam, _RULES["pba"](a_seq, b_seq))
+    broken = _first_break(lam, FAMILIES["pba"].rule(a_seq, b_seq))
     if broken is None:
         return _PBA_OK
     part, mult, a = broken
@@ -179,3 +173,19 @@ def is_self_conjugate(lam: Partition) -> bool:
     """True when the partition equals its own diagram transpose (compared
     run by run)."""
     return lam.conjugate() == lam
+
+
+def _family_check(family: Family, values: list):
+    """The check of a row of ``_values.FAMILIES``, given the values of its
+    keys, as a Partition -> ViolationReport callable: the predicate it
+    names, or its two details as reports, built once and shared, by its
+    rule (by conjugation where it has none)."""
+    if family.check.__class__ is str:
+        test = globals()[family.check]
+        return (lambda lam: test(lam, *values)) if values else test
+    yes, no = family.check
+    passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)
+    if family.rule is None:
+        return lambda lam: passed if is_self_conjugate(lam) else failed
+    rule = family.rule(*values)
+    return lambda lam: failed if _first_break(lam, rule) else passed

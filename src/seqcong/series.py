@@ -16,7 +16,7 @@ from itertools import accumulate
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from ._values import _RULES, MultiplicityRule, Value
+from ._values import FAMILIES, MultiplicityRule, Value
 from .errors import (
     BoundsMismatch,
     DivergentParameters,
@@ -312,7 +312,7 @@ def pba_sum_side(
 
     label = f"pba sum side x^{_shown(xtrunc)} q^{_shown(qtrunc)}"
     _require_cells(label, 1, qtrunc, xtrunc)  # the grid of counts
-    values, steps = _allowed(_RULES["pba"](a_seq, b_seq), qtrunc, False, label)
+    values, steps = _allowed(FAMILIES["pba"].rule(a_seq, b_seq), qtrunc, False, label)
     sizing = ((1, a, a * b) for b, a in zip(values, steps))
     counts = _dense_product(label, len(values), sizing, min(xtrunc, qtrunc), qtrunc)
     _require_members(label, map(sum, counts))
@@ -340,7 +340,7 @@ def distinct_product_side(qtrunc: int) -> BivariateSeries:
     """Product over n of (1 + q^n), truncated; the q^n coefficient counts
     partitions of n into distinct parts."""
     label = f"distinct product side q^{_shown(qtrunc)}"
-    return BivariateSeries._of_rows([_rule_row(_RULES["distinct"](), qtrunc, label)])
+    return BivariateSeries._of_rows([_rule_row(FAMILIES["distinct"].rule(), qtrunc, label)])
 
 
 def step_bounded_sum_side(qtrunc: int) -> BivariateSeries:
@@ -421,7 +421,7 @@ def partition_zeta(
     if dps > MAX_DPS:
         raise ResourceBound(f"dps {dps} is more than the cap of {MAX_DPS} digits")
     label = f"zeta sum over parts in {values} to depth {_shown(qdepth)}"
-    _require_members(label, _rule_row(_RULES["parts"](values), qdepth, label))
+    _require_members(label, _rule_row(FAMILIES["parts"].rule(values), qdepth, label))
     with localcontext(Context(prec=dps)):
         # the terms past the empty partition's 1 are fewer than 2^24 (the item
         # cap) and each below 2^-s: past s = 4 dps + 32 they sum to less than

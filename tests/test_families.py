@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -37,8 +38,9 @@ from seqcong import (
     sna_largest,
     step_bounded_largest,
 )
-from seqcong import _walkers, families, predicates
+from seqcong import FamilyDescriptor, _clifamily, _walkers, families, predicates
 from seqcong._counters import _pba_value_pairs
+from seqcong._values import FAMILIES
 
 NAT = SequenceSpec.naturals()
 ODD = SequenceSpec.odds()
@@ -525,6 +527,21 @@ class TestQuasiIdeal:
             "deleting 2 copies of 5 from [5, 5, 5, 5] leaves [5, 5], which is outside the family"
         )
 
+    def test_a_block_of_one_copy_is_counted_in_copies(self, monkeypatch):
+        # the quasi-ideal check writes its block as a count even where A's
+        # term is 1; only the closure check writes "one copy"
+        original = predicates.is_member_pba
+
+        def rejects_2(p, a_seq, b_seq):
+            if p.parts == (2,):
+                return predicates.ViolationReport(False, 2, "rejected")
+            return original(p, a_seq, b_seq)
+
+        monkeypatch.setattr(predicates, "is_member_pba", rejects_2)
+        report = check_quasi_ideal(SequenceSpec.ones(), NAT, 4)
+        assert (report.ok, report.index) == (False, 2)
+        assert report.detail == "deleting 1 copies of 2 from [2, 2] leaves [2], which is outside the family"
+
 
 class TestCountInvariance:
     A = SequenceSpec.table([2, 3])
@@ -628,3 +645,59 @@ def test_restricted_count_examples():
     assert [restricted_count(ODD, n) for n in range(9)] == [
         count(distinct_of_size(n)) for n in range(9)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the family table: one row names each family, and each listing is checked
+# and counted from the row it comes from
+
+
+def test_the_table_lists_the_seven_kinds():
+    kinds = [kind for row in FAMILIES.values() for _, kind in row.listings.values()]
+    assert sorted(kinds) == ["all", "distinct", "parts-in", "pba-len", "seqcong-lg", "sna-lg", "step-lg"]
+
+
+@pytest.mark.parametrize("kind", ["seqcong", "pba", "pba-xyz", "freqcong", "empty", "bogus", "parts",
+                                  "sna", "step", "selfconj", "all-lg", "", "ALL"])
+@pytest.mark.parametrize("fields", [{}, {"part_set": (1, 2), "a_seq": NAT, "b_seq": NAT}])
+def test_a_kind_outside_the_table_is_unknown(kind, fields):
+    desc = FamilyDescriptor(kind, 3, **fields)
+    message = re.escape(f"unknown family kind {kind!r}")
+    with pytest.raises(ValueError, match=message):
+        count(desc)
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_family(desc))
+
+
+@pytest.mark.parametrize(
+    "desc, keys",
+    [
+        (FamilyDescriptor("sna-lg", 5), "A"),  # not the rule of seqcong-lg, a_i = i
+        (FamilyDescriptor("parts-in", 5), "T"),
+        (FamilyDescriptor("pba-len", 5, a_seq=NAT), "A and B"),
+    ],
+)
+def test_a_kind_without_a_field_it_reads_is_refused(desc, keys):
+    message = re.escape(f"family kind {desc.kind!r} needs {keys}")
+    with pytest.raises(ValueError, match=message):
+        count(desc)
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_family(desc))
+
+
+ROW_KEYS = {"T": "3,5,7", "A": "odds", "B": "naturals"}
+LISTED = [(name, suffix) for name, row in FAMILIES.items() for suffix in row.listings]
+
+
+@pytest.mark.parametrize("name, suffix", LISTED)
+def test_each_listing_passes_the_check_of_its_row_and_counts_its_length(name, suffix):
+    given = [f"{key}={ROW_KEYS[key]}" for key in FAMILIES[name].keys]
+    check = _clifamily._parse_check(name + (":" + ";".join(given) if given else ""))
+    listed = 0  # the n with a member: most have one, so the checks are not vacuous
+    for n in range(13):
+        desc = _clifamily.parse_family(f"{name}{suffix}:" + ";".join([*given, f"n={n}"]))
+        members = list(enumerate_family(desc))
+        assert all(check(lam).ok for lam in members), (desc, [lam for lam in members if not check(lam).ok])
+        assert count(desc) == len(members), desc
+        listed += bool(members)
+    assert listed >= 7

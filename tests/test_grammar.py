@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqcong.cli import _FAMILIES, main
+from seqcong._values import _LISTINGS, FAMILIES
+from seqcong.cli import main
 
 GOLDEN = [
     # check: one report a partition
@@ -274,7 +275,7 @@ def test_negative_max_size_is_a_usage_error(capsys, argv):
 def test_help_names_every_family(capsys, command):
     assert main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    for name in _FAMILIES:
+    for name in FAMILIES:
         assert re.search(rf"\b{name}\b", text), name
 
 
@@ -467,7 +468,7 @@ def _family_text(draw, table, small_n: bool):
     keys drawn from the degenerate texts; n is small unless `small_n` is
     False."""
     name = draw(st.sampled_from(sorted(table)))
-    keys = table[name][0]
+    keys, *_ = table[name]
     values = {"T": TABLES, "A": SEQUENCES, "B": SEQUENCES,
               "n": st.sampled_from(["-1", "0", "3", "7", "12", "x"]) if small_n else NUMBERS}
     pieces = [f"{key}={draw(values[key])}" for key in keys if draw(st.integers(0, 9))]
@@ -503,9 +504,9 @@ def _contract_call(draw, path):
             argv.append(draw(st.sampled_from(convert)))
         elif name == "family" and path == ("enum",):
             # a listing is as long as its members: n is small unless only counted
-            argv.append(draw(_family_text(cli._LISTINGS, small_n=not count_only)))
+            argv.append(draw(_family_text(_LISTINGS, small_n=not count_only)))
         elif name in ("family", "other"):
-            argv.append(draw(_family_text(cli._FAMILIES, small_n=True)))
+            argv.append(draw(_family_text(FAMILIES, small_n=True)))
         else:
             argv.append(draw(PARTITIONS))
     for name, (convert, _, required) in options.items():

@@ -298,7 +298,7 @@ def test_pba_rows_match_the_old_counters(a_seq, b_seq):
     # the quasi-ideal check sized its walk by coin change over the products a b
     pairs = outcome(_pba_value_pairs, a_seq, b_seq, UP_TO, lambda a, b: a * b, "pairs")
     if isinstance(pairs, list):
-        row = families._rule_row(families._RULES["pba"](a_seq, b_seq), UP_TO, "pairs")
+        row = families._rule_row(families.FAMILIES["pba"].rule(a_seq, b_seq), UP_TO, "pairs")
         assert row == old_coin_change("pairs", [a * b for b, a in pairs], UP_TO)
 
 

@@ -6,6 +6,7 @@ the sum sides weigh every member anew.  The package must give the
 same streams, in the same order, with the same errors, and the same sums.
 """
 
+import ast
 import time
 from fractions import Fraction
 from math import prod
@@ -24,6 +25,7 @@ from seqcong import (
     all_of_size,
     distinct_of_size,
     enumerate_family,
+    is_member_sna,
     partition_sum_side,
     partition_zeta,
     parts_in,
@@ -241,6 +243,24 @@ def test_the_sna_walker_computes_its_run_ends():
     assert time.perf_counter() - start < 0.5
 
 
+def test_the_odds_walk_skips_the_ends_that_only_stop(run_limited):
+    # over the odds, an odd c has about c/12 run ends, (c - 2)/3 < a_j < c/2,
+    # whose one continuation c - a_j is even and below 2 a_{j+1}, so that no
+    # member follows it; at c = 10^30 - 1 a walk through them would not end,
+    # so the walk runs in a child, which the fixture stops after 10 s
+    c, odds = 10**30 - 1, SequenceSpec.odds()
+    code = ("from itertools import islice; from seqcong import SequenceSpec, enumerate_family, sna_largest; "
+            f"print([p.runs for p in islice(enumerate_family(sna_largest(SequenceSpec.odds(), {c})), 41)])")
+    done, elapsed = run_limited(code=code)
+    assert done.returncode == 0, done.stderr
+    members = [Partition.from_frequencies(dict(runs)) for runs in ast.literal_eval(done.stdout)]
+    # c copies of c, then the run that stops at a_j = c/3, e_j = 3
+    assert [p.runs for p in members[:2]] == [((c, (c + 1) // 2),), ((c, (c // 3 + 1) // 2),)]
+    assert len(members) == 41 and all(p.largest == c and is_member_sna(p, odds).ok for p in members)
+    assert all(p.runs > q.runs for p, q in zip(members, members[1:]))
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize(
     "desc, shape",
     [
@@ -249,6 +269,7 @@ def test_the_sna_walker_computes_its_run_ends():
         (seqcong_largest(36), (10144, 17977)),
         (sna_largest(SequenceSpec.naturals(), 36), (10144, 17977)),
         (step_bounded_largest(72), (36352, 36352)),
+        (sna_largest(SequenceSpec.odds(), 50), (2379, 3658)),  # no level without a member
     ],
 )
 def test_the_largest_part_walks_keep_their_shape(desc, shape, monkeypatch):

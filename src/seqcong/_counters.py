@@ -322,22 +322,29 @@ def _dense_product(
 
 
 def _allowed(rule, bound: int, length: bool, label: str) -> tuple:
-    """The values of a multiplicity rule (``_values.MultiplicityRule``) one
-    block of whose step's copies fits `bound`, ascending, and the steps,
-    None when all are 1.  P_B(A) gives the pairs of :func:`_pba_value_pairs`
-    sized under `label`, a block bounded on length when `length`, else on
-    size; any other rule is bounded on size, (None, None) for 1, 2, ...."""
+    """The values j of a multiplicity rule (``_values.MultiplicityRule``)
+    one block of whose copies fits `bound`, ascending, and their steps a,
+    each from ``rule.step_of``; a block is a copies, bounded on length when
+    `length`, else a j, bounded on size.  (None, None) for 1, 2, ... with
+    step 1 (`all`, `distinct`) on size.  P_B(A) gives the pairs of
+    :func:`_pba_value_pairs`, sized under `label` as they arrive; the
+    candidates of a rule or a range are sized by their number, one pass
+    over bound + 1 cells each, before any is listed, and a frozenset's not
+    at all."""
     values, step = rule.values, rule.step
+    if (values, step) == (1, 1) and not length:
+        return None, None  # all and distinct, which _gen_rule walks on size
     if isinstance(step, SequenceSpec):
         weight = (lambda a, b: a) if length else (lambda a, b: a * b)
         pairs = _pba_value_pairs(step, values, bound, weight, label)[::-1]
-        return [b for b, _ in pairs], [a for _, a in pairs]
-    if values.__class__ is int:
-        return None, None  # all and distinct
-    if isinstance(values, SequenceSpec):
-        _require_cells(label, 1, bound)  # before a range too long for len() is sized
-        return values.values_upto(bound), None
-    return sorted(v for v in values if v <= bound), None
+    else:
+        if values.__class__ is not frozenset:  # a rule's values, listed and sized by the bound
+            _require_cells(label, 1, bound)  # before a range too long for len() is sized
+            values = range(1, bound + 1, values) if values.__class__ is int else values.values_upto(bound)
+            _require_cells(label, len(values), bound)
+        pairs = [(j, a) for j in sorted(values) if j <= bound and (a := rule.step_of(j))
+                 and (a if length else a * j) <= bound]
+    return [j for j, _ in pairs], [a for _, a in pairs]
 
 
 def _rule_row(rule, n: int, label: str, length: bool = False, table: Optional[tuple] = None) -> list:

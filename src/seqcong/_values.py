@@ -90,10 +90,34 @@ class MultiplicityRule(Value):
     ..., a frozenset, or a SequenceSpec's terms.  `step` makes each M_j
     a·ℕ = {0, a, 2a, ...}: an int a, None for a = j, or A, a SequenceSpec,
     for A's term at j's first position in `values` (B of P_B(A); a j past
-    A's table is not allowed).  `cap` makes every M_j {0, 1}."""
+    A's table is not allowed).  `cap` makes every M_j {0, 1}.
 
-    __slots__ = _fields = __match_args__ = ("values", "step", "cap")
+    `step_of(j)` is the one reader of `values` and `step`: the step a of
+    M_j, or None where j is not allowed.  The check, the tables and the
+    deletions all take M_j from it.  It is bound once per rule, in
+    __init__, to a reader for the kind of `values`, so that a check pays
+    one call per part and no attribute lookups."""
+
+    __slots__ = ("values", "step", "cap", "step_of")
+    _fields = __match_args__ = ("values", "step", "cap")
     _required = 3
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        values, step = self.values, self.step
+        if values.__class__ is int:  # 1, 1 + g, 1 + 2g, ...
+            step_of = lambda j: None if (j - 1) % values else step or j
+        elif values.__class__ is frozenset:
+            step_of = lambda j: (step or j) if j in values else None
+        else:  # a SequenceSpec, read at j's first position in it
+
+            def step_of(j: int):
+                pos = values.index_of(j)
+                if pos is None or step is None or step.__class__ is int:
+                    return None if pos is None else step or j
+                return None if step.extent is not None and pos > step.extent else step.at(pos)
+
+        object.__setattr__(self, "step_of", step_of)
 
 
 class StepRule(Value):

@@ -72,13 +72,13 @@ def _gen_rule(
     """The members of a multiplicity rule that place exactly n (their size,
     or their length when `length`) over the values and steps of
     ``_counters._allowed``: a value takes a positive multiple of its step
-    (1 when None) copies.  A level takes the next value down and its copies
-    from the most down, so members are strictly decreasing, and offers a
-    choice only when the values below can place what it leaves.  1, 2, ...
-    (values None, on size) place any rest, and under the cap, one copy
-    each (`distinct`), at most v (v + 1) / 2; a table's reach is read from
-    the rows of :func:`_reach`, and the smallest value takes the rest or
-    nothing."""
+    (1 when None) copies, one step under the cap.  A level takes the next
+    value down and its copies from the most down, so members are strictly
+    decreasing, and offers a choice only when the values below can place
+    what it leaves.  1, 2, ... (values None, on size) place any rest, and
+    under the cap, one copy each (`distinct`), at most v (v + 1) / 2; a
+    table's reach is read from the rows of :func:`_reach`, and the
+    smallest value takes the rest or nothing."""
     if values is None:
 
         def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
@@ -90,7 +90,7 @@ def _gen_rule(
                     yield ((v, m), level(v - 1, left), False) if left else ((v, m), None, True)
 
         return _walk_runs(n, level(n, n))
-    rows, mods = _reach(values, steps, n, length)
+    rows, mods = _reach(values, steps, n, length, cap)
 
     def level(k: int, rem: int) -> Level:  # runs of values[:k] placing rem
         for idx in range((k if length else bisect_right(values, rem, 0, k)) - 1, -1, -1):
@@ -99,10 +99,10 @@ def _gen_rule(
             v, a = values[idx], 1 if steps is None else steps[idx]
             cost = 1 if length else v
             if not idx:  # the smallest value takes the rest or nothing
-                if rem % cost == 0 and rem // cost % a == 0:
+                if rem % cost == 0 and rem // cost % a == 0 and (not cap or rem // cost == a):
                     yield (v, rem // cost), None, True
                 return
-            for m in range(rem // (a * cost) * a, 0, -a):
+            for m in range((min(rem // (a * cost), 1) if cap else rem // (a * cost)) * a, 0, -a):
                 left = rem - m * cost
                 if not left:
                     yield (v, m), None, True
@@ -112,23 +112,23 @@ def _gen_rule(
     return _walk_runs(n, level(len(values), n))
 
 
-def _reach(values: list[int], steps, n: int, length: bool) -> tuple[list[int], list]:
+def _reach(values: list[int], steps, n: int, length: bool, cap: bool) -> tuple[list[int], list]:
     """(rows, mods): bit rem % mods[k] of rows[k] says whether the first k
-    values of :func:`_gen_rule` can place exactly rem.  A row holds n + 1
-    bits, one per rem, while the rows fit DEFAULT_ITEM_CAP cells; past it
-    row k is 1 and mods[k] the gcd of the first k blocks, which divides
-    every rem they place: an odd n of any size lists nothing over even
-    values, at once."""
+    values of :func:`_gen_rule` can place exactly rem, one block each under
+    the cap.  A row holds n + 1 bits, one per rem, while the rows fit
+    DEFAULT_ITEM_CAP cells; past it row k is 1 and mods[k] the gcd of the
+    first k blocks, which divides every rem they place: an odd n of any
+    size lists nothing over even values, at once."""
     blocks = [a if length else a * v for v, a in zip(values, steps or repeat(1))]
-    if blocks[:1] == [1] or (len(blocks) + 1) * (n + 1) > DEFAULT_ITEM_CAP:  # a block of 1 places any rem
+    if blocks[:1] == [1] and not cap or (len(blocks) + 1) * (n + 1) > DEFAULT_ITEM_CAP:  # 1s place any rem
         gcds = [*accumulate(blocks, math.gcd, initial=0)]
         return [1] * len(gcds), gcds
     rows, full = [1], (1 << (n + 1)) - 1
     for block in blocks:
         row = rows[-1]
-        while block <= n:  # row |= row << k*block for every k >= 1, by doubling
+        while block <= n:  # row |= row << k*block for every k >= 1, by doubling; k = 1 under the cap
             row |= (row << block) & full
-            block *= 2
+            block = n + 1 if cap else 2 * block
         rows.append(row)
     return rows, [n + 1] * len(rows)
 

@@ -276,18 +276,18 @@ def check_ideal_closure(membership: Membership, bound: int) -> ViolationReport:
     return _first_bad_deletion(members, membership, None, "closed under single-part deletion")
 
 
-def _first_bad_deletion(members: Iterable[Partition], membership: Membership, copies: Optional[dict],
-                        passed: str) -> ViolationReport:
+def _first_bad_deletion(members: Iterable[Partition], membership: Membership,
+                        copies: Optional[Callable[[int], int]], passed: str) -> ViolationReport:
     """The first of `members`, in order, from which deleting one block of
     a part, the smallest part first, leaves a partition outside the family,
-    as a failing report indexed by that part; a block is copies[part]
+    as a failing report indexed by that part; a block is copies(part)
     copies, or one when `copies` is None.  A passing report of `passed`
     when there is none."""
     from .predicates import ViolationReport
 
     for p in members:
         for value, _ in reversed(p.runs):
-            block = 1 if copies is None else copies[value]
+            block = 1 if copies is None else copies(value)
             reduced = p.delete_parts(value, block)
             if not membership(reduced):
                 deleted = "one copy" if copies is None else f"{block} copies"
@@ -306,15 +306,12 @@ def scaled_deletion(
     """Delete `copies` copies of `value`, where `copies` must be a positive
     multiple of the A-term at the value's B-position.  Any other request is
     outside the quasi-ideal contract and raises :class:`InvalidDeletion`."""
-    pos = b_seq.index_of(value)
-    if pos is None:
-        raise InvalidDeletion(f"value {_shown(value)} is not a term of B ({b_seq.describe()})")
-    ext = a_seq.extent
-    if ext is not None and pos > ext:
-        raise InvalidDeletion(
-            f"value {_shown(value)} is at B position {_shown(pos)}, past the {ext} terms of A"
-        )
-    a = a_seq.at(pos)
+    a = FAMILIES["pba"].rule(a_seq, b_seq).step_of(value)
+    if a is None:
+        pos = b_seq.index_of(value)
+        where = (f"is not a term of B ({b_seq.describe()})" if pos is None
+                 else f"is at B position {_shown(pos)}, past the {a_seq.extent} terms of A")
+        raise InvalidDeletion(f"value {_shown(value)} {where}")
     if copies < 1 or copies % a:
         raise InvalidDeletion(
             f"may only delete positive multiples of {a} copies of {_shown(value)}, "
@@ -341,11 +338,11 @@ def check_quasi_ideal(
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {_shown(bound)}"
     rule = FAMILIES["pba"].rule(a_seq, b_seq)
-    values, steps = table = _allowed(rule, bound, False, label)
+    table = _allowed(rule, bound, False, label)
     _require_members(label, _rule_row(rule, bound, label, table=table))
     # a member holds a positive multiple of each part's A-term
-    members = map(Partition._from_runs, _gen_pba_by_size(values, steps, bound, bound))
-    return _first_bad_deletion(members, lambda p: is_member_pba(p, a_seq, b_seq), dict(zip(values, steps)),
+    members = map(Partition._from_runs, _gen_pba_by_size(*table, bound, bound))
+    return _first_bad_deletion(members, lambda p: is_member_pba(p, a_seq, b_seq), rule.step_of,
                                "closed under scaled deletions")
 
 

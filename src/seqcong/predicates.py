@@ -83,19 +83,12 @@ def is_sequentially_congruent(lam: Partition) -> ViolationReport:
 
 def _first_break(lam: Partition, rule: MultiplicityRule) -> Optional[tuple]:
     """The first run, smallest part first, that breaks `rule`, as (part,
-    mult, a) with a the step of M_part, None where the part is not allowed;
-    None when every run keeps the rule.  Values given as a SequenceSpec are
-    B of P_B(A), with A as the step."""
-    values, step = rule.values, rule.step
+    mult, a) with a = rule.step_of(part), None where the part is not
+    allowed; None when every run keeps the rule."""
+    step_of, cap = rule.step_of, rule.cap
     for part, mult in reversed(lam.runs):
-        if values.__class__ is int:  # 1, 1 + values, 1 + 2 values, ...
-            a = None if (part - 1) % values else step or part  # a step of None is the part
-        elif values.__class__ is frozenset:
-            a = step or part if part in values else None
-        else:  # A's term at the part's first position in B, if A has one
-            pos = values.index_of(part)
-            a = None if pos is None or step.extent is not None and pos > step.extent else step.at(pos)
-        if a is None or mult % a or (rule.cap and mult > 1):
+        a = step_of(part)
+        if a is None or mult % a or (cap and mult > 1):
             return part, mult, a
     return None
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import sys
 from itertools import islice
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from ._values import _LISTINGS, FAMILIES
 from .cli import _json_array, _record_json, _why, _write_lines, parse_sequence
@@ -84,38 +83,13 @@ def _cmd_enum(args) -> int:
     stream = families.enumerate_family(desc, max_items=args.max_items)
     if args.limit is not None:
         stream = islice(stream, min(args.limit, sys.maxsize))  # the most islice takes
-    texts = _listing_texts(stream)
+    from ._clipartition import _partition_texts
+
+    texts = _partition_texts(stream)
     if args.json:  # one array, in chunks too: an error part way leaves it as far as it got
         texts = _json_array(texts, "", "\n")
     _write_lines(texts, end="" if args.json else "\n")
     return 0
-
-
-class _RunTexts(dict):
-    """A run's text, each part with its comma; the texts of up to 4096 short runs are kept."""
-
-    def __missing__(self, run: tuple[int, int]) -> str:
-        v, m = run
-        text = f"{v}," * m
-        if len(text) <= 64 and len(self) < 4096:
-            self[run] = text
-        return text
-
-
-def _listing_texts(members: Iterable) -> Iterator[str | Iterator[str]]:
-    """_partition_json of each member of a listing.  The members of a walk
-    share most of their runs, so each text is joined from the kept texts
-    of its runs.  A member that _partition_json writes in pieces, or
-    refuses, goes through it, so no joined text passes a chunk."""
-    from ._clipartition import _one_str_parts, _partition_json
-
-    run_text, length = _RunTexts().__getitem__, itemgetter(1)
-    top, most = None, 0
-    for p in members:
-        runs = p.runs
-        if runs and runs[0][0] != top:  # a new largest part
-            top, most = runs[0][0], _one_str_parts(runs[0][0])
-        yield _partition_json(p) if sum(map(length, runs)) > most else f"[{''.join(map(run_text, runs))[:-1]}]"
 
 
 def _cmd_ideal(args) -> int:

@@ -1,5 +1,6 @@
-"""Partition text in and out, with the commands check, map and orbit; also
-the lines of an enum listing."""
+"""Partition text in and out, with the commands check, map and orbit: the
+one writer of partition text, which also writes the lines of an enum
+listing."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import re
 import sys
 from functools import cache
 from itertools import chain, repeat
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .cli import _CHUNK_CHARS, _MAP_OPS, _dump, _json_array, _record_json, _why, _write_lines, parse_sequence
 from .errors import DEFAULT_ITEM_CAP, InvalidPart, ParseError, ResourceBound, SeqcongError, _shown
@@ -60,36 +62,46 @@ def _decoder():
     return json.JSONDecoder()
 
 
-def _partition_json(p: Partition) -> str | Iterator[str]:
-    """The parts as a JSON array, byte for byte ``_dump(list(p.parts))``,
-    written one run at a time without expanding the parts: one str, or the
-    pieces of a text that may pass _CHUNK_CHARS characters, as
-    :func:`_write_lines` takes a line.  A partition of more than
-    DEFAULT_ITEM_CAP parts, or whose largest part has more digits than
-    Python writes, raises :class:`ResourceBound` before any text is built."""
-    runs, length = p.runs, p.length
-    if length > DEFAULT_ITEM_CAP:
-        raise ResourceBound(f"printing {_shown(length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
-    top = runs[0][0] if runs else 0
-    most, limit = _one_str_parts(top), sys.get_int_max_str_digits()
-    if not most:
-        raise ResourceBound(f"printing part {_shown(top)} is past the limit of {limit} digits")
-    if length <= most:
-        text = "".join([f"{v}," * m for v, m in runs])
-        return f"[{text[:-1]}]"
-    return _json_pieces(runs)
+def _partition_texts(partitions: Iterable[Partition]) -> Iterator[str | Iterator[str]]:
+    """Each partition's parts as a JSON array, byte for byte
+    ``_dump(list(p.parts))``, written one run at a time without expanding
+    the parts: one str, or the pieces of a text that may pass _CHUNK_CHARS
+    characters, as :func:`_write_lines` takes a line.  The members of a
+    walk share most of their runs, so a short text is joined from the kept
+    texts of its runs, each part with its comma (up to 4096 texts of at
+    most 64 characters).  A partition of more than DEFAULT_ITEM_CAP parts,
+    or whose largest part has more digits than Python writes, raises
+    :class:`ResourceBound` before any text of it is yielded."""
 
+    class Kept(dict):
+        def __missing__(self, run: tuple[int, int]) -> str:
+            v, m = run
+            text = f"{v}," * m
+            if len(text) <= 64 and len(self) < 4096:
+                self[run] = text
+            return text
 
-def _one_str_parts(top: int) -> int:
-    """The most parts _partition_json writes as one str under a largest part `top` (0: past the digit limit)."""
-    limit, bits = sys.get_int_max_str_digits(), top.bit_length()
-    if limit and bits > 3 * limit and top >= 10**limit:  # 10**limit has ~3.3 limit bits
-        return 0
-    return (_CHUNK_CHARS - 1) // (bits // 3 + 2)  # a part and its comma take at most bits // 3 + 2
+    run_text, length, limit = Kept().__getitem__, itemgetter(1), sys.get_int_max_str_digits()
+    top, most = None, 0
+    for p in partitions:
+        runs = p.runs
+        if runs and runs[0][0] != top:  # a new largest part: the most parts one str holds under it
+            top, bits = runs[0][0], runs[0][0].bit_length()
+            # 0 past the digit limit (10**limit has ~3.3 limit bits); a part
+            # and its comma take at most bits // 3 + 2 characters
+            most = 0 if limit and bits > 3 * limit and top >= 10**limit else (_CHUNK_CHARS - 1) // (bits // 3 + 2)
+        if sum(map(length, runs)) <= most:  # no joined text passes a chunk
+            yield f"[{''.join(map(run_text, runs))[:-1]}]"
+        elif p.length > DEFAULT_ITEM_CAP:
+            raise ResourceBound(f"printing {_shown(p.length)} parts is more than the cap of {DEFAULT_ITEM_CAP}")
+        elif not most:
+            raise ResourceBound(f"printing part {_shown(top)} is past the limit of {limit} digits")
+        else:
+            yield _json_pieces(runs)
 
 
 def _json_pieces(runs: tuple[tuple[int, int], ...]) -> Iterator[str]:
-    """The text of _partition_json in pieces of at most a sixteenth of a
+    """The text of _partition_texts in pieces of at most a sixteenth of a
     chunk, or of one part and its comma: a run's pieces are one str,
     repeated."""
     yield "["
@@ -145,7 +157,7 @@ def _cmd_map(args) -> int:
         from . import maps
 
         result = getattr(maps, name)(lam, *sequences)
-    _write_lines((_partition_json(result),))
+    _write_lines(_partition_texts((result,)))
     return 0
 
 
@@ -154,7 +166,7 @@ def _cmd_orbit(args) -> int:
 
     lam = parse_partition(args.partition)
     trace = maps.orbit(lam, side=args.side)
-    states = [_partition_json(p) for p in trace.states]  # each refusal before any text
+    states = list(_partition_texts(trace.states))  # each refusal before any text
     tail = f',"cycle_length":{trace.cycle_length},"closed":{_dump(trace.closed)}}}\n'
     _write_lines(_json_array(states, '{"states":', tail), end="")
     return 0

@@ -90,7 +90,7 @@ class MultiplicityRule(Value):
     ..., a frozenset, or a SequenceSpec's terms.  `step` makes each M_j
     a·ℕ = {0, a, 2a, ...}: an int a, None for a = j, or A, a SequenceSpec,
     for A's term at j's first position in `values` (B of P_B(A); a j past
-    A's table is not allowed).  `cap` makes every M_j {0, 1}.
+    A's table is not allowed).  `cap` makes every M_j {0, a}: one block.
 
     `step_of(j)` is the one reader of `values` and `step`: the step a of
     M_j, or None where j is not allowed.  The check, the tables and the

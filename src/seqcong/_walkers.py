@@ -148,11 +148,16 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
     # then be a term.  Over a progression of step d > 1 in which no two
     # terms sum to c (d does not divide c - 2 a_1) none is, so those ends,
     # a_j > (c - d)/3, only stop, at a_j = c/q with q >= 3, and are found by
-    # q: over the odds they are about c/12 ends that offer nothing.
+    # q: over the odds they are about c/12 ends that offer nothing.  Over a
+    # table, a member's parts from index j + 1 on are sums of multiples of
+    # a_{j+1}, a_{j+2}, ..., so an end j offers only the c' that the gcd of
+    # those terms divides (gcds[j]): over A = 2, 4, 10^30 no odd c' goes on
+    # past index 1.  A progression's gcd divides every c'.
     _require_strictly_increasing(a_seq)
     first_at_least = a_seq.first_at_least
     terms = a_seq.values_upto(a_seq.at(first_at_least(n))) if n else ()  # a_j is terms[j - 1]
     first, step = (terms.start, terms.step) if terms.__class__ is range else (0, 0)  # a table is (0, 0)
+    gcds = None if step else [*accumulate(reversed(terms), math.gcd)][::-1]  # gcds[j]: of a_{j+1}, ...
 
     def level(i: int, a_i: int, values: Iterable[int]) -> Level:
         for c in values:
@@ -183,6 +188,8 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
                         yield (c, j - i + 1), level(j + 1, a_next, (c - a_j,)), False
                 else:
                     nxt = range(c - a_j, a_next - 1, -a_j)
+                    if gcds and gcds[j] > 1:
+                        nxt = _multiples_of(gcds[j], nxt)
                     if nxt:
                         yield (c, j - i + 1), level(j + 1, a_next, nxt), c % a_j == 0
                     elif c % a_j == 0:
@@ -190,6 +197,14 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
                 a_next = a_j
 
     return _walk_runs(n, level(1, terms[0], (n,)) if n else None)
+
+
+def _multiples_of(g: int, values: range) -> range:
+    """The values of a descending range that g divides, as a range."""
+    s, h = -values.step, math.gcd(values.step, g)
+    if values.start % h:
+        return range(0)
+    return values[values.start // h * pow(s // h, -1, g // h) % (g // h)::g // h]  # from the first multiple
 
 
 def _gen_pba_by_size(

@@ -56,6 +56,7 @@ members or reports, so a count compiles none of them.
 from __future__ import annotations
 
 import sys
+from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
@@ -333,7 +334,7 @@ def check_quasi_ideal(
     raises :class:`InvalidPart`."""
     from ._walkers import _gen_pba_by_size
     from .partition import Partition
-    from .predicates import is_member_pba
+    from .predicates import _pba_report
 
     _check_n(bound, "bound")
     label = f"quasi-ideal check to size {_shown(bound)}"
@@ -342,7 +343,7 @@ def check_quasi_ideal(
     _require_members(label, _rule_row(rule, bound, label, table=table))
     # a member holds a positive multiple of each part's A-term
     members = map(Partition._from_runs, _gen_pba_by_size(*table, bound, bound))
-    return _first_bad_deletion(members, lambda p: is_member_pba(p, a_seq, b_seq), rule.step_of,
+    return _first_bad_deletion(members, partial(_pba_report, rule, a_seq, b_seq), rule.step_of,
                                "closed under scaled deletions")
 
 

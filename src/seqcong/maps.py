@@ -45,7 +45,8 @@ def pi(lam: Partition) -> Partition:
     out.reverse()
     result = Partition._from_runs(tuple(out))
     # guaranteed by construction; a failure here is a defect, not user error
-    assert is_sequentially_congruent(result).ok
+    if not (report := is_sequentially_congruent(result)).ok:
+        raise InternalContradiction(f"the image under pi is not sequentially congruent: {report.detail}")
     return result
 
 
@@ -62,8 +63,7 @@ def pi_inverse(phi: Partition) -> Partition:
     """
     from .predicates import is_sequentially_congruent
 
-    report = is_sequentially_congruent(phi)
-    if not report.ok:
+    if not (report := is_sequentially_congruent(phi)).ok:
         raise NotSequentiallyCongruent(report)
     out = []
     tail = 0  # sum of the recovered parts after the current run
@@ -98,8 +98,7 @@ def sigma(phi: Partition) -> Partition:
     """
     from .predicates import is_sequentially_congruent
 
-    report = is_sequentially_congruent(phi)
-    if not report.ok:
+    if not (report := is_sequentially_congruent(phi)).ok:
         raise NotSequentiallyCongruent(report)
     out = []
     for i, a, b in _run_ends(phi.runs):
@@ -142,10 +141,7 @@ def orbit(start: Partition, side: str = "P") -> OrbitTrace:
     """
     if side not in ("P", "S"):
         raise ValueError(f"side must be 'P' or 'S', got {side!r}")
-    if side == "S":  # sigma refuses a start that is not sequentially congruent
-        ops = (sigma, pi)
-    else:
-        ops = (pi, sigma)
+    ops = (sigma, pi) if side == "S" else (pi, sigma)  # sigma refuses a start that is not sequentially congruent
     states = [start]
     current = start
     for half_step in range(1, 5):
@@ -205,8 +201,7 @@ def scale_map_inverse(mu: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -
     """
     from .predicates import is_member_pba
 
-    report = is_member_pba(mu, a_seq, b_seq)
-    if not report.ok:
+    if not (report := is_member_pba(mu, a_seq, b_seq)).ok:
         raise NotMemberPBA(report)
     freq = mu.frequencies()
     out: dict[int, int] = {}

@@ -13,6 +13,7 @@ CLI checks a family by its row of the family table (``_family_check``).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ._values import FAMILIES, Family, MultiplicityRule, Value
@@ -88,7 +89,7 @@ def _first_break(lam: Partition, rule: MultiplicityRule) -> Optional[tuple]:
     step_of, cap = rule.step_of, rule.cap
     for part, mult in reversed(lam.runs):
         a = step_of(part)
-        if a is None or mult % a or (cap and mult > 1):
+        if a is None or mult % a or (cap and mult > a):
             return part, mult, a
     return None
 
@@ -115,7 +116,13 @@ def is_member_pba(lam: Partition, a_seq: SequenceSpec, b_seq: SequenceSpec) -> V
     table A, fails at that part.  With A = B = naturals this reduces exactly
     to :func:`is_frequency_congruent`.
     """
-    broken = _first_break(lam, FAMILIES["pba"].rule(a_seq, b_seq))
+    return _pba_report(FAMILIES["pba"].rule(a_seq, b_seq), a_seq, b_seq, lam)
+
+
+def _pba_report(rule: MultiplicityRule, a_seq: SequenceSpec, b_seq: SequenceSpec, lam: Partition) -> ViolationReport:
+    """:func:`is_member_pba` under its rule, which a caller that checks
+    many partitions builds once and binds with ``partial``."""
+    broken = _first_break(lam, rule)
     if broken is None:
         return _PBA_OK
     part, mult, a = broken
@@ -134,12 +141,8 @@ def is_member_sna(lam: Partition, a_seq: SequenceSpec) -> ViolationReport:
     """Successive parts congruent modulo the terms of A (zero-extended), so
     the final condition is divisibility of the smallest part by A's term at
     the length."""
-    r = lam.length
-    ext = a_seq.extent
-    if ext is not None and r > ext:
-        raise ExtentExceeded(
-            f"partition of length {_shown(r)} needs A terms beyond extent {ext}"
-        )
+    if (ext := a_seq.extent) is not None and lam.length > ext:
+        raise ExtentExceeded(f"partition of length {_shown(lam.length)} needs A terms beyond extent {ext}")
     if (broken := _first_step_break(lam, a_seq.at)) is None:
         return _SNA_OK
     i, a, b, m = broken
@@ -175,6 +178,8 @@ def _family_check(family: Family, values: list):
     rule (by conjugation where it has none)."""
     if family.check.__class__ is str:
         test = globals()[family.check]
+        if test is is_member_pba:  # its rule built once, not per partition
+            return partial(_pba_report, family.rule(*values), *values)
         return (lambda lam: test(lam, *values)) if values else test
     yes, no = family.check
     passed, failed = ViolationReport(True, None, yes), ViolationReport(False, None, no)

@@ -564,6 +564,16 @@ def test_a_parts_family_off_the_gcd_ends_at_once(run_limited):
     assert elapsed < 1.0
 
 
+def test_an_sna_family_off_a_tables_suffix_gcd_ends_at_once(run_limited):
+    # over A = 2, 4, 10^30 an odd part at index 2 or later is not a sum of
+    # multiples of its terms, all even: the odd n of 30 digits lists nothing
+    done, elapsed = run_limited(
+        "enum", "sna-lg:A=2,4,1" + "0" * 30 + ";n=5" + "0" * 28 + "1", "--limit", "1"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert elapsed < 1.0
+
+
 def test_long_members_are_listed_within_the_memory_limit(run_limited):
     # 1024 members of about 3*10**5 parts, 300 MB of text in all: a writer
     # holding them at once, with their join, would pass the 512 MiB limit

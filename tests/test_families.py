@@ -512,15 +512,16 @@ class TestQuasiIdeal:
         # 5 takes copies in blocks of 2; reject 5^2, which 5^6 reaches by
         # deleting two blocks: the check deletes one block from each
         # member, so it fails at 5^4, one block above the rejected one
-        original = predicates.is_member_pba
+        original = predicates._pba_report
 
-        def rejects_5_5(p, a_seq, b_seq):
+        def rejects_5_5(rule, a_seq, b_seq, p):
             if p.parts == (5, 5):
                 return predicates.ViolationReport(False, 5, "rejected")
-            return original(p, a_seq, b_seq)
+            return original(rule, a_seq, b_seq, p)
 
-        # check_quasi_ideal imports the predicate from predicates when it is called
-        monkeypatch.setattr(predicates, "is_member_pba", rejects_5_5)
+        # check_quasi_ideal imports is_member_pba's report under a built
+        # rule from predicates when it is called
+        monkeypatch.setattr(predicates, "_pba_report", rejects_5_5)
         report = check_quasi_ideal(self.A, self.B, 30)
         assert not report.ok and report.index == 5
         assert report.detail == (
@@ -530,14 +531,14 @@ class TestQuasiIdeal:
     def test_a_block_of_one_copy_is_counted_in_copies(self, monkeypatch):
         # the quasi-ideal check writes its block as a count even where A's
         # term is 1; only the closure check writes "one copy"
-        original = predicates.is_member_pba
+        original = predicates._pba_report
 
-        def rejects_2(p, a_seq, b_seq):
+        def rejects_2(rule, a_seq, b_seq, p):
             if p.parts == (2,):
                 return predicates.ViolationReport(False, 2, "rejected")
-            return original(p, a_seq, b_seq)
+            return original(rule, a_seq, b_seq, p)
 
-        monkeypatch.setattr(predicates, "is_member_pba", rejects_2)
+        monkeypatch.setattr(predicates, "_pba_report", rejects_2)
         report = check_quasi_ideal(SequenceSpec.ones(), NAT, 4)
         assert (report.ok, report.index) == (False, 2)
         assert report.detail == "deleting 1 copies of 2 from [2, 2] leaves [2], which is outside the family"

@@ -56,6 +56,16 @@ class TestPi:
             assert image.largest == lam.size
             assert image.length == lam.length
 
+    def test_a_broken_image_is_a_defect(self, monkeypatch):
+        # a defect that adds 1 to the smallest part of the image, [4,2] -> [4,3]:
+        # the postcondition raises, as no assert would under python -O
+        real = Partition._from_runs
+        monkeypatch.setattr(Partition, "_from_runs",
+                            staticmethod(lambda runs: real((*runs[:-1], (runs[-1][0] + 1, runs[-1][1])))))
+        with pytest.raises(InternalContradiction, match="^the image under pi is not sequentially congruent: "
+                                                        "smallest part 3 is not congruent to 0 modulo 2$"):
+            pi(Partition((3, 1)))
+
 
 class TestPiInverse:
     @pytest.mark.parametrize(

@@ -12,9 +12,8 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -48,8 +47,8 @@ from seqcong import (
     step_bounded_largest,
 )
 from seqcong import cli
-from seqcong._clifamily import _listing_texts, parse_family
-from seqcong._clipartition import _partition_json
+from seqcong._clifamily import parse_family
+from seqcong._clipartition import _partition_texts
 from seqcong.errors import DEFAULT_ITEM_CAP, ExtentExceeded
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -372,10 +371,15 @@ def dumped(obj):
     return json.dumps(obj, separators=(",", ":"))
 
 
+def written(lam):
+    """The writer's text of one partition: a str, or its pieces."""
+    return next(_partition_texts((lam,)))
+
+
 @given(partitions())
 def test_writer_matches_json_dumps(pair):
     lam, t = pair
-    assert _partition_json(lam) == dumped(list(t))  # short: one str
+    assert written(lam) == dumped(list(t))  # short: one str
 
 
 CHUNK = cli._CHUNK_CHARS
@@ -396,13 +400,13 @@ def near_a_chunk(draw, top=10**40):
 
 
 def assert_pieces(lam):
-    """_partition_json's pieces join to json.dumps; a text past a chunk
-    comes in pieces, none longer than a sixteenth of a chunk or a part."""
-    text, expected = _partition_json(lam), dumped(list(lam.parts))
+    """The writer's pieces join to json.dumps; a text past a chunk comes
+    in pieces, none longer than a sixteenth of a chunk or a part."""
+    text, expected = written(lam), dumped(list(lam.parts))
     assert "".join(text) == expected
     if len(expected) > CHUNK:
         assert text.__class__ is not str
-        assert max(map(len, _partition_json(lam))) <= max(CHUNK // 16, len(str(lam.largest)) + 1)
+        assert max(map(len, written(lam))) <= max(CHUNK // 16, len(str(lam.largest)) + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -545,7 +549,7 @@ def test_enum_output_matches_json_dumps(family, desc):
 
 
 # ---------------------------------------------------------------------------
-# the listing renderer, which joins each text from the kept texts of its runs
+# the writer over a stream, which joins each text from the kept texts of its runs
 
 
 @st.composite
@@ -573,32 +577,38 @@ def shared_streams(draw):
     return members  # runs, which show shorter than their partitions
 
 
-def listed(texts, members):
-    """The joined texts, up to a refusal's text, each with whether it came
-    as one str."""
+def listed(members):
+    """The writer's texts of `members`, each joined, with whether it came
+    as one str, up to a refusal; and the refusal's text, or None."""
     out = []
     try:
-        for text in texts(members):
+        for text in _partition_texts(members):
             out.append((text.__class__ is str, "".join(text)))
     except ResourceBound as e:
-        out.append((None, str(e)))
-    return out
+        return out, str(e)
+    return out, None
 
 
 @settings(max_examples=150, deadline=None)
 @given(shared_streams())
 def test_listing_texts_match_each_member_alone(runs):
     members = [Partition._from_runs(r) for r in runs]
-    expected = listed(lambda ps: map(_partition_json, ps), members)
-    assert listed(_listing_texts, members) == expected
-    texts = [text for whole, text in expected if whole is not None]  # up to a refusal
-    assert texts == [dumped(list(p.parts)) for p in members[:len(texts)]]
+    texts, refusal = listed(members)
+    # json.dumps of each member, up to the first whose largest part is past the digit limit
+    limit = sys.get_int_max_str_digits()
+    printable = list(takewhile(lambda p: p.largest < 10**limit, members))
+    assert [text for _, text in texts] == [dumped(list(p.parts)) for p in printable]
+    if len(printable) < len(members):
+        assert refusal is not None and refusal.endswith(f"past the limit of {limit} digits")
+    else:
+        assert refusal is None
+    assert not any(whole for whole, text in texts if len(text) > CHUNK)  # no joined text passes a chunk
 
 
 def test_listing_texts_past_the_kept_runs():
     # more distinct runs than are kept, then the same runs again
     members = [Partition._from_runs(((v, 1 + v % 3), (1, 2))) for v in range(6000, 1, -1)] * 2
-    assert list(_listing_texts(members)) == [dumped(list(p.parts)) for p in members]
+    assert list(_partition_texts(members)) == [dumped(list(p.parts)) for p in members]
 
 
 families_listed = st.one_of(
@@ -632,11 +642,7 @@ def test_enum_output_matches_the_member_by_member_writer(family, options, cap):
     argv = [family]
     for option in options:
         argv += [option] if option == "--json" else [option, str(cap)]
-    got = enum_run(*argv)
-    # every text built alone, as _partition_json builds it
-    with mock.patch("seqcong._clifamily._listing_texts", lambda ps: map(_partition_json, ps)):
-        assert got == enum_run(*argv)
-    code, out, err = got
+    code, out, err = enum_run(*argv)
     members = []  # json.dumps of each member, up to a refusal (a table A too short, exit 2)
     try:
         members.extend(dumped(list(p.parts)) for p in enumerate_family(parse_family(family)))
@@ -652,9 +658,16 @@ def test_enum_output_matches_the_member_by_member_writer(family, options, cap):
 
 def test_writer_refuses_more_parts_than_the_cap():
     cap = DEFAULT_ITEM_CAP
-    assert _partition_json(Partition.from_frequencies({2: 3})) == "[2,2,2]"
-    with pytest.raises(ResourceBound):
-        _partition_json(Partition.from_frequencies({1: cap + 1}))
+    assert written(Partition.from_frequencies({2: 3})) == "[2,2,2]"
+    with pytest.raises(ResourceBound, match="more than the cap"):
+        written(Partition.from_frequencies({1: cap + 1}))
+    # the cap is tested before the digit limit, and both before any text
+    huge = 10 ** sys.get_int_max_str_digits()
+    with pytest.raises(ResourceBound, match="more than the cap"):
+        written(Partition.from_frequencies({huge: cap + 1}))
+    texts, refusal = listed([Partition.from_parts([3, 1]), Partition.from_parts([huge])])
+    assert texts == [(True, "[3,1]")]
+    assert refusal.endswith(f"past the limit of {sys.get_int_max_str_digits()} digits")
 
 
 def test_ferrers_refuses_more_cells_than_the_cap():

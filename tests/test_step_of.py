@@ -49,7 +49,7 @@ def old_step(rule, part):
 def old_first_break(lam, rule):
     for part, mult in reversed(lam.runs):
         a = old_step(rule, part)
-        if a is None or mult % a or (rule.cap and mult > 1):
+        if a is None or mult % a or (rule.cap and mult > a):  # the cap: M_j = {0, a}, as the row reads it
             return part, mult, a
     return None
 
@@ -174,6 +174,29 @@ def test_parts_counts_by_row_walk_and_check_alike(t):
 @given(a_seq=sequences, b_seq=sequences)
 def test_pba_counts_by_row_walk_and_check_alike(a_seq, b_seq):
     rows_agree(FAMILIES["pba"].rule(a_seq, b_seq))
+
+
+# capped rules whose steps pass 1: the cap allows one block of a copies, M_j = {0, a}
+capped_rules = st.one_of(
+    st.builds(MultiplicityRule, st.integers(1, 3), st.one_of(st.none(), st.integers(2, 4)), st.just(True)),
+    st.builds(MultiplicityRule, st.frozensets(st.integers(1, 9), max_size=4),
+              st.one_of(st.none(), st.integers(2, 4)), st.just(True)),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(rule=capped_rules)
+def test_capped_rules_count_by_row_walk_and_check_alike(rule):
+    rows_agree(rule)
+
+
+def test_the_cap_allows_one_block():
+    rule = MultiplicityRule(frozenset({2, 3}), 2, True)
+    assert _rule_row(rule, 8, "rows") == [1, 0, 0, 0, 1, 0, 1, 0, 0]  # [2,2] and [3,3]
+    assert _first_break(Partition.from_parts([2, 2]), rule) is None
+    assert _first_break(Partition.from_parts([3, 3, 2, 2]), rule) is None
+    assert _first_break(Partition.from_parts([2, 2, 2, 2]), rule) == (2, 4, 2)
+    assert _first_break(Partition.from_parts([2]), rule) == (2, 1, 2)
 
 
 def test_every_multiplicity_family_is_covered():

@@ -190,6 +190,20 @@ def test_sna_streams_match(a_seq, n):
     assert package_outcome(sna_largest(a_seq, n)) == outcome(lambda: ref_sna_lg(a_seq, n))
 
 
+# tables whose later terms share a factor g, so that most continuations are
+# off the gcd of the terms after them; a leading term may be coprime to g
+suffix_gcd_tables = st.builds(
+    lambda head, g, tail: SequenceSpec.table(sorted({*head, *(g * t for t in tail)})),
+    st.lists(st.integers(1, 7), max_size=2), st.integers(2, 5), st.lists(st.integers(1, 8), min_size=1, max_size=5),
+)
+
+
+@settings(deadline=None)
+@given(a_seq=suffix_gcd_tables, n=st.integers(0, 40))
+def test_sna_streams_match_over_a_suffix_gcd(a_seq, n):
+    assert package_outcome(sna_largest(a_seq, n)) == outcome(lambda: ref_sna_lg(a_seq, n))
+
+
 @settings(deadline=None)
 @given(part_set=st.sets(st.integers(1, 9), max_size=4), n=st.integers(0, 22))
 def test_parts_in_streams_match(part_set, n):

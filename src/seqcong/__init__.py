@@ -81,19 +81,21 @@ _LAZY = {
     "sequences": ("NATURALS", "ODDS", "ONES", "SequenceSpec"),
     "series": (
         "BivariateSeries",
-        "SeriesComparison",
         "WeightSpec",
-        "ZetaEvaluation",
-        "compare",
         "distinct_product_side",
         "euler_limit_side",
+        "product_side",
+        "two_var_product_side",
+    ),
+    "sums": (
+        "SeriesComparison",
+        "ZetaEvaluation",
+        "compare",
         "partition_sum_side",
         "partition_zeta",
         "pba_sum_side",
-        "product_side",
         "seqcong_sum_side",
         "step_bounded_sum_side",
-        "two_var_product_side",
     ),
 }
 

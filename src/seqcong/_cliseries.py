@@ -3,6 +3,7 @@ expand and zeta."""
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import TYPE_CHECKING
 
 from .cli import _IDENTITIES, _SIDES, _json_array, _rational, _why, _write_lines, parse_sequence
@@ -54,10 +55,10 @@ def _format_fixed(value: Fraction) -> str:
 
 def _expand_side(side: str, args) -> BivariateSeries:
     """Build one side from the flags it takes; the function is looked up in
-    `series` on each call."""
-    from . import series
-
-    name, flags = _SIDES[side]
+    its module, `series` or `sums`, on each call, and only that module is
+    imported."""
+    function, flags = _SIDES[side]
+    module, name = function.split(".")
     given = {flag: getattr(args, flag) for flag in flags}
     missing = [f"--{flag}" for flag, value in given.items() if value is None]
     if missing:
@@ -67,14 +68,14 @@ def _expand_side(side: str, args) -> BivariateSeries:
             given[flag] = parse_sequence(given[flag])
     if "f" in given:
         given["f"] = parse_weights(given["f"], args.qtrunc)
-    return getattr(series, name)(*given.values())
+    return getattr(import_module(f".{module}", __package__), name)(*given.values())
 
 
 def _cmd_series_verify(args) -> int:
-    from . import series
+    from . import sums
 
     lhs, rhs = (_expand_side(side, args) for side in _IDENTITIES[args.identity])
-    outcome = series.compare(lhs, rhs)
+    outcome = sums.compare(lhs, rhs)
     if outcome.equal:
         print(f"PASS {args.identity} qtrunc={args.qtrunc}")
         return 0
@@ -100,13 +101,13 @@ def _cmd_series_expand(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    from . import series
+    from . import sums
 
     try:
         part_set = [int(v) for v in args.T.split(",")]
     except ValueError as e:
         raise ParseError(f"bad zeta parameters: {_why(e)}")
-    result = series.partition_zeta(part_set, args.s, args.depth)
+    result = sums.partition_zeta(part_set, args.s, args.depth)
     print(f"sum_side {_format_fixed(result.sum_side)}")
     print(f"product_side {_format_fixed(result.product_side)}")
     print(f"depth {result.qdepth} terms {result.terms}")

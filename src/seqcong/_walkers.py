@@ -78,7 +78,9 @@ def _gen_rule(
     what it leaves.  1, 2, ... (values None, on size) place any rest, and
     under the cap, one copy each (`distinct`), at most v (v + 1) / 2; a
     table's reach is read from the rows of :func:`_reach`, and the
-    smallest value takes the rest or nothing."""
+    smallest value takes the rest or nothing.  Past the cell cap, where a
+    row is the gcd g of the blocks below, a level steps through the one
+    residue class of multiplicities that leaves a multiple of g."""
     if values is None:
 
         def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
@@ -102,7 +104,10 @@ def _gen_rule(
                 if rem % cost == 0 and rem // cost % a == 0 and (not cap or rem // cost == a):
                     yield (v, rem // cost), None, True
                 return
-            for m in range((min(rem // (a * cost), 1) if cap else rem // (a * cost)) * a, 0, -a):
+            ms = range((min(rem // (a * cost), 1) if cap else rem // (a * cost)) * a, 0, -a)
+            if rows[idx] == 1:  # past the cell cap: only the m that leave a multiple of the gcd below
+                ms = _congruent(ms, mods[idx], cost, rem)
+            for m in ms:
                 left = rem - m * cost
                 if not left:
                     yield (v, m), None, True
@@ -189,7 +194,7 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
                 else:
                     nxt = range(c - a_j, a_next - 1, -a_j)
                     if gcds and gcds[j] > 1:
-                        nxt = _multiples_of(gcds[j], nxt)
+                        nxt = _congruent(nxt, gcds[j])
                     if nxt:
                         yield (c, j - i + 1), level(j + 1, a_next, nxt), c % a_j == 0
                     elif c % a_j == 0:
@@ -199,12 +204,15 @@ def _gen_sna_lg(a_seq: SequenceSpec, n: int, cap: bool = False) -> Iterator[tupl
     return _walk_runs(n, level(1, terms[0], (n,)) if n else None)
 
 
-def _multiples_of(g: int, values: range) -> range:
-    """The values of a descending range that g divides, as a range."""
-    s, h = -values.step, math.gcd(values.step, g)
-    if values.start % h:
+def _congruent(values: range, g: int, cost: int = 1, rem: int = 0) -> range:
+    """The values c of a range for which g divides rem - cost * c, as a
+    range: their indices are one residue class modulo g / gcd(cost * step, g),
+    found by one modular inverse."""
+    u, r = cost * values.step, rem - cost * values.start  # g | r - u i at index i
+    h = math.gcd(u, g)
+    if r % h:
         return range(0)
-    return values[values.start // h * pow(s // h, -1, g // h) % (g // h)::g // h]  # from the first multiple
+    return values[r // h * pow(u // h, -1, g // h) % (g // h)::g // h]  # from the first such c
 
 
 def _gen_pba_by_size(

@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 # every other module is imported by the calls that use it: the handler
 # modules, json by the calls that read a JSON partition or print a record,
-# partition, predicates, maps, families, series, sequences and fractions by
-# the commands they run
+# partition, predicates, maps, families, series, sums, sequences and
+# fractions by the commands they run
 from .errors import (
     _SHOWN,
     InternalContradiction,
@@ -194,16 +194,18 @@ _MAP_OPS = {
 }
 
 
-# series expand side -> (series function by name, the flags it takes, in order)
+# series expand side -> (its function, named `module.function` as in
+# _COMMANDS: a product side in series, a sum side in sums; the flags it
+# takes, in order)
 _SIDES = {
-    "product": ("product_side", ("f", "qtrunc")),
-    "partition-sum": ("partition_sum_side", ("f", "qtrunc")),
-    "seqcong-sum": ("seqcong_sum_side", ("f", "qtrunc")),
-    "two-variable": ("two_var_product_side", ("A", "B", "xtrunc", "qtrunc")),
-    "pba-sum": ("pba_sum_side", ("A", "B", "xtrunc", "qtrunc")),
-    "euler": ("euler_limit_side", ("A", "xtrunc")),
-    "distinct-product": ("distinct_product_side", ("qtrunc",)),
-    "step-sum": ("step_bounded_sum_side", ("qtrunc",)),
+    "product": ("series.product_side", ("f", "qtrunc")),
+    "partition-sum": ("sums.partition_sum_side", ("f", "qtrunc")),
+    "seqcong-sum": ("sums.seqcong_sum_side", ("f", "qtrunc")),
+    "two-variable": ("series.two_var_product_side", ("A", "B", "xtrunc", "qtrunc")),
+    "pba-sum": ("sums.pba_sum_side", ("A", "B", "xtrunc", "qtrunc")),
+    "euler": ("series.euler_limit_side", ("A", "xtrunc")),
+    "distinct-product": ("series.distinct_product_side", ("qtrunc",)),
+    "step-sum": ("sums.step_bounded_sum_side", ("qtrunc",)),
 }
 # series verify identity -> (left side, right side)
 _IDENTITIES = {

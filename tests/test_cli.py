@@ -9,7 +9,7 @@ from seqcong._clipartition import parse_partition
 from seqcong._cliseries import _expand_side, _format_fixed
 from seqcong.cli import main
 from seqcong.errors import ParseError
-from seqcong.series import partition_zeta
+from seqcong.sums import partition_zeta
 
 
 def _expanded(argv):
@@ -570,6 +570,24 @@ def test_an_sna_family_off_a_tables_suffix_gcd_ends_at_once(run_limited):
     done, elapsed = run_limited(
         "enum", "sna-lg:A=2,4,1" + "0" * 30 + ";n=5" + "0" * 28 + "1", "--limit", "1"
     )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert elapsed < 1.0
+
+
+def test_a_parts_family_past_the_cell_cap_lists_its_members_at_once(run_limited):
+    # the reach rows of n + 1 bits would pass the cell cap, so each level
+    # offers only the multiplicities whose rest the gcd of the blocks below
+    # divides: one residue class, where every multiplicity was tried before
+    done, elapsed = run_limited("enum", "parts:T=1000000,1000001,1000003;n=999998999999", "--limit", "3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("\n") == 3
+    assert elapsed < 5.0
+
+
+def test_an_empty_parts_family_past_the_cell_cap_ends_at_once(run_limited):
+    # n is the Frobenius number of 10^7 and 10^7 + 1: no member, found
+    # without trying each multiplicity of 10^7 + 1
+    done, elapsed = run_limited("enum", "parts:T=10000000,10000001;n=99999989999999")
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
     assert elapsed < 1.0
 

@@ -25,7 +25,8 @@ from seqcong.families import (
 )
 from seqcong.predicates import is_member_pba
 from seqcong.sequences import SequenceSpec
-from seqcong.series import euler_limit_side, pba_sum_side, two_var_product_side
+from seqcong.series import euler_limit_side, two_var_product_side
+from seqcong.sums import pba_sum_side
 
 NAT, ONES, ODDS = SequenceSpec.naturals(), SequenceSpec.ones(), SequenceSpec.odds()
 RULES = [NAT, ONES, ODDS, SequenceSpec.constant(2), SequenceSpec.constant(3)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import _counters, _walkers, series
+from seqcong import _counters, _walkers, sums
 from seqcong import (
     BivariateSeries,
     BoundsMismatch,
@@ -320,9 +320,9 @@ class TestPartitionZeta:
         assert below.sum_side > 1 and below.product_side > 1
 
     def test_precision_above_the_cap_refused_at_once(self):
-        assert partition_zeta([2, 3], 2, 40, dps=series.MAX_DPS).terms == 154
+        assert partition_zeta([2, 3], 2, 40, dps=sums.MAX_DPS).terms == 154
         start = time.perf_counter()
-        for dps in (series.MAX_DPS + 1, 10**7, 10**100):
+        for dps in (sums.MAX_DPS + 1, 10**7, 10**100):
             with pytest.raises(ResourceBound, match="cap of 10000 digits"):
                 partition_zeta([2, 3], 2, 40, dps=dps)
         assert time.perf_counter() - start < 0.1
@@ -521,7 +521,7 @@ def test_enumerative_sides_total_their_members_first(monkeypatch, side, enumerat
         raise _EnumerationStarted
 
     # pba_sum_side imports its walker from _walkers when it is called
-    monkeypatch.setattr(_walkers if enumerator == "_gen_pba_by_size" else series, enumerator, started)
+    monkeypatch.setattr(_walkers if enumerator == "_gen_pba_by_size" else sums, enumerator, started)
     with pytest.raises(ResourceBound, match="would enumerate"):
         side(fits + 1)
     with pytest.raises(_EnumerationStarted):

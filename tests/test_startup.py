@@ -42,10 +42,12 @@ EXPORTS = {
     ),
     "sequences": ("NATURALS", "ODDS", "ONES", "SequenceSpec"),
     "series": (
-        "BivariateSeries", "SeriesComparison", "WeightSpec", "ZetaEvaluation", "compare",
-        "distinct_product_side", "euler_limit_side", "partition_sum_side",
-        "partition_zeta", "pba_sum_side", "product_side", "seqcong_sum_side",
-        "step_bounded_sum_side", "two_var_product_side",
+        "BivariateSeries", "WeightSpec", "distinct_product_side", "euler_limit_side",
+        "product_side", "two_var_product_side",
+    ),
+    "sums": (
+        "SeriesComparison", "ZetaEvaluation", "compare", "partition_sum_side", "partition_zeta",
+        "pba_sum_side", "seqcong_sum_side", "step_bounded_sum_side",
     ),
 }
 ALL_NAMES = [name for names in EXPORTS.values() for name in names]
@@ -103,7 +105,9 @@ def test_submodules_are_attributes_right_after_import():
 # and orbit, predicates only by the calls that check membership, json only
 # by the calls that read a JSON partition or print a record, and the run
 # walkers only by the calls that build members: a count builds none, and
-# of the series commands only the pba sum side does.  fractions (which
+# of the series commands only the pba sum side does.  The sum sides,
+# compare and zeta (sums) are loaded only by series verify, zeta and an
+# expand of a sum side, never by a product side.  fractions (which
 # loads decimal) is loaded only by the series calls that make a Fraction: a
 # weight, a rational coefficient or zeta's sides; an integer side writes its
 # ints as they are, even under --json, and an integral weight is an int.
@@ -111,7 +115,7 @@ WATCHED = (
     "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json", "mpmath",
     "seqcong._clifamily", "seqcong._clipartition", "seqcong._cliseries", "seqcong._walkers",
     "seqcong.families", "seqcong.maps", "seqcong.partition", "seqcong.predicates",
-    "seqcong.sequences", "seqcong.series",
+    "seqcong.sequences", "seqcong.series", "seqcong.sums",
 )
 # the probe imports nothing of WATCHED itself, so it prints a repr, not JSON
 PROBE = (
@@ -124,6 +128,8 @@ PROBE = (
 COUNT_MODULES = ["seqcong._clifamily", "seqcong.families", "seqcong.sequences"]
 SERIES_MODULES = ["seqcong._cliseries", "seqcong.sequences", "seqcong.series"]
 RATIONAL_MODULES = ["decimal", "fractions", *SERIES_MODULES]
+SUMS_MODULES = [*SERIES_MODULES, "seqcong.sums"]
+RATIONAL_SUMS_MODULES = [*RATIONAL_MODULES, "seqcong.sums"]
 MEMBER_MODULES = ["seqcong._walkers", "seqcong.families", "seqcong.partition", "seqcong.sequences"]
 CHECK_MODULES = [
     "json", "seqcong._clifamily", "seqcong._clipartition", "seqcong.partition", "seqcong.predicates",
@@ -151,8 +157,8 @@ def _loaded(argv, stdin: str | None = None) -> list:
         (("series", "expand", "distinct-product", "--qtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "euler", "--A", "2,3", "--xtrunc", "10"), 0, SERIES_MODULES),
         (("series", "expand", "product", "--qtrunc", "3", "--json"), 0, SERIES_MODULES),
-        (("series", "verify", "distinct", "--qtrunc", "10"), 0, SERIES_MODULES),
-        (("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0, RATIONAL_MODULES),
+        (("series", "verify", "distinct", "--qtrunc", "10"), 0, SUMS_MODULES),
+        (("zeta", "--T", "2", "--s", "2", "--depth", "5"), 0, RATIONAL_SUMS_MODULES),
         (("--help",), 0, []),
         (("map", "scale", "[3,2,2]", "--A", "2,3", "--B", "5,7"), 0, [*MAP_MODULES, "seqcong.sequences"]),
         (("check", "sna:A=2,3,1", "[9,5,2]"), 0, [*CHECK_MODULES, "seqcong.sequences"]),
@@ -165,12 +171,12 @@ def _loaded(argv, stdin: str | None = None) -> list:
             ("ideal", "invariance", "--A", "3,1,2", "--B", "naturals", "--max-size", "6"), 0,
             ["json", "seqcong._clifamily", "seqcong._walkers", "seqcong.families", "seqcong.sequences"],
         ),
-        (("series", "verify", "product-sum", "--qtrunc", "10", "--f", "random:3"), 0, RATIONAL_MODULES),
-        (("series", "verify", "product-seqcong", "--qtrunc", "10", "--f", "random:3"), 0, RATIONAL_MODULES),
+        (("series", "verify", "product-sum", "--qtrunc", "10", "--f", "random:3"), 0, RATIONAL_SUMS_MODULES),
+        (("series", "verify", "product-seqcong", "--qtrunc", "10", "--f", "random:3"), 0, RATIONAL_SUMS_MODULES),
         (
             ("series", "verify", "two-variable", "--qtrunc", "5", "--xtrunc", "5", "--A", "naturals",
              "--B", "naturals"), 0,
-            ["seqcong._cliseries", "seqcong._walkers", "seqcong.sequences", "seqcong.series"],
+            ["seqcong._cliseries", "seqcong._walkers", "seqcong.sequences", "seqcong.series", "seqcong.sums"],
         ),
         # series-expand
         (
@@ -222,3 +228,26 @@ def test_only_the_pba_sum_side_loads_families(argv):
     walks_members = argv[1:3] in (("expand", "pba-sum"), ("verify", "two-variable"))
     assert "seqcong.families" not in loaded and "seqcong.partition" not in loaded, loaded
     assert ("seqcong._walkers" in loaded) == walks_members, loaded
+
+
+PRODUCT_SIDES = ("product", "distinct-product", "euler", "two-variable")
+
+
+def test_the_product_sides_are_the_sides_series_defines():
+    in_series = [side for side, (function, _) in cli._SIDES.items() if function.startswith("series.")]
+    assert sorted(in_series) == sorted(PRODUCT_SIDES)
+    assert all(function.startswith(("series.", "sums.")) for function, _ in cli._SIDES.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("series", "expand", side, *TERMS, *json) for side in cli._SIDES for json in ((), ("--json",))]
+    + [("series", "verify", identity, *TERMS) for identity in cli._IDENTITIES]
+    + [("zeta", "--T", "2,3", "--s", "2", "--depth", "5")],
+)
+def test_only_verify_zeta_and_the_sum_sides_load_sums(argv):
+    # a product-side expand compiles no sum side, compare or zeta
+    rc, loaded = _loaded(argv)
+    assert rc == 0
+    product_expand = argv[1:2] == ("expand",) and argv[2] in PRODUCT_SIDES
+    assert ("seqcong.sums" in loaded) != product_expand, loaded

@@ -17,7 +17,8 @@ from seqcong.families import EquivalenceReport, FamilyDescriptor, InvarianceRepo
 from seqcong.maps import OrbitTrace
 from seqcong.predicates import ViolationReport
 from seqcong.sequences import SequenceSpec
-from seqcong.series import SeriesComparison, WeightSpec, ZetaEvaluation
+from seqcong.series import WeightSpec
+from seqcong.sums import SeriesComparison, ZetaEvaluation
 
 # class -> (fields without a default, fields defaulting to None)
 FIELDS = {

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from math import prod
 from typing import Callable, Iterator
+from unittest import mock
 
 import mpmath
 import pytest
@@ -216,6 +217,24 @@ def test_parts_in_stops_at_a_remainder_off_the_gcd():
     start = time.perf_counter()
     assert list(enumerate_family(parts_in([4, 6], 10**30 + 1))) == []
     assert time.perf_counter() - start < 0.5
+
+
+short_tables = st.lists(st.integers(1, 9), min_size=1, max_size=4).map(SequenceSpec.table)
+
+
+@settings(deadline=None)
+@given(
+    family=st.one_of(
+        st.builds(parts_in, st.sets(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 40)),
+        st.builds(pba_length, short_tables, short_tables, st.integers(0, 40)),
+    )
+)
+def test_walks_past_the_cell_cap_match_the_walks_within_it(family):
+    # under a cap of 30 cells every reach row from n = 15 on is the gcd of
+    # its blocks, and a level steps through the multiplicities it allows
+    within = package_outcome(family)
+    with mock.patch.object(_walkers, "DEFAULT_ITEM_CAP", 30):
+        assert package_outcome(family) == within
 
 
 @settings(deadline=None)

@@ -53,28 +53,31 @@ def _format_fixed(value: Fraction) -> str:
     return f"{sign}{ip}.{fp:0{_ZETA_PLACES}d}"
 
 
-def _expand_side(side: str, args) -> BivariateSeries:
+def _expand_side(side: str, args, parsed: dict | None = None) -> BivariateSeries:
     """Build one side from the flags it takes; the function is looked up in
     its module, `series` or `sums`, on each call, and only that module is
-    imported."""
+    imported.  A flag already in `parsed` is taken from it, and one parsed
+    here is added, so that the two sides of an identity parse each flag
+    once: a random table is drawn once."""
     function, flags = _SIDES[side]
     module, name = function.split(".")
-    given = {flag: getattr(args, flag) for flag in flags}
-    missing = [f"--{flag}" for flag, value in given.items() if value is None]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         raise ParseError(f"side {side} needs {', '.join(missing)}")
-    for flag in ("A", "B"):
-        if flag in given:
-            given[flag] = parse_sequence(given[flag])
-    if "f" in given:
-        given["f"] = parse_weights(given["f"], args.qtrunc)
-    return getattr(import_module(f".{module}", __package__), name)(*given.values())
+    parsed = {} if parsed is None else parsed
+    for flag in flags:
+        if flag not in parsed:
+            text = getattr(args, flag)
+            parsed[flag] = (parse_sequence(text) if flag in ("A", "B")
+                            else parse_weights(text, args.qtrunc) if flag == "f" else text)
+    return getattr(import_module(f".{module}", __package__), name)(*(parsed[flag] for flag in flags))
 
 
 def _cmd_series_verify(args) -> int:
     from . import sums
 
-    lhs, rhs = (_expand_side(side, args) for side in _IDENTITIES[args.identity])
+    parsed: dict = {}
+    lhs, rhs = (_expand_side(side, args, parsed) for side in _IDENTITIES[args.identity])
     outcome = sums.compare(lhs, rhs)
     if outcome.equal:
         print(f"PASS {args.identity} qtrunc={args.qtrunc}")

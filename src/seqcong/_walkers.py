@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from ._counters import _require_strictly_increasing
@@ -72,15 +72,16 @@ def _gen_rule(
     """The members of a multiplicity rule that place exactly n (their size,
     or their length when `length`) over the values and steps of
     ``_counters._allowed``: a value takes a positive multiple of its step
-    (1 when None) copies, one step under the cap.  A level takes the next
-    value down and its copies from the most down, so members are strictly
-    decreasing, and offers a choice only when the values below can place
-    what it leaves.  1, 2, ... (values None, on size) place any rest, and
-    under the cap, one copy each (`distinct`), at most v (v + 1) / 2; a
-    table's reach is read from the rows of :func:`_reach`, and the
-    smallest value takes the rest or nothing.  Past the cell cap, where a
-    row is the gcd g of the blocks below, a level steps through the one
-    residue class of multiplicities that leaves a multiple of g."""
+    copies, one step under the cap.  A level takes the next value down and
+    its copies from the most down, so members are strictly decreasing, and
+    offers a choice only when the values below can place what it leaves.
+    1, 2, ... (values None, on size) place any rest, and under the cap, one
+    copy each (`distinct`), at most v (v + 1) / 2; a table's reach is read
+    from the rows of :func:`_reach`, and the smallest value takes the rest
+    or nothing.  Past the cell cap, where a row is the gcd g of the blocks
+    below, a level steps through the one residue class of multiplicities
+    that leaves a multiple of g; where g is 1, as over values that hold 1,
+    every multiplicity does."""
     if values is None:
 
         def level(top: int, rem: int) -> Level:  # runs of parts <= top summing to rem
@@ -98,14 +99,14 @@ def _gen_rule(
         for idx in range((k if length else bisect_right(values, rem, 0, k)) - 1, -1, -1):
             if not rows[idx + 1] >> rem % mods[idx + 1] & 1:  # nor can fewer values
                 return
-            v, a = values[idx], 1 if steps is None else steps[idx]
+            v, a = values[idx], steps[idx]
             cost = 1 if length else v
             if not idx:  # the smallest value takes the rest or nothing
                 if rem % cost == 0 and rem // cost % a == 0 and (not cap or rem // cost == a):
                     yield (v, rem // cost), None, True
                 return
             ms = range((min(rem // (a * cost), 1) if cap else rem // (a * cost)) * a, 0, -a)
-            if rows[idx] == 1:  # past the cell cap: only the m that leave a multiple of the gcd below
+            if rows[idx] == 1 and mods[idx] > 1:  # past the cell cap: the m that leave a multiple of the gcd
                 ms = _congruent(ms, mods[idx], cost, rem)
             for m in ms:
                 left = rem - m * cost
@@ -124,7 +125,7 @@ def _reach(values: list[int], steps, n: int, length: bool, cap: bool) -> tuple[l
     DEFAULT_ITEM_CAP cells; past it row k is 1 and mods[k] the gcd of the
     first k blocks, which divides every rem they place: an odd n of any
     size lists nothing over even values, at once."""
-    blocks = [a if length else a * v for v, a in zip(values, steps or repeat(1))]
+    blocks = [a if length else a * v for v, a in zip(values, steps)]
     if blocks[:1] == [1] and not cap or (len(blocks) + 1) * (n + 1) > DEFAULT_ITEM_CAP:  # 1s place any rem
         gcds = [*accumulate(blocks, math.gcd, initial=0)]
         return [1] * len(gcds), gcds

@@ -7,6 +7,7 @@ import pytest
 from seqcong import cli
 from seqcong._clipartition import parse_partition
 from seqcong._cliseries import _expand_side, _format_fixed
+from seqcong._values import _LISTINGS
 from seqcong.cli import main
 from seqcong.errors import ParseError
 from seqcong.sums import partition_zeta
@@ -412,6 +413,22 @@ class TestSeries:
         code, out, _ = run(capsys, "series", "verify", "distinct", "--qtrunc", "12")
         assert code == 0
 
+    @pytest.mark.parametrize("identity", ["product-sum", "product-seqcong"])
+    def test_verify_draws_a_random_table_once(self, capsys, monkeypatch, identity):
+        # both sides take the one parsed --f, so its table is drawn once
+        import random
+
+        seeds = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        code, out, _ = run(capsys, "series", "verify", identity, "--qtrunc", "12", "--f", "random:7")
+        assert (code, out, seeds) == (0, f"PASS {identity} qtrunc=12\n", [7])
+
     def test_verify_needs_flags(self, capsys):
         code, _, err = run(
             capsys, "series", "verify", "two-variable", "--qtrunc", "10"
@@ -602,6 +619,92 @@ def test_long_members_are_listed_within_the_memory_limit(run_limited):
     assert done.stderr == ""
 
 
+# the child lowers its own address space to 96 MiB, as `ulimit -v 98304`
+# would, then ends through cli.run as the console script does
+IN_96_MIB = (
+    "import resource\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))\n"
+    "from seqcong.cli import run\n"
+    "run()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, size, tail",
+    [
+        # enum --json writes its array in chunks: the 526,823 members fit
+        # where one joined string did not
+        (("enum", "seqcong-lg:56", "--json"), 24_375_036, b"]]\n"),
+        # a line is written in pieces of about a chunk: pi(1^10000000) is
+        # 10^7 parts of 8 digits
+        (("map", "pi", "1^10000000"), 90_000_002, b",10000000]\n"),
+        # members past a chunk each go to the writer in pieces, not joined
+        # whole from kept run texts
+        (("enum", "parts:T=1,2;n=200000", "--limit", "3"), 600_012, b",1,1]\n"),
+    ],
+)
+def test_output_past_a_chunk_is_written_within_96_mib(run_limited, tmp_path, argv, size, tail):
+    path = tmp_path / "stdout"
+    with open(path, "wb") as out:
+        done, _ = run_limited(*argv, stdout=out, code=IN_96_MIB)
+    assert (done.returncode, done.stderr) == (0, "")
+    with open(path, "rb") as out:
+        assert out.seek(0, 2) == size
+        out.seek(-len(tail), 2)
+        assert out.read() == tail
+    path.unlink()
+
+
+def test_check_keeps_a_report_per_line_within_96_mib(run_limited, tmp_path, capsys):
+    # the 5,604 members of seqcong-lg:30 on stdin, each checked: check
+    # keeps a report, not a partition, per line
+    main(["enum", "seqcong-lg:30"])
+    members = tmp_path / "members"
+    members.write_text(capsys.readouterr().out)
+    on_stdin = "import os, sys\nos.dup2(os.open(sys.argv.pop(1), os.O_RDONLY), 0)\n"
+    done, _ = run_limited(str(members), "check", "seqcong", code=on_stdin + IN_96_MIB)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count('"ok":true') == done.stdout.count("\n") == 5604
+
+
+def test_the_first_members_of_a_thirteen_digit_size_come_at_once(run_limited):
+    # the walker takes values as it needs them
+    done, elapsed = run_limited("enum", "all:1000000000000", "--limit", "2")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[1000000000000]\n[999999999999,1]\n", "")
+    assert elapsed < 5.0
+
+
+def test_the_partition_sum_over_prime_weights_ends_within_five_seconds(run_limited):
+    # the partition sum side runs on the kernel's per-size scales: over 1/p
+    # for the first 45 primes, one common L^n would take about 10 s
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:45]
+    weights = "table:" + ",".join(f"1/{p}" for p in primes)
+    done, elapsed = run_limited("series", "verify", "product-sum", "--qtrunc", "45", "--f", weights)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "PASS product-sum qtrunc=45\n", "")
+    assert elapsed < 5.0
+
+
+# a listing's text for every row of the family table, so that a new row is
+# listed and counted here with no edit
+LISTED = {"T": "3,5,7", "A": "odds", "B": "naturals", "n": "20"}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # one multiplicity rule walks and counts each of these
+        "all:30", "distinct:60", "parts:T=3,5,7;n=60", "pba:A=2,3;B=5,7;n=30",
+        # one rule (A, cap) walks and counts the largest-part families
+        "step-lg:40", "sna-lg:A=odds;n=40", "sna-lg:A=2,3,5,7,11,13,17,19,23,29,31;n=30",
+        *(name + ":" + ";".join(f"{key}={LISTED[key]}" for key in keys) for name, (keys, _) in _LISTINGS.items()),
+    ],
+)
+def test_a_listing_has_as_many_lines_as_its_count(capsys, family):
+    code, listing, _ = run(capsys, "enum", family)
+    assert code == 0
+    assert run(capsys, "enum", family, "--count-only") == (0, f"{listing.count(chr(10))}\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, rc, out",
     [
@@ -714,6 +817,19 @@ def test_a_part_past_the_digit_limit_is_refused_in_one_line(run_limited):
           "--xtrunc", "1", "--qtrunc", "3000000"),
          "error: two-variable product side x^1 q^3000000 needs a table of 12000004 cells, "
          "more than the cap of 10000000\n"),
+        # a size of 2,201 digits, whose cell count passes Python's 4,300-digit
+        # limit on integer text, is refused in one short line
+        (("enum", "distinct:1" + "0" * 2200, "--count-only"),
+         "error: distinct:1000000000000000000000000000000000000000... (2201 characters) needs a "
+         "table of 1000000000000000000000000000000000000000... (4401 characters) cells, more than "
+         "the cap of 10000000\n"),
+        # at n = 10^8 too, within the 512 MiB the benchmark gives each child
+        (("enum", "pba:A=naturals;B=naturals;n=100000000", "--limit", "1"),
+         "error: pba-len:100000000:A=naturals:B=naturals needs a table of 100000001 cells, "
+         "more than the cap of 10000000\n"),
+        (("ideal", "quasi", "--A", "ones", "--B", "naturals", "--max-size", "100000000"),
+         "error: quasi-ideal check to size 100000000 needs a table of 100000001 cells, "
+         "more than the cap of 10000000\n"),
     ],
 )
 def test_huge_walks_exit_3_within_a_second(run_limited, argv, err):
@@ -779,10 +895,10 @@ class TestZeta:
         code, out, _ = run(capsys, "zeta", "--T", "2,3", "--s", "5/2", "--depth", "20")
         assert code == 0 and out.startswith("sum_side ")
 
-    @pytest.mark.parametrize("dps", ["-3", "0", "10", "19"])
+    @pytest.mark.parametrize("dps", ["-3", "0", "10", "19", "30"])
     def test_too_few_digits_for_the_printed_places(self, capsys, dps):
         # --dps 10 used to print product_side 1.499999999985 for 1.5; the
-        # precision is no longer settable, so any --dps is a usage error
+        # precision is no longer settable, so any --dps, 30 too, is a usage error
         code, out, err = run(capsys, "zeta", "--T", "2,3", "--s", "2", "--depth", "10", "--dps", dps)
         assert code == 2 and out == "" and err == "error: unrecognized arguments: --dps\n"
 

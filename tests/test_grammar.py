@@ -30,6 +30,10 @@ GOLDEN = [
      '{"ok":true,"index":null,"detail":"every part divides its multiplicity"}\n'),
     (("check", "freqcong", "[2,1,1]"), 1,
      '{"ok":false,"index":2,"detail":"part 2 has multiplicity 1, not divisible by 2"}\n'),
+    (("check", "freqcong", "[3,3,3,1]"), 0,
+     '{"ok":true,"index":null,"detail":"every part divides its multiplicity"}\n'),
+    (("check", "oddparts", "[3,3,1]"), 0, '{"ok":true,"index":null,"detail":"all parts odd"}\n'),
+    (("check", "oddparts", "[2,1]"), 1, '{"ok":false,"index":null,"detail":"a part is even"}\n'),
     (("check", "step", "[3,2,2]"), 1,
      '{"ok":false,"index":3,"detail":"step 2 at index 3 is neither 0 nor 3"}\n'),
     (("check", "step", "[3,1]"), 1,
@@ -70,6 +74,9 @@ GOLDEN = [
     (("ideal", "closure", "freqcong", "--max-size", "6"), 1,
      '{"ok":false,"index":2,"detail":"deleting one copy of 2 from [2, 2] leaves [2], '
      'which is outside the family"}\n'),
+    (("ideal", "closure", "freqcong", "--max-size", "4"), 1,
+     '{"ok":false,"index":2,"detail":"deleting one copy of 2 from [2, 2] leaves [2], '
+     'which is outside the family"}\n'),
     (("ideal", "closure", "step", "--max-size", "6"), 1,
      '{"ok":false,"index":2,"detail":"deleting one copy of 2 from [2, 2] leaves [2], '
      'which is outside the family"}\n'),
@@ -95,6 +102,9 @@ GOLDEN = [
     (("ideal", "invariance", "--A", "2,3", "--B", "5,7", "--B-prime", "1,2", "--max-size", "8"), 0,
      '{"ok":true,"detail":"counts invariant under permuting A and replacing B",'
      '"sets_differ_at":2,"counts":[1,0,1,1,1,1,2,1,2]}\n'),
+    (("ideal", "invariance", "--A", "2,3", "--B", "5,7", "--max-size", "8"), 0,
+     '{"ok":true,"detail":"counts invariant under permuting A and replacing B",'
+     '"sets_differ_at":2,"counts":[1,0,1,1,1,1,2,1,2]}\n'),
     # enum, every listing
     (("enum", "all:4"), 0, "[4]\n[3,1]\n[2,2]\n[2,1,1]\n[1,1,1,1]\n"),
     (("enum", "all:0"), 0, "[]\n"),
@@ -109,6 +119,7 @@ GOLDEN = [
     (("enum", "sna-lg:A=naturals;n=5"), 0,
      "[5,5,5,5,5]\n[5,5,3]\n[5,4,4,4]\n[5,4]\n[5,3,3]\n[5,2]\n[5]\n"),
     (("enum", "all:6", "--count-only"), 0, "11\n"),
+    (("enum", "all:44", "--count-only"), 0, "75175\n"),
     (("enum", "seqcong-lg:5", "--json"), 0,
      "[[5,5,5,5,5],[5,5,3],[5,4,4,4],[5,4],[5,3,3],[5,2],[5]]\n"),
     (("enum", "pba:A=2,3;B=5,7;n=6", "--count-only"), 0, "2\n"),
@@ -132,6 +143,8 @@ GOLDEN = [
       "--qtrunc", "20"), 0, "x^0 q^0: 1\nx^2 q^10: 1\n"),
     (("series", "expand", "pba-sum", "--A", "2,3", "--B", "5,7", "--xtrunc", "3",
       "--qtrunc", "20"), 0, "x^0 q^0: 1\nx^2 q^10: 1\n"),
+    (("series", "expand", "pba-sum", "--A", "naturals", "--B", "naturals", "--xtrunc", "3",
+      "--qtrunc", "3"), 0, "x^0 q^0: 1\nx^1 q^1: 1\nx^2 q^2: 1\nx^3 q^3: 1\n"),
     (("series", "expand", "step-sum", "--qtrunc", "4", "--json"), 0,
      '{"xtrunc":0,"qtrunc":4,"coefficients":[[0,0,"1"],[0,1,"1"],[0,2,"1"],[0,3,"2"],'
      '[0,4,"2"]]}\n'),
@@ -141,7 +154,10 @@ GOLDEN = [
      "PASS product-sum qtrunc=8\n"),
     (("series", "verify", "product-seqcong", "--qtrunc", "10", "--f", "random-seeded:42"), 0,
      "PASS product-seqcong qtrunc=10\n"),
+    (("series", "verify", "product-seqcong", "--qtrunc", "40", "--f", "random:7"), 0,
+     "PASS product-seqcong qtrunc=40\n"),
     (("series", "verify", "distinct", "--qtrunc", "12"), 0, "PASS distinct qtrunc=12\n"),
+    (("series", "verify", "distinct", "--qtrunc", "50"), 0, "PASS distinct qtrunc=50\n"),
     (("series", "verify", "two-variable", "--A", "2,3", "--B", "5,7", "--xtrunc", "4",
       "--qtrunc", "30"), 0, "PASS two-variable qtrunc=30\n"),
 ]

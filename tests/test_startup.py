@@ -212,6 +212,16 @@ def test_zeta_runs_where_mpmath_cannot_be_imported():
     assert done.stdout == "sum_side 1.499999999997\nproduct_side 1.500000000000\ndepth 40 terms 154\n"
 
 
+def test_an_integer_side_runs_where_fractions_cannot_be_imported():
+    # an integer side makes no Fraction: series expand writes its ints
+    done = _python(
+        "import sys\nsys.modules['fractions'] = None\nfrom seqcong.cli import run\nrun()\n",
+        "series", "expand", "two-variable", "--A", "naturals", "--B", "naturals", "--xtrunc", "3", "--qtrunc", "3",
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "x^0 q^0: 1\nx^1 q^1: 1\nx^2 q^2: 1\nx^3 q^3: 1\n"
+
+
 TERMS = ("--A", "naturals", "--B", "naturals", "--xtrunc", "3", "--qtrunc", "3")
 
 
